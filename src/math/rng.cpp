@@ -36,15 +36,23 @@ double Rng::uniform01() noexcept {
 }
 
 std::uint64_t Rng::uniform_below(std::uint64_t bound) noexcept {
-  // Lemire-style rejection: accept unless the draw falls into the biased
-  // remainder zone of size (2^64 mod bound).
-  const std::uint64_t threshold = (0 - bound) % bound;
-  for (;;) {
-    const std::uint64_t r = next_u64();
-    if (r >= threshold) {
-      return r % bound;
+  // Threshold rejection: accept unless the draw falls into the biased
+  // remainder zone [0, 2^64 mod bound).  The zone is shorter than `bound`,
+  // so a draw r >= bound is always accepted and the threshold's divide is
+  // paid only when r < bound.  A power-of-two bound has an empty zone and
+  // reduces by mask.  Values and stream consumption are exactly those of
+  // computing the threshold up front.
+  if ((bound & (bound - 1)) == 0) {
+    return next_u64() & (bound - 1);
+  }
+  std::uint64_t r = next_u64();
+  if (r < bound) {
+    const std::uint64_t threshold = (0 - bound) % bound;
+    while (r < threshold) {
+      r = next_u64();
     }
   }
+  return r % bound;
 }
 
 std::uint64_t Rng::uniform_range(std::uint64_t lo, std::uint64_t hi) noexcept {

@@ -99,7 +99,8 @@ class Rng {
   /// Uniform double in [0, 1) with 53 random bits.
   double uniform01() noexcept;
 
-  /// Uniform integer in [0, bound); unbiased via rejection sampling.
+  /// Uniform integer in [0, bound); unbiased via rejection sampling (a
+  /// power-of-two bound reduces by mask).
   /// Precondition: bound > 0.
   std::uint64_t uniform_below(std::uint64_t bound) noexcept;
 

@@ -1,25 +1,24 @@
 #include "sim/prefix_table.hpp"
 
 #include "common/check.hpp"
+#include "common/hugepage.hpp"
 
 namespace dht::sim {
 
 PrefixTable::PrefixTable(const IdSpace& space, math::Rng& rng)
     : d_(space.bits()), size_(space.size()) {
-  entries_.resize(size_ * static_cast<std::uint64_t>(d_));
+  common::reserve_hugepages(entries_, size_ * static_cast<std::uint64_t>(d_));
   for (NodeId v = 0; v < size_; ++v) {
     for (int level = 1; level <= d_; ++level) {
-      // Keep the first level-1 bits, flip bit `level`, randomize the rest.
+      // Keep the first level-1 bits, flip bit `level`, randomize the rest
+      // (the flip is flip_level(v, level, d_) without its range checks).
       const int suffix_bits = d_ - level;
-      const NodeId kept = flip_level(v, level, d_) >> suffix_bits
-                                                          << suffix_bits;
+      const NodeId kept = ((v >> suffix_bits) ^ 1) << suffix_bits;
       const NodeId suffix =
           suffix_bits == 0
               ? 0
               : rng.uniform_below(std::uint64_t{1} << suffix_bits);
-      entries_[v * static_cast<std::uint64_t>(d_) +
-               static_cast<std::uint64_t>(level - 1)] =
-          static_cast<std::uint32_t>(kept | suffix);
+      entries_.push_back(static_cast<std::uint32_t>(kept | suffix));
     }
   }
 }

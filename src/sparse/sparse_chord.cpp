@@ -1,7 +1,6 @@
 #include "sparse/sparse_chord.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/check.hpp"
 #include "common/hugepage.hpp"
@@ -13,81 +12,85 @@ SparseChordOverlay::SparseChordOverlay(const SparseIdSpace& space)
   const int d = space.bits();
   const std::uint64_t n = space.node_count();
   const std::uint64_t size = space.key_space_size();
-  const std::uint64_t mask = size - 1;
+  const sim::NodeId* ids = space.ids().data();
+  // Finger i of node v is the successor of the key id_v + 2^(d-i).  Unwrap
+  // the ring to positions 0..2n-1, position j holding ids[j] below n and
+  // ids[j-n] + size above.  Taken unreduced, column i's key grows with v,
+  // so its successor -- the first position whose unwrapped id reaches the
+  // key, read mod n -- is a cursor that only moves forward: one cursor per
+  // column, advanced node by node, sweeps the ring once instead of
+  // searching per key.  The successor lies strictly past v and at most at
+  // v + n (the key is below id_v + size); position v + n is v itself.
+  const auto unwrapped = [&](std::uint64_t j) {
+    return j < n ? ids[j] : ids[j - n] + size;
+  };
+  std::vector<std::uint64_t> cursor(static_cast<std::size_t>(d), 0);
   common::reserve_hugepages(fingers_, n * static_cast<std::uint64_t>(d));
-  fingers_.resize(n * static_cast<std::uint64_t>(d));
-  // First pass: distinct fingers per node, CSR-compressed into temporaries.
-  std::vector<std::uint64_t> offsets;
-  std::vector<std::uint64_t> progress_csr;
-  std::vector<NodeIndex> targets_csr;
-  offsets.reserve(n + 1);
-  offsets.push_back(0);
-  std::vector<std::pair<std::uint64_t, NodeIndex>> row;
-  row.reserve(static_cast<std::size_t>(d));
+  route_lens_.reserve(n);
   std::uint64_t widest = 1;
   for (NodeIndex v = 0; v < n; ++v) {
-    const sim::NodeId base = space.id_of(v);
-    row.clear();
+    const sim::NodeId base = ids[v];
+    // Columns in order i = 1..d have decreasing offsets, so the cursors --
+    // and the fingers' clockwise progress -- never increase along a row:
+    // the row is already in decreasing-progress order, self-links (the
+    // largest progress, size) come first, and a repeated target repeats
+    // its predecessor.
+    std::uint64_t len = 0;
+    NodeIndex previous = kNoNode;
     for (int i = 1; i <= d; ++i) {
-      const sim::NodeId key =
-          (base + (std::uint64_t{1} << (d - i))) & mask;
-      const NodeIndex f = space.successor_of_key(key);
-      fingers_[v * static_cast<std::uint64_t>(d) +
-               static_cast<std::uint64_t>(i - 1)] = f;
-      if (f != v) {
-        row.emplace_back((space.id_of(f) - base) & mask, f);
+      const sim::NodeId key = base + (std::uint64_t{1} << (d - i));
+      std::uint64_t& j = cursor[static_cast<std::size_t>(i - 1)];
+      while (unwrapped(j) < key) {
+        ++j;
+      }
+      const auto f = static_cast<NodeIndex>(j < n ? j : j - n);
+      fingers_.push_back(f);
+      if (f != v && f != previous) {
+        ++len;
+        previous = f;
       }
     }
-    // Distinct fingers sorted by decreasing progress; equal progress means
-    // the same identifier, i.e. the same node, so dedup drops exactly the
-    // fingers that collapsed onto one successor.
-    std::sort(row.begin(), row.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-    for (const auto& [progress, target] : row) {
-      progress_csr.push_back(progress);
-      targets_csr.push_back(target);
-    }
-    offsets.push_back(progress_csr.size());
-    widest = std::max<std::uint64_t>(widest, row.size());
+    route_lens_.push_back(static_cast<std::uint8_t>(len));
+    widest = std::max(widest, len);
   }
-  // Second pass: repack into fixed-stride rows, padded with (0, kNoNode).
-  // Real entries always have progress > 0 (self-links were dropped above),
-  // so pads never look admissible and mark the end of a row.  Stride
-  // rounded to a whole number of 64-byte lines keeps rows line-aligned.
+  // Repack each row's distinct fingers (the pass above counted them) into
+  // fixed-stride rows, padded with (0, kNoNode).  Real entries always have
+  // progress > 0 (self-links are dropped), so pads never look admissible
+  // and mark the end of a row.  Stride rounded to a whole number of
+  // 64-byte lines keeps rows line-aligned.
   route_stride_ = static_cast<int>((widest + 7) & ~std::uint64_t{7});
   const std::uint64_t stride = static_cast<std::uint64_t>(route_stride_);
-  route_lens_.resize(n);
-  for (NodeIndex v = 0; v < n; ++v) {
-    route_lens_[v] = static_cast<std::uint8_t>(offsets[v + 1] - offsets[v]);
-  }
-  if (d <= 32) {
+  const bool packed = d <= 32;
+  if (packed) {
     // Packed shape: (progress << 32) | target per entry; pad is
     // (0 << 32) | kNoNode, below every admissibility key.
     common::reserve_hugepages(route_packed_, n * stride);
-    route_packed_.assign(n * stride, std::uint64_t{kNoNode});
-    for (NodeIndex v = 0; v < n; ++v) {
-      const std::uint64_t lo = offsets[v];
-      const std::uint64_t len = offsets[v + 1] - lo;
-      for (std::uint64_t e = 0; e < len; ++e) {
-        route_packed_[v * stride + e] =
-            (progress_csr[lo + e] << 32) | targets_csr[lo + e];
-      }
-    }
   } else {
     common::reserve_hugepages(route_progress_, n * stride);
     common::reserve_hugepages(route_targets_, n * stride);
-    route_progress_.assign(n * stride, 0);
-    route_targets_.assign(n * stride, kNoNode);
-    for (NodeIndex v = 0; v < n; ++v) {
-      const std::uint64_t lo = offsets[v];
-      const std::uint64_t len = offsets[v + 1] - lo;
-      std::copy_n(
-          progress_csr.begin() + static_cast<std::ptrdiff_t>(lo), len,
-          route_progress_.begin() + static_cast<std::ptrdiff_t>(v * stride));
-      std::copy_n(
-          targets_csr.begin() + static_cast<std::ptrdiff_t>(lo), len,
-          route_targets_.begin() + static_cast<std::ptrdiff_t>(v * stride));
+  }
+  const auto emit = [&](std::uint64_t progress, NodeIndex target) {
+    if (packed) {
+      route_packed_.push_back((progress << 32) | target);
+    } else {
+      route_progress_.push_back(progress);
+      route_targets_.push_back(target);
+    }
+  };
+  const std::uint64_t mask = size - 1;
+  for (NodeIndex v = 0; v < n; ++v) {
+    const sim::NodeId base = ids[v];
+    const NodeIndex* row = fingers_.data() + v * static_cast<std::uint64_t>(d);
+    NodeIndex previous = kNoNode;
+    for (int i = 0; i < d; ++i) {
+      const NodeIndex f = row[i];
+      if (f != v && f != previous) {
+        emit((ids[f] - base) & mask, f);
+        previous = f;
+      }
+    }
+    for (std::uint64_t e = route_lens_[v]; e < stride; ++e) {
+      emit(0, kNoNode);
     }
   }
 }

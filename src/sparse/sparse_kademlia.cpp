@@ -1,6 +1,8 @@
 #include "sparse/sparse_kademlia.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/hugepage.hpp"
@@ -17,24 +19,57 @@ SparseKademliaOverlay::SparseKademliaOverlay(const SparseIdSpace& space,
   DHT_CHECK(k >= 1 && k <= 64, "bucket width must be in [1, 64]");
   const int d = space.bits();
   const std::uint64_t n = space.node_count();
+  const sim::NodeId* ids = space.ids().data();
   const auto row_width = static_cast<std::uint64_t>(d) * k;
+  // Bucket i of node v holds the ids sharing v's first i-1 bits and
+  // differing at bit i.  The nodes sharing v's first i-1 bits form a
+  // contiguous index window; its level-i split (the first member with bit
+  // i set -- members share the prefix, so that bit is sorted) cuts it into
+  // v's side, the next level's window, and the far side, bucket i.  The
+  // windows only narrow, so each split is a search of the current window,
+  // and once the window is v alone every deeper bucket is empty.  Nodes
+  // adjacent in ring order share their windows down to the level where
+  // their ids first differ, so each node re-splits only from there.
+  // window[i] holds the nodes sharing v's first i bits, bucket[i] the
+  // range of bucket i + 1.
+  std::vector<std::pair<NodeIndex, NodeIndex>> window(
+      static_cast<std::size_t>(d) + 1, {0, static_cast<NodeIndex>(n)});
+  std::vector<std::pair<NodeIndex, NodeIndex>> bucket(
+      static_cast<std::size_t>(d));
   common::reserve_hugepages(contacts_, n * row_width);
-  contacts_.resize(n * row_width, kNoNode);
   for (NodeIndex v = 0; v < n; ++v) {
-    const sim::NodeId base = space.id_of(v);
-    for (int i = 1; i <= d; ++i) {
-      // Bucket i's identifier set is the contiguous range obtained by
-      // flipping bit i of `base` and freeing the i..d suffix bits.
-      const int suffix_bits = d - i;
-      const sim::NodeId lo = (sim::flip_level(base, i, d) >> suffix_bits)
-                             << suffix_bits;
-      const sim::NodeId hi = lo + ((std::uint64_t{1} << suffix_bits) - 1);
-      const auto [first, last] = space.index_range(lo, hi);
+    const sim::NodeId base = ids[v];
+    // Levels above the first bit where v and v-1 differ keep v-1's
+    // windows and buckets; v-1's window at that level held both nodes, so
+    // v-1 split it.  The walk stops at `level`: buckets from there on are
+    // empty.
+    int level = v == 0 ? 0 : d - std::bit_width(ids[v - 1] ^ base);
+    for (; level < d; ++level) {
+      const auto [lo, hi] = window[static_cast<std::size_t>(level)];
+      if (hi - lo == 1) {
+        break;  // v alone: this and every deeper bucket is empty
+      }
+      const sim::NodeId bit = sim::NodeId{1} << (d - level - 1);
+      const auto split = static_cast<NodeIndex>(
+          std::partition_point(ids + lo, ids + hi,
+                               [bit](sim::NodeId id) {
+                                 return (id & bit) == 0;
+                               }) -
+          ids);
+      const bool upper = (base & bit) != 0;
+      window[static_cast<std::size_t>(level) + 1] =
+          upper ? std::pair{split, hi} : std::pair{lo, split};
+      bucket[static_cast<std::size_t>(level)] =
+          upper ? std::pair{lo, split} : std::pair{split, hi};
+    }
+    contacts_.insert(contacts_.end(), row_width, kNoNode);
+    for (int i = 0; i < level; ++i) {
+      const auto [first, last] = bucket[static_cast<std::size_t>(i)];
       if (first == last) {
         continue;  // empty bucket: nobody lives in this subtree
       }
       const std::uint64_t bucket_base =
-          v * row_width + static_cast<std::uint64_t>(i - 1) * k;
+          v * row_width + static_cast<std::uint64_t>(i) * k;
       // Cell 0 is the historical single uniform draw (bit-compatible rng
       // stream at k = 1); further cells add distinct members -- bounded
       // rejection against the cells already chosen, then a deterministic

@@ -61,14 +61,4 @@ NodeIndex SparseIdSpace::ring_step(NodeIndex index,
       (index + steps) % static_cast<std::uint64_t>(ids_.size()));
 }
 
-std::pair<NodeIndex, NodeIndex> SparseIdSpace::index_range(
-    sim::NodeId lo, sim::NodeId hi) const {
-  DHT_CHECK(lo <= hi, "index_range requires lo <= hi");
-  DHT_CHECK(hi < key_space_size(), "key out of range");
-  const auto first = std::lower_bound(ids_.begin(), ids_.end(), lo);
-  const auto last = std::upper_bound(first, ids_.end(), hi);
-  return {static_cast<NodeIndex>(first - ids_.begin()),
-          static_cast<NodeIndex>(last - ids_.begin())};
-}
-
 }  // namespace dht::sparse

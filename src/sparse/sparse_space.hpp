@@ -57,11 +57,6 @@ class SparseIdSpace {
   /// The node `steps` positions clockwise of `index` in ring order.
   NodeIndex ring_step(NodeIndex index, std::uint64_t steps) const;
 
-  /// Nodes whose identifiers lie in [lo, hi] (inclusive, no wrap:
-  /// lo <= hi required).  Returned as an index range [first, last).
-  std::pair<NodeIndex, NodeIndex> index_range(sim::NodeId lo,
-                                              sim::NodeId hi) const;
-
  private:
   int bits_;
   std::vector<sim::NodeId> ids_;  // sorted ascending

@@ -71,6 +71,41 @@ TEST(Rng, UniformBelowRespectsBound) {
   }
 }
 
+// The two-divide threshold loop uniform_below used before its mask and
+// deferred-threshold fast paths; kept here as the reference stream.
+std::uint64_t reference_uniform_below(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng.next_u64();
+    if (r >= threshold) {
+      return r % bound;
+    }
+  }
+}
+
+TEST(Rng, UniformBelowMatchesReferenceStream) {
+  // Same values AND the same stream position: the generator's next raw
+  // draw must agree after every bound's run.  2^63 + 1 rejects about half
+  // its draws, so the rejection loop is exercised too.
+  constexpr std::uint64_t kTwo32 = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  for (std::uint64_t seed : {1ull, 77ull}) {
+    Rng fast(seed);
+    Rng reference(seed);
+    for (std::uint64_t bound :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+          std::uint64_t{7}, std::uint64_t{30}, kTwo32, kTwo32 + 1, kTwo63,
+          kTwo63 + 1, ~std::uint64_t{0}}) {
+      for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t expected = reference_uniform_below(reference, bound);
+        const std::uint64_t got = fast.uniform_below(bound);
+        ASSERT_EQ(got, expected) << "bound=" << bound << " draw=" << i;
+      }
+      ASSERT_EQ(fast.next_u64(), reference.next_u64()) << "bound=" << bound;
+    }
+  }
+}
+
 TEST(Rng, UniformBelowCoversAllResidues) {
   Rng rng(11);
   std::vector<int> counts(7, 0);

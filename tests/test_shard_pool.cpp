@@ -1,10 +1,12 @@
 #include "sim/shard_pool.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,6 +60,13 @@ TEST(ShardPool, ThrowingShardPropagatesWithoutDeadlock) {
     const auto work = [&](std::uint64_t s) {
       if (thrown.load(std::memory_order_acquire)) {
         after_failure.fetch_add(1, std::memory_order_relaxed);
+        // `thrown` is set before the throw, but the pool records the
+        // failure only once the exception has unwound out of work().
+        // Shards that start inside that window would otherwise finish in
+        // nanoseconds and let a fast worker claim hundreds of them; a
+        // shard that takes real time makes the bounds below measure how
+        // promptly workers stop claiming, not how long the unwind takes.
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
       started.fetch_add(1, std::memory_order_relaxed);
       if (s == 5) {

@@ -64,19 +64,6 @@ TEST(SparseIdSpace, SuccessorOfKey) {
   }
 }
 
-TEST(SparseIdSpace, IndexRangeCountsMembers) {
-  math::Rng rng(4);
-  const SparseIdSpace space(12, 512, rng);
-  const auto [first, last] = space.index_range(0, space.key_space_size() - 1);
-  EXPECT_EQ(first, 0u);
-  EXPECT_EQ(last, space.node_count());
-  // Singleton ranges.
-  const sim::NodeId some_id = space.id_of(17);
-  const auto [a, b] = space.index_range(some_id, some_id);
-  EXPECT_EQ(a, 17u);
-  EXPECT_EQ(b, 18u);
-}
-
 TEST(SparseIdSpace, RingStepWraps) {
   math::Rng rng(5);
   const SparseIdSpace space(12, 100, rng);
