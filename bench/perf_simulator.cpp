@@ -333,12 +333,13 @@ Config parse_args(int argc, char** argv) {
         std::exit(1);
       }
     } else if (flag == "--cache-entries") {
-      cfg.cache_entries = std::atoi(value);
-      if (cfg.cache_entries < 0 || cfg.cache_entries > 1024) {
+      const std::uint64_t entries = parse_u64_flag("--cache-entries", value);
+      if (entries > sparse::SparseWorkloadOptions::kMaxCacheEntries) {
         std::fprintf(stderr, "--cache-entries must be in [0, 1024], got %s\n",
                      value);
         std::exit(1);
       }
+      cfg.cache_entries = static_cast<int>(entries);
     } else if (flag == "--replicas") {
       cfg.replicas = std::atoi(value);
       if (cfg.replicas < 1 || cfg.replicas > 64) {

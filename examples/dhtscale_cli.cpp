@@ -47,6 +47,7 @@
 //   latency <geometry> <d> <q>        chain-predicted hops of survivors
 //
 // Geometries: tree | hypercube | xor | ring | symphony.
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -133,6 +134,23 @@ bool validate_lifecycle_args(const char* command, double pd, double pr,
               << "\n";
     return false;
   }
+  return true;
+}
+
+// Strict integer flag parsing: the whole of `text` must be a base-10
+// integer in [lo, hi] (atoi would read "abc" as 0 and "5x" as 5).
+bool parse_int_flag(const char* command, const char* flag, const char* text,
+                    int lo, int hi, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    std::cerr << command << ": " << flag << " must be an integer in [" << lo
+              << ", " << hi << "], got " << text << "\n";
+    return false;
+  }
+  out = static_cast<int>(value);
   return true;
 }
 
@@ -281,11 +299,6 @@ int cmd_sparse(const std::string& name, int bits, std::uint64_t n, double q,
                int cache_entries, bool record_load) {
   if (!(std::isfinite(zipf_s) && zipf_s >= 0.0)) {
     std::cerr << "sparse: --zipf must be a finite skew >= 0, got " << zipf_s
-              << "\n";
-    return 1;
-  }
-  if (cache_entries < 0) {
-    std::cerr << "sparse: --cache must be >= 0, got " << cache_entries
               << "\n";
     return 1;
   }
@@ -736,7 +749,11 @@ int main(int argc, char** argv) {
           objects = std::strtoull(argv[i + 1], nullptr, 10);
           ++i;
         } else if (arg == "--cache" && i + 1 < argc) {
-          cache_entries = std::atoi(argv[i + 1]);
+          if (!parse_int_flag("sparse", "--cache", argv[i + 1], 0,
+                              sparse::SparseWorkloadOptions::kMaxCacheEntries,
+                              cache_entries)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--load") {
           record_load = true;

@@ -583,11 +583,6 @@ void check_config(const SparseChurnConfig& config,
   }
 }
 
-// Fixed object->key hash key, shared with the static workload engine so a
-// given object rank lands on the same key in both (placement is a property
-// of the key space, not of any run's seed).
-constexpr std::uint64_t kObjectKeySalt = 0xb10c9a3f0b173c75ULL;
-
 }  // namespace
 
 bool sparse_churn_geometry_from_name(std::string_view name,
@@ -652,8 +647,7 @@ SparseChurnWorld::SparseChurnWorld(SparseChurnGeometry geometry,
       table_rng_(rng.fork(2)),
       measure_rng_(rng.fork(3)),
       id_rng_(rng.fork(4)),
-      membership_(config.bits, config.capacity),
-      object_keys_(kObjectKeySalt) {
+      membership_(config.bits, config.capacity) {
   const double a = availability(params);  // validates the lifecycle rates
   DHT_CHECK(repair_probability >= 0.0 && repair_probability <= 1.0,
             "repair probability must be in [0, 1]");
@@ -1269,7 +1263,7 @@ sparse::SparseEstimate SparseChurnWorld::measure(std::uint64_t pairs,
           }
           const std::uint64_t object = zipf_->sample(rng);
           draw.position = membership_.successor_position(
-              object_keys_.at(object) & ctx.key_mask);
+              flat::object_key(ctx.key_mask, object));
           draw.target = membership_.ring_successor(draw.position, 0);
           if (draw.target != draw.source) {
             break;
@@ -1613,8 +1607,8 @@ sparse::SparseEstimate SparseChurnWorld::measure_inflight(
         source = static_cast<NodeSlot>(rng.uniform_below(capacity));
       }
       const std::uint64_t object = zipf_->sample(rng);
-      position = membership_.successor_position(object_keys_.at(object) &
-                                                ctx.key_mask);
+      position = membership_.successor_position(
+          flat::object_key(ctx.key_mask, object));
       primary = membership_.ring_successor(position, 0);
       if (primary != source) {
         break;

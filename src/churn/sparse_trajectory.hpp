@@ -351,11 +351,9 @@ class SparseChurnWorld {
   // world is single-threaded; see sim/load_stats.hpp for the shapes).
   std::vector<std::uint64_t> load_;
   // Workload measurement state (engaged by replicas > 1 or zipf_s > 0):
-  // object popularity and the fixed object->key hash.  The key map is
-  // independent of the world's rng lineage, so object placement is a
-  // property of the key space alone.
+  // object popularity.  Objects sit at sparse::flat::object_key, the
+  // static engine's placement, which no rng lineage of the world touches.
   std::optional<math::ZipfSampler> zipf_;
-  math::CounterRng object_keys_;
   // Observability sinks (all optional, all timing/forensics side-channels
   // that never feed back into the trajectory).
   obs::PhaseProfile* profile_ = nullptr;

@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -50,8 +51,9 @@ struct LoadSummary {
 
 /// Summarizes the selected per-node loads: `loads[i]` enters iff
 /// `include(i)` (liveness / presence filter -- dead slots hold no load and
-/// would deflate the distribution).  Sorting a copy gives the exact p99
-/// (the ceil-index convention: the smallest load >= 99% of nodes' loads).
+/// would deflate the distribution).  Selecting the p99 rank in a copy
+/// (std::nth_element; no full sort) gives the exact p99 (the ceil-index
+/// convention: the smallest load >= 99% of nodes' loads).
 template <typename Include>
 LoadSummary summarize_load(const std::vector<std::uint64_t>& loads,
                            Include include) {
@@ -75,9 +77,11 @@ LoadSummary summarize_load(const std::vector<std::uint64_t>& loads,
     out.max = std::max(out.max, v);
   }
   out.total = static_cast<std::uint64_t>(sum);
-  std::sort(kept.begin(), kept.end());
-  out.p99 = kept[(kept.size() - 1) -
-                 (kept.size() - 1) / 100];  // index ceil(0.99 * (m - 1))
+  // Rank ceil(0.99 * (m - 1)) of the sorted order.
+  const auto rank = static_cast<std::ptrdiff_t>((kept.size() - 1) -
+                                                (kept.size() - 1) / 100);
+  std::nth_element(kept.begin(), kept.begin() + rank, kept.end());
+  out.p99 = kept[static_cast<std::size_t>(rank)];
   const double n = static_cast<double>(kept.size());
   out.mean = static_cast<double>(sum) / n;
   // Population variance from the exact integer sums; clamp the rounding

@@ -1,13 +1,17 @@
 #include "sparse/flat_sparse.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/hugepage.hpp"
+#include "common/page_buffer.hpp"
 #include "math/zipf.hpp"
 #include "sim/shard_pool.hpp"
 #include "sim/topology.hpp"
@@ -72,7 +76,144 @@ FlatSparseCtx make_sparse_ctx(const SparseOverlay& overlay,
   return c;
 }
 
+std::vector<NodeIndex> object_owners(const SparseIdSpace& space,
+                                     const SparseFailure& failures,
+                                     std::uint64_t objects) {
+  DHT_CHECK(failures.alive_count() > 0, "object owners need an alive node");
+  const std::vector<std::uint64_t>& ids = space.ids();
+  const std::uint64_t n = ids.size();
+  // Bucket b holds the ids whose top floor(log2 n) bits equal b: about one
+  // id per bucket, and first[b] is the index of the first id in bucket b
+  // or later (first[buckets] = n).  Page-backed like the path caches: a
+  // heap block here shifted where later per-call buffers landed and cost
+  // ~1 MiB of peak RSS at 2^18 nodes.  The pages arrive zeroed, so
+  // first[b + 1] can count bucket b's ids before the prefix sums.
+  const int index_bits = std::bit_width(n) - 1;
+  const int shift = space.bits() - index_bits;
+  const std::uint64_t buckets = std::uint64_t{1} << index_bits;
+  const common::PageBuffer first_pages((buckets + 1) * sizeof(NodeIndex));
+  NodeIndex* const first = first_pages.as<NodeIndex>();
+  for (const std::uint64_t id : ids) {
+    ++first[(id >> shift) + 1];
+  }
+  for (std::uint64_t b = 1; b <= buckets; ++b) {
+    first[b] += first[b - 1];
+  }
+  const std::uint64_t key_mask = space.key_space_size() - 1;
+  const std::uint8_t* alive = failures.alive_data();
+  std::vector<NodeIndex> owner(objects);
+  for (std::uint64_t o = 0; o < objects; ++o) {
+    const std::uint64_t key = object_key(key_mask, o);
+    const std::uint64_t b = key >> shift;
+    // The successor is in the key's bucket or is the first id of a later
+    // one, which is exactly where the scan stops when the bucket runs out.
+    std::uint64_t i = first[b];
+    const std::uint64_t end = first[b + 1];
+    while (i < end && ids[i] < key) {
+      ++i;
+    }
+    NodeIndex holder = i == n ? 0 : static_cast<NodeIndex>(i);  // wrap
+    while (alive[holder] == 0) {
+      holder = holder + 1 == n ? 0 : holder + 1;
+    }
+    owner[o] = holder;
+  }
+  return owner;
+}
+
+// One shard's finger-path cache of popular objects: node v's row of
+// `entries` direct-mapped slots at slots[v * entries ..], each slot one u64
+// (object rank << 32) | owner index, empty = ~0.  A shard takes the cache
+// all-empty from the call's PathCachePool and logs every slot it fills for
+// the first time, so reset() can hand the buffer to the next shard by
+// emptying just those slots.  A shard that fills more than 1/16 of the
+// slots abandons the log (which never outgrows 1/16 of the cache) and
+// reset() refills the whole buffer instead.  Both buffers are page-backed
+// (common/page_buffer.hpp): the log's untouched tail costs no memory, and
+// the pages go back to the kernel when the pool is destroyed.
+struct PathCache {
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  PathCache(std::uint64_t n, std::uint64_t slots_per_node)
+      : entries(slots_per_node),
+        slot_count(n * slots_per_node),
+        log_capacity(slot_count / 16),
+        slot_pages(slot_count * sizeof(std::uint64_t)),
+        log_pages(log_capacity * sizeof(std::uint64_t)),
+        slots(slot_pages.as<std::uint64_t>()),
+        log(log_pages.as<std::uint64_t>()) {
+    std::fill_n(slots, slot_count, kEmpty);
+  }
+
+  /// Writes `value` into slot `at`, whose current content is `held`.
+  void install(std::uint64_t at, std::uint64_t held, std::uint64_t value) {
+    if (held == kEmpty) {
+      if (fills < log_capacity) {
+        log[fills] = at;
+      }
+      ++fills;  // counts on past the capacity: > capacity = log abandoned
+    }
+    slots[at] = value;
+  }
+
+  /// Empties every slot filled since the last reset.
+  void reset() {
+    if (fills > log_capacity) {
+      std::fill_n(slots, slot_count, kEmpty);
+    } else {
+      for (std::uint64_t i = 0; i < fills; ++i) {
+        slots[log[i]] = kEmpty;
+      }
+    }
+    fills = 0;
+  }
+
+  const std::uint64_t entries;
+  const std::uint64_t slot_count;
+  const std::uint64_t log_capacity;
+  common::PageBuffer slot_pages;
+  common::PageBuffer log_pages;
+  std::uint64_t* const slots;
+  std::uint64_t* const log;
+  std::uint64_t fills = 0;
+};
+
 namespace {
+
+// The path caches of one engine call.  A shard acquires an all-empty
+// cache, routes, resets it, and releases it; only shards running at the
+// same time need distinct caches, so at most min(threads, shards) are ever
+// built.  A shard that throws drops its cache instead of releasing it, so
+// a half-reset buffer is never handed out.
+class PathCachePool {
+ public:
+  PathCachePool(std::uint64_t n, int entries)
+      : n_(n), entries_(static_cast<std::uint64_t>(entries)) {}
+
+  std::unique_ptr<PathCache> acquire() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!free_.empty()) {
+        std::unique_ptr<PathCache> cache = std::move(free_.back());
+        free_.pop_back();
+        return cache;
+      }
+    }
+    return std::make_unique<PathCache>(n_, entries_);
+  }
+
+  void release(std::unique_ptr<PathCache> cache) {
+    cache->reset();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    free_.push_back(std::move(cache));
+  }
+
+ private:
+  const std::uint64_t n_;
+  const std::uint64_t entries_;
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<PathCache>> free_;
+};
 
 inline void record(SparseEstimate& estimate, SparseRouteStatus status,
                    int hops) {
@@ -95,7 +236,8 @@ inline void record(SparseEstimate& estimate, SparseRouteStatus status,
 // cache (c.cache != null), each settled lane probes its current node's
 // cache row before stepping -- a hit forwards straight to the cached
 // owner in one hop, a miss installs the mapping (the lookup's answer IS
-// the owner, so caching on the miss models response-path caching exactly).
+// the owner, so caching on the miss models response-path caching exactly;
+// PathCache::install logs first fills for the shard-end reset).
 // With load recording (c.load != null), every forward -- one per active
 // lane per step, plus the cache-hit forward -- bumps the forwarding node's
 // counter.  Both hooks are rng-free, so the pair handout schedule (and
@@ -137,20 +279,22 @@ void drive_lanes(const FlatSparseCtx& c, PairSource& pair_source,
     if (c.cache == nullptr || b.rank[l] == kNoRank) {
       return false;
     }
-    const std::uint64_t entries =
-        static_cast<std::uint64_t>(c.cache_entries);
-    std::uint64_t& slot = c.cache[b.cur[l] * entries + b.rank[l] % entries];
+    PathCache& cache = *c.cache;
+    const std::uint64_t at =
+        b.cur[l] * cache.entries + b.rank[l] % cache.entries;
+    const std::uint64_t held = cache.slots[at];
     ++estimate.cache_probes;
-    if (static_cast<std::uint32_t>(slot >> 32) == b.rank[l]) {
+    if (static_cast<std::uint32_t>(held >> 32) == b.rank[l]) {
       ++estimate.cache_hits;
       if (c.load != nullptr) {
         c.load[b.cur[l]].fetch_add(1, std::memory_order_relaxed);
       }
-      b.cur[l] = static_cast<NodeIndex>(slot);
+      b.cur[l] = static_cast<NodeIndex>(held);
       b.hops[l] += 1;
       return true;
     }
-    slot = (static_cast<std::uint64_t>(b.rank[l]) << 32) | b.target[l];
+    cache.install(at, held,
+                  (static_cast<std::uint64_t>(b.rank[l]) << 32) | b.target[l]);
     return false;
   };
   // Retires and refills lane l until it is steppable (mid-route with a
@@ -477,7 +621,15 @@ SparseWorkloadReport estimate_workload_parallel(
   const SparseWorkloadOptions& wl = options.workload;
   DHT_CHECK(std::isfinite(wl.zipf_s) && wl.zipf_s >= 0.0,
             "workload zipf skew must be finite and >= 0");
-  DHT_CHECK(wl.cache_entries >= 0, "cache entries must be >= 0");
+  DHT_CHECK(wl.cache_entries >= 0 &&
+                wl.cache_entries <= SparseWorkloadOptions::kMaxCacheEntries,
+            "cache entries must be in [0, 1024]");
+  DHT_CHECK(wl.cache_entries == 0 ||
+                failures.node_count() <=
+                    SparseWorkloadOptions::kMaxPathCacheBytes /
+                        sizeof(std::uint64_t) /
+                        static_cast<std::uint64_t>(wl.cache_entries),
+            "path cache of n * cache entries * 8 bytes exceeds 4 GiB");
   DHT_CHECK(wl.objects <= (std::uint64_t{1} << 26),
             "workload object count exceeds the 2^26 population cap");
   // Observability is a timing side-channel: null sinks (the default) read
@@ -490,11 +642,9 @@ SparseWorkloadReport estimate_workload_parallel(
   flat::FlatSparseCtx ctx = flat::make_sparse_ctx(
       overlay, failures, options.max_hops, options.use_flat_kernels);
 
-  // Workload tables, built once and shared read-only by every shard.  The
-  // object->key map is a fixed keyed hash (independent of the caller seed,
-  // so the object placement is a property of the space alone); the owner
-  // is the key's successor, walked clockwise past dead nodes -- the
-  // consistent-hashing reassignment a real DHT performs on failure.
+  // Workload tables, built once and shared read-only by every shard: the
+  // Zipf sampler over object ranks and each object's owner
+  // (flat::object_owners).
   flat::WorkloadTables tables;
   std::optional<math::ZipfSampler> zipf;
   std::vector<NodeIndex> owner;
@@ -502,20 +652,9 @@ SparseWorkloadReport estimate_workload_parallel(
     const std::uint64_t objects =
         wl.objects != 0 ? wl.objects : failures.alive_count();
     zipf.emplace(objects, wl.zipf_s);
-    const SparseIdSpace& space = overlay.space();
-    const math::CounterRng object_keys(0xb10c9a3f0b173c75ULL);
-    owner.resize(objects);
-    for (std::uint64_t o = 0; o < objects; ++o) {
-      NodeIndex holder =
-          space.successor_of_key(object_keys.at(o) & ctx.key_mask);
-      while (!failures.alive(holder)) {
-        holder = space.ring_step(holder, 1);
-      }
-      owner[o] = holder;
-    }
+    owner = flat::object_owners(overlay.space(), failures, objects);
     tables.zipf = &*zipf;
     tables.owner = owner.data();
-    ctx.cache_entries = wl.cache_entries;
   }
 
   // One shared per-node load array: relaxed atomic adds commute, so the
@@ -544,6 +683,11 @@ SparseWorkloadReport estimate_workload_parallel(
 
   std::vector<SparseEstimate> results(shards);
   std::vector<obs::PhaseProfile> shard_profiles(observed ? shards : 0);
+  // The call's path caches; destroyed (pages unmapped) before the merge.
+  std::optional<flat::PathCachePool> caches;
+  if (wl.cache_entries > 0) {
+    caches.emplace(ctx.n, wl.cache_entries);
+  }
   sim::run_sharded(
       shards,
       sim::PoolOptions{.threads = sim::resolve_threads(options.threads),
@@ -562,17 +706,15 @@ SparseWorkloadReport estimate_workload_parallel(
                 : replicas[static_cast<std::size_t>(sim::current_numa_node()) %
                            replicas.size()]
                       .ctx;
-        // Shard-private path cache (empty slots are all-ones): hits are a
-        // pure function of the shard's lane schedule, so the estimate
-        // stays bit-identical at any thread count.  Only ~thread-count
-        // caches are live at once, so the n * entries footprint never
+        // Shard-private path cache, all-empty on acquire: hits are a pure
+        // function of the shard's lane schedule, so the estimate stays
+        // bit-identical at any thread count.  The pool holds one cache per
+        // concurrently running shard, so the n * entries footprint never
         // multiplies by the shard count.
-        std::vector<std::uint64_t> cache;
-        if (local.cache_entries > 0) {
-          cache.assign(local.n * static_cast<std::uint64_t>(
-                                     local.cache_entries),
-                       ~std::uint64_t{0});
-          local.cache = cache.data();
+        std::unique_ptr<flat::PathCache> cache;
+        if (caches.has_value()) {
+          cache = caches->acquire();
+          local.cache = cache.get();
         }
         flat::LanePairSource source(local, failures, shard_rng, pairs,
                                     tables.zipf != nullptr ? &tables
@@ -580,7 +722,11 @@ SparseWorkloadReport estimate_workload_parallel(
         SparseEstimate estimate;
         flat::run_lanes(local, overlay, failures, source, estimate);
         results[s] = estimate;
+        if (cache != nullptr) {
+          caches->release(std::move(cache));
+        }
       });
+  caches.reset();
 
   SparseWorkloadReport report;
   {

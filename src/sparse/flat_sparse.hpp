@@ -75,6 +75,8 @@ inline void record_route(
   }
 }
 
+struct PathCache;
+
 // Flattened sparse routing context: everything a kernel needs, as raw
 // pointers and scalars.  Built once per engine invocation, read-only
 // across threads.
@@ -114,14 +116,12 @@ struct FlatSparseCtx {
   // HopStats gets from ordered shard merges (see sim/load_stats.hpp for
   // the overflow analysis).
   std::atomic<std::uint64_t>* load = nullptr;
-  // Per-SHARD finger-path cache of popular objects: node v's row of
-  // `cache_entries` direct-mapped slots at cache[v * cache_entries ..],
-  // each slot one u64 (object rank << 32) | owner index, empty = ~0.
-  // Shard-private (set on a per-shard ctx copy) so the warm-up trajectory
-  // is a pure function of the shard's deterministic lane schedule --
-  // shared cache state would make hits depend on thread interleaving.
-  std::uint64_t* cache = nullptr;
-  int cache_entries = 0;
+  // Per-SHARD finger-path cache of popular objects (PathCache in
+  // flat_sparse.cpp).  Shard-private (set on a per-shard ctx copy) so the
+  // warm-up trajectory is a pure function of the shard's deterministic
+  // lane schedule -- shared cache state would make hits depend on thread
+  // interleaving.  Every shard starts from an all-empty cache.
+  PathCache* cache = nullptr;
 };
 
 /// Lane rank sentinel: the route targets a uniformly drawn node, not a
@@ -606,6 +606,24 @@ FlatSparseCtx make_sparse_ctx(const SparseOverlay& overlay,
                               const SparseFailure& failures,
                               std::uint64_t max_hops, bool use_flat_kernels);
 
+/// Object o's key: a fixed keyed hash of o masked to the key space.  It
+/// does not depend on the caller seed, so the object placement is a
+/// property of the space alone.
+inline std::uint64_t object_key(std::uint64_t key_mask, std::uint64_t object) {
+  return math::CounterRng(0xb10c9a3f0b173c75ULL).at(object) & key_mask;
+}
+
+/// The owner of every object 0 .. objects-1: the successor of the object's
+/// key (the first node at or clockwise of it), walked clockwise past dead
+/// nodes -- the consistent-hashing reassignment a real DHT performs on
+/// failure.  Equal to space.successor_of_key(object_key(..)) stepped with
+/// ring_step(., 1) while dead, but keys resolve through a bucket index over
+/// the top floor(log2 n) key bits: one O(n) pass over the sorted ids, then
+/// a scan of about one id per key.  Precondition: a node is alive.
+std::vector<NodeIndex> object_owners(const SparseIdSpace& space,
+                                     const SparseFailure& failures,
+                                     std::uint64_t objects);
+
 /// Test hook: routes the given ordered (source, target) index pairs through
 /// the same struct-of-arrays lane driver the estimator uses (kGeneric
 /// contexts step through overlay.next_hop) and records every outcome into
@@ -631,9 +649,13 @@ struct SparseWorkloadOptions {
   double zipf_s = 0.0;
   /// Distinct objects (0 = one per alive node).  Capped at 2^26.
   std::uint64_t objects = 0;
-  /// Per-node direct-mapped path-cache slots (0 = caching off).  A probe
-  /// hit forwards straight to the cached owner in one hop.
+  /// Per-node direct-mapped path-cache slots (0 = caching off), at most
+  /// kMaxCacheEntries.  A probe hit forwards straight to the cached owner
+  /// in one hop.  Each running shard holds one n * cache_entries * 8-byte
+  /// cache, which must fit in kMaxPathCacheBytes.
   int cache_entries = 0;
+  static constexpr int kMaxCacheEntries = 1024;
+  static constexpr std::uint64_t kMaxPathCacheBytes = std::uint64_t{1} << 32;
   /// Record messages forwarded per node (one shared atomic counter array;
   /// see flat::FlatSparseCtx::load).  Works with or without the object
   /// model.

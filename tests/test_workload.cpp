@@ -5,12 +5,17 @@
 // test_flat_sparse: fixed shards, varying thread counts, exact equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "churn/sparse_trajectory.hpp"
+#include "common/check.hpp"
 #include "math/rng.hpp"
 #include "math/zipf.hpp"
 #include "sim/load_stats.hpp"
@@ -76,6 +81,115 @@ TEST(LoadSummary, ExactDigestAndFilter) {
   EXPECT_EQ(even.total, 121u);
   EXPECT_EQ(even.p99, 100u);  // ceil-index p99 of 4 samples = the max
   EXPECT_GT(even.cv, 0.0);
+}
+
+TEST(LoadSummary, P99MatchesSortReference) {
+  // summarize_load selects the p99 rank; the reference sorts the filtered
+  // copy and reads the same ceil-index.  Small value ranges give heavy
+  // duplicates, wide ones near-distinct loads (2^58 is the counters'
+  // documented ceiling).
+  math::CounterRng rng(77);
+  for (const std::size_t size : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{99}, std::size_t{100},
+                                 std::size_t{101}, std::size_t{100000}}) {
+    for (const std::uint64_t range : {std::uint64_t{3}, std::uint64_t{1000},
+                                      std::uint64_t{1} << 58}) {
+      for (const bool filtered : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "size=" << size << " range="
+                                        << range << " filtered=" << filtered);
+        std::vector<std::uint64_t> loads(size);
+        for (std::uint64_t& v : loads) {
+          v = rng.uniform_below(range);
+        }
+        // The filter keeps index 0 so no summary is empty.
+        const auto include = [filtered](std::size_t i) {
+          return !filtered || i % 3 != 1;
+        };
+        std::vector<std::uint64_t> kept;
+        for (std::size_t i = 0; i < size; ++i) {
+          if (include(i)) {
+            kept.push_back(loads[i]);
+          }
+        }
+        std::sort(kept.begin(), kept.end());
+        const std::size_t m = kept.size();
+        const sim::LoadSummary summary = sim::summarize_load(loads, include);
+        ASSERT_EQ(summary.nodes, m);
+        EXPECT_EQ(summary.p99, kept[(m - 1) - (m - 1) / 100]);
+        EXPECT_EQ(summary.max, kept.back());
+      }
+    }
+  }
+}
+
+// The reference owner map: one binary search per object key, then a
+// clockwise walk past dead nodes.  `wrapped` counts keys past the largest
+// id and `longest_dead_run` the longest walk.
+struct OwnerReference {
+  std::vector<NodeIndex> owner;
+  std::uint64_t wrapped = 0;
+  std::uint64_t longest_dead_run = 0;
+};
+
+OwnerReference owner_reference(const SparseIdSpace& space,
+                               const SparseFailure& failures,
+                               std::uint64_t objects) {
+  const std::uint64_t mask = space.key_space_size() - 1;
+  OwnerReference ref;
+  for (std::uint64_t o = 0; o < objects; ++o) {
+    const std::uint64_t key = flat::object_key(mask, o);
+    ref.wrapped += key > space.ids().back() ? 1 : 0;
+    NodeIndex holder = space.successor_of_key(key);
+    std::uint64_t run = 0;
+    while (!failures.alive(holder)) {
+      holder = space.ring_step(holder, 1);
+      ++run;
+    }
+    ref.longest_dead_run = std::max(ref.longest_dead_run, run);
+    ref.owner.push_back(holder);
+  }
+  return ref;
+}
+
+TEST(ObjectOwners, MatchesSuccessorWalkOracle) {
+  std::vector<std::pair<int, std::uint64_t>> grid;
+  for (const int bits : {8, 20, 32, 63}) {
+    for (const std::uint64_t n : {2, 3, 1000}) {
+      if (n <= (std::uint64_t{1} << bits)) {
+        grid.emplace_back(bits, n);
+      }
+    }
+  }
+  grid.emplace_back(8, 256);  // fully populated
+  std::uint64_t checked = 0;
+  std::uint64_t wrapped = 0;
+  std::uint64_t longest_dead_run = 0;
+  for (const auto& [bits, n] : grid) {
+    for (const double q : {0.0, 0.5, 0.95}) {
+      for (const std::uint64_t seed : {1, 2, 3}) {
+        math::Rng rng(seed);
+        const SparseIdSpace space(bits, n, rng);
+        const SparseFailure failures(space, q, rng);
+        if (failures.alive_count() < 2) {
+          continue;
+        }
+        for (const std::uint64_t objects :
+             {std::uint64_t{1}, failures.alive_count(), 3 * n}) {
+          SCOPED_TRACE(testing::Message()
+                       << "bits=" << bits << " n=" << n << " q=" << q
+                       << " seed=" << seed << " objects=" << objects);
+          const OwnerReference ref = owner_reference(space, failures, objects);
+          ASSERT_EQ(flat::object_owners(space, failures, objects), ref.owner);
+          wrapped += ref.wrapped;
+          longest_dead_run = std::max(longest_dead_run, ref.longest_dead_run);
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, grid.size() * 3);
+  EXPECT_GT(wrapped, 0u);               // keys past the largest id occur
+  EXPECT_GE(longest_dead_run, 3u);      // and so do long dead runs
 }
 
 struct ChordInstance {
@@ -191,6 +305,119 @@ TEST(Workload, ZipfSkewConcentratesLoad) {
   // must be visibly more imbalanced than under uniform pairs.
   EXPECT_GT(hot_load.load.cv, flat_load.load.cv);
   EXPECT_GT(hot_load.load.max, flat_load.load.max);
+}
+
+// Exact counters of one Zipf GET configuration, recorded before the path
+// caches were pooled.  Shards reuse each other's cache buffers, so a slot
+// a shard fails to empty leaks into the next shard and moves cache_hits.
+struct PinnedWorkload {
+  std::uint64_t shards;
+  std::uint64_t hop_count;
+  std::uint64_t hop_sum;
+  std::uint64_t hop_sum_squares;
+  std::uint64_t hop_max;
+  std::uint64_t dead_entry;
+  std::uint64_t cache_probes;
+  std::uint64_t cache_hits;
+  std::uint64_t load_max;
+  std::uint64_t load_p99;
+  double load_mean;
+  double load_cv;
+};
+
+TEST(Workload, PinnedCountersAcrossCacheReuse) {
+  // At 64 shards every shard fills more than 1/16 of its cache and resets
+  // it by a full refill; at 256 shards every shard resets through its log
+  // of first fills.
+  const PinnedWorkload pinned[] = {
+      {64, 19288, 96881, 550385, 11, 712, 101589, 7054, 445, 177,
+       37.892204401342781, 0.98953863768536687},
+      {256, 18956, 99378, 582032, 12, 1044, 106394, 3344, 584, 208,
+       39.684446102200674, 1.0952916712369885},
+  };
+  const auto inst = make_chord(22, 3000, 1301);
+  math::Rng fail_rng(1302);
+  const SparseFailure failures(*inst.space, 0.1, fail_rng);
+  ASSERT_EQ(failures.alive_count(), 2681u);
+  for (const PinnedWorkload& want : pinned) {
+    for (const unsigned threads : {1u, 3u, 8u}) {
+      SparseParallelOptions options;
+      options.pairs = 20000;
+      options.threads = threads;
+      options.shards = want.shards;
+      options.workload.zipf_s = 1.1;
+      options.workload.cache_entries = 4;
+      options.workload.record_load = true;
+      for (int call = 0; call < 2; ++call) {  // back-to-back calls
+        SCOPED_TRACE(testing::Message() << "shards=" << want.shards
+                                        << " threads=" << threads
+                                        << " call=" << call);
+        const SparseWorkloadReport report = estimate_workload_parallel(
+            *inst.overlay, failures, options, math::Rng(1303));
+        const SparseEstimate& e = report.estimate;
+        EXPECT_EQ(e.attempts, 20000u);
+        EXPECT_EQ(e.hops.count(), want.hop_count);
+        EXPECT_EQ(e.hops.sum(), want.hop_sum);
+        EXPECT_EQ(static_cast<std::uint64_t>(e.hops.sum_squares()),
+                  want.hop_sum_squares);
+        EXPECT_EQ(e.hops.min(), 1u);
+        EXPECT_EQ(e.hops.max(), want.hop_max);
+        EXPECT_EQ(e.failures[obs::RouteFailure::kDeadEntry], want.dead_entry);
+        EXPECT_EQ(e.failures.total(), want.dead_entry);
+        EXPECT_EQ(e.cache_probes, want.cache_probes);
+        EXPECT_EQ(e.cache_hits, want.cache_hits);
+        EXPECT_EQ(report.load.nodes, 2681u);
+        EXPECT_EQ(report.load.total, want.cache_probes);
+        EXPECT_EQ(report.load.max, want.load_max);
+        EXPECT_EQ(report.load.p99, want.load_p99);
+        EXPECT_DOUBLE_EQ(report.load.mean, want.load_mean);
+        EXPECT_DOUBLE_EQ(report.load.cv, want.load_cv);
+      }
+    }
+  }
+}
+
+// Drops every message; enough for calls rejected before any routing.
+class NullOverlay final : public SparseOverlay {
+ public:
+  explicit NullOverlay(const SparseIdSpace& space) : space_(space) {}
+  std::string_view name() const noexcept override { return "null"; }
+  const SparseIdSpace& space() const noexcept override { return space_; }
+  std::optional<NodeIndex> next_hop(NodeIndex, NodeIndex,
+                                    const SparseFailure&) const override {
+    return std::nullopt;
+  }
+
+ private:
+  const SparseIdSpace& space_;
+};
+
+TEST(Workload, RejectsOversizedPathCaches) {
+  const auto inst = make_chord(22, 3000, 941);
+  math::Rng fail_rng(942);
+  const SparseFailure failures(*inst.space, 0.0, fail_rng);
+  SparseParallelOptions options;
+  options.pairs = 100;
+  options.threads = 1;
+  options.workload.cache_entries =
+      SparseWorkloadOptions::kMaxCacheEntries + 1;
+  EXPECT_THROW(estimate_workload_parallel(*inst.overlay, failures, options,
+                                          math::Rng(943)),
+               PreconditionError);
+  options.workload.cache_entries = -1;
+  EXPECT_THROW(estimate_workload_parallel(*inst.overlay, failures, options,
+                                          math::Rng(943)),
+               PreconditionError);
+  options.workload.cache_entries = SparseWorkloadOptions::kMaxCacheEntries;
+  EXPECT_NO_THROW(estimate_workload_parallel(*inst.overlay, failures,
+                                             options, math::Rng(943)));
+  // 2^19 + 1 nodes x 1024 slots x 8 bytes is just over the 4 GiB cap.
+  math::Rng big_rng(944);
+  const SparseIdSpace big(32, (std::uint64_t{1} << 19) + 1, big_rng);
+  const SparseFailure big_failures(big, 0.0, big_rng);
+  EXPECT_THROW(estimate_workload_parallel(NullOverlay(big), big_failures,
+                                          options, math::Rng(945)),
+               PreconditionError);
 }
 
 churn::TrajectoryOptions churn_options(unsigned threads) {
