@@ -112,10 +112,6 @@
 //        clipped to N)
 //        --sparse-churn-n N (65536, stationary population; 0 disables)
 //        --sparse-churn-rounds R (3, measured rounds; 0 disables)
-//        --sparse-churn-batch 0|1 (1: route the sync-mode measurements in
-//        8-lane batches; 0 selects the scalar reference path.  The two are
-//        bit-identical -- the knob exists for A/B perf runs.  In-flight
-//        mode is always scalar.)
 //        --pd PD --pr PR --refresh R (0.02, 0.08, 10: the lifecycle of the
 //        churn and sparse-churn sections)
 //        --zipf S (1.1, object-popularity skew of the workload sections)
@@ -177,7 +173,6 @@ struct Config {
   // in a 2^32 key space (ring + successor lists).
   std::uint64_t sparse_churn_n = 1u << 16;  // 0 disables the section
   int sparse_churn_rounds = 3;              // 0 disables the section
-  bool sparse_churn_batch = true;           // 0 = scalar reference path
   // Lifecycle of the churn + sparse-churn sections; validated at the flag
   // boundary (parse_args) instead of the deep check_params DHT_CHECK.
   double pd = 0.02;
@@ -311,13 +306,6 @@ Config parse_args(int argc, char** argv) {
             value);
         std::exit(1);
       }
-    } else if (flag == "--sparse-churn-batch") {
-      if (std::strcmp(value, "0") != 0 && std::strcmp(value, "1") != 0) {
-        std::fprintf(stderr, "--sparse-churn-batch must be 0 or 1, got %s\n",
-                     value);
-        std::exit(1);
-      }
-      cfg.sparse_churn_batch = std::strcmp(value, "1") == 0;
     } else if (flag == "--zipf") {
       cfg.zipf = std::atof(value);
       if (!(std::isfinite(cfg.zipf) && cfg.zipf >= 0.0)) {
@@ -858,7 +846,6 @@ int main(int argc, char** argv) {
           .pairs_per_round = 2000,
           .shards = 8};
       base.inflight = mode.inflight;
-      base.batch_routes = cfg.sparse_churn_batch;
       const double q_eff = churn::effective_q(params);
       const double q_nr = churn::effective_q_no_return(params, config.session);
       const math::Rng churn_rng(cfg.seed + 4);
@@ -902,7 +889,7 @@ int main(int argc, char** argv) {
             "\"geometry\":\"%s\",\"threads\":%u,\"sockets\":%u,"
             "\"pinned\":%s,\"n0\":%llu,"
             "\"capacity\":%llu,\"bits\":32,\"succ\":%d,"
-            "\"inflight\":%s,\"batched\":%s,\"k\":%d,\"session\":\"%s\","
+            "\"inflight\":%s,\"k\":%d,\"session\":\"%s\","
             "\"shards\":%llu,"
             "\"warmup_rounds\":%d,\"rounds\":%d,\"pairs_per_round\":%llu,"
             "\"pd\":%.6f,\"pr\":%.6f,\"refresh\":%d,\"rho\":%.2f,"
@@ -920,7 +907,6 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(cfg.sparse_churn_n),
             static_cast<unsigned long long>(config.capacity),
             config.successors, mode.inflight ? "true" : "false",
-            !mode.inflight && cfg.sparse_churn_batch ? "true" : "false",
             config.bucket_k, churn::to_string(mode.session),
             static_cast<unsigned long long>(result.shards),
             base.warmup_rounds, cfg.sparse_churn_rounds,

@@ -27,7 +27,7 @@
 //                                     q_eff
 //   sparse-churn <geometry> <bits> <n0> <pd> <pr> <R> [rounds] [pairs]
 //         [seed] [--threads N] [--shards S] [--rho RHO] [--succ S]
-//         [--announce A] [--k K] [--inflight] [--scalar-routes]
+//         [--announce A] [--k K] [--inflight]
 //         [--session geometric|pareto]
 //         [--alpha A] [--replicas r] [--zipf S] [--objects M]
 //                                     dynamic membership: N0 stationary
@@ -53,6 +53,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -98,7 +99,7 @@ int usage() {
       "        [--threads N] [--shards S] [--rho RHO]   (xor | tree | ring)\n"
       "  sparse-churn <geometry> <bits> <n0> <pd> <pr> <R> [rounds] [pairs]\n"
       "        [seed] [--threads N] [--shards S] [--rho RHO] [--succ S]\n"
-      "        [--announce A] [--k K] [--inflight] [--scalar-routes]\n"
+      "        [--announce A] [--k K] [--inflight]\n"
       "        [--session geometric|pareto] [--alpha A]\n"
       "        [--replicas r] [--zipf S] [--objects M]\n"
       "        [--trace-routes K --trace-out FILE]\n"
@@ -502,7 +503,7 @@ int cmd_sparse_churn(const std::string& name, int bits, std::uint64_t n0,
                      std::uint64_t pairs, std::uint64_t seed,
                      unsigned threads, std::uint64_t shards, double rho,
                      int succ, int announce, int bucket_k, bool inflight,
-                     bool batch_routes, const churn::SessionModel& session,
+                     const churn::SessionModel& session,
                      int replicas, double zipf_s, std::uint64_t objects,
                      std::uint64_t trace_routes,
                      const std::string& trace_out) {
@@ -526,20 +527,10 @@ int cmd_sparse_churn(const std::string& name, int bits, std::uint64_t n0,
       !validate_rho("sparse-churn", rho)) {
     return 1;
   }
-  if (bucket_k < 1 || bucket_k > 64) {
-    std::cerr << "sparse-churn: --k must be in [1, 64], got " << bucket_k
-              << "\n";
-    return 1;
-  }
   if (session.kind == churn::SessionKind::kPareto &&
       !(session.pareto_alpha > 1.0)) {
     std::cerr << "sparse-churn: --alpha must be > 1 (finite mean session), "
               << "got " << session.pareto_alpha << "\n";
-    return 1;
-  }
-  if (replicas < 1 || replicas > 64) {
-    std::cerr << "sparse-churn: --replicas must be in [1, 64], got "
-              << replicas << "\n";
     return 1;
   }
   if (!(std::isfinite(zipf_s) && zipf_s >= 0.0)) {
@@ -567,7 +558,6 @@ int cmd_sparse_churn(const std::string& name, int bits, std::uint64_t n0,
                                    .threads = threads,
                                    .repair_probability = rho,
                                    .inflight = inflight};
-  options.batch_routes = batch_routes;
   options.trace_routes = trace_routes;
   const math::Rng rng(seed);
   // lint:allow(wallclock) printed wall-time only, never an estimate input
@@ -597,8 +587,7 @@ int cmd_sparse_churn(const std::string& name, int bits, std::uint64_t n0,
           ? strfmt(" (alpha = %.2f)", session.pareto_alpha).c_str()
           : "",
       1.0 / pd, inflight ? "in-flight (world steps during routes; scalar)"
-                         : (batch_routes ? "round-synchronous (batched)"
-                                         : "round-synchronous (scalar)"));
+                         : "round-synchronous (batched)");
   std::cout << strfmt(
       "effective q (q_eff):   %.6f  (no-return q_nr: %.6f, %s q_nr: %.6f)\n",
       q_eff, churn::effective_q_no_return(params),
@@ -824,7 +813,6 @@ int main(int argc, char** argv) {
       int announce = 8;
       int bucket_k = 1;
       bool inflight = false;
-      bool batch_routes = true;
       churn::SessionModel session;
       int replicas = 1;
       double zipf_s = 0.0;
@@ -844,18 +832,25 @@ int main(int argc, char** argv) {
           rho = std::atof(argv[i + 1]);
           ++i;
         } else if (arg == "--succ" && i + 1 < argc) {
-          succ = std::atoi(argv[i + 1]);
+          if (!parse_int_flag("sparse-churn", "--succ", argv[i + 1], 0, 64,
+                              succ)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--announce" && i + 1 < argc) {
-          announce = std::atoi(argv[i + 1]);
+          if (!parse_int_flag("sparse-churn", "--announce", argv[i + 1], 0,
+                              std::numeric_limits<int>::max(), announce)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--k" && i + 1 < argc) {
-          bucket_k = std::atoi(argv[i + 1]);
+          if (!parse_int_flag("sparse-churn", "--k", argv[i + 1], 1, 64,
+                              bucket_k)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--inflight") {
           inflight = true;
-        } else if (arg == "--scalar-routes") {
-          batch_routes = false;
         } else if (arg == "--session" && i + 1 < argc) {
           churn::SessionKind kind;
           if (!churn::session_kind_from_name(argv[i + 1], kind)) {
@@ -870,7 +865,10 @@ int main(int argc, char** argv) {
           session.pareto_alpha = std::atof(argv[i + 1]);
           ++i;
         } else if (arg == "--replicas" && i + 1 < argc) {
-          replicas = std::atoi(argv[i + 1]);
+          if (!parse_int_flag("sparse-churn", "--replicas", argv[i + 1], 1,
+                              64, replicas)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--zipf" && i + 1 < argc) {
           zipf_s = std::atof(argv[i + 1]);
@@ -906,7 +904,7 @@ int main(int argc, char** argv) {
                               std::atof(argv[5]), std::atof(argv[6]),
                               std::atoi(argv[7]), rounds, pairs, seed,
                               threads, shards, rho, succ, announce,
-                              bucket_k, inflight, batch_routes, session,
+                              bucket_k, inflight, session,
                               replicas, zipf_s, objects, trace_routes,
                               trace_out);
     }

@@ -38,7 +38,7 @@ import sys
 # benches vary, so re-runs pair up even if row order shifts.
 KEY_FIELDS = [
     "section", "geometry", "mode", "bits", "n", "n0", "pairs", "succ",
-    "inflight", "batched", "k", "session", "replicas", "cache_entries",
+    "inflight", "k", "session", "replicas", "cache_entries",
     "threads",
 ]
 

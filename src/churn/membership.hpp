@@ -80,9 +80,8 @@ class SparseMembership {
   /// model's rebirths.
   std::uint32_t generation(NodeSlot slot) const { return generations_[slot]; }
 
-  /// Raw presence mask / id array over slots; the routing kernels of the
+  /// Raw id / generation arrays over slots; the routing kernels of the
   /// sparse churn world index these directly.
-  const std::uint8_t* present_data() const noexcept { return present_.data(); }
   const std::uint64_t* id_data() const noexcept { return ids_.data(); }
   const std::uint32_t* generation_data() const noexcept {
     return generations_.data();
@@ -92,8 +91,8 @@ class SparseMembership {
   /// maintained by join()/leave().  The whole mask for a 2^17-slot roster
   /// is 16 KiB -- cache-resident where the byte mask is not -- so the
   /// routing kernels' validity probes and the engine's present-slot sweeps
-  /// (std::countr_zero over the words) go through this instead of
-  /// present_data().
+  /// (std::countr_zero over the words) go through this instead of the
+  /// byte mask behind present().
   const std::uint64_t* alive_bits_data() const noexcept {
     return alive_bits_.data();
   }

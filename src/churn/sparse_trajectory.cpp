@@ -237,22 +237,35 @@ inline StepResult step_xor(const ChurnKernelCtx& c, NodeSlot cur,
   return {};
 }
 
+using StepFn = StepResult (*)(const ChurnKernelCtx&, NodeSlot, std::uint64_t,
+                              std::uint64_t);
+
+StepFn step_kernel(SparseChurnGeometry geometry) {
+  return geometry == SparseChurnGeometry::kKademlia ? &step_xor
+                                                    : &step_clockwise;
+}
+
+// The per-hop hook of a route that observes nothing; compiles away.
+struct NoHop {
+  void operator()(NodeSlot /*from*/, const StepResult& /*next*/) const {}
+};
+
 // One route against a frozen (sync) or moving (in-flight) world -- the
-// shared single-route core behind measure()'s scalar reference path and
-// measure_inflight().  `step` is one of the scalar kernels above; `sweep`
-// runs after every completed hop (the in-flight lifecycle advance; sync
-// passes a no-op and the holder-departure check compiles out).  Load is
-// bumped for the holding slot of every forward, before the step -- a
-// dropped route charges the node that had no admissible hop, matching the
-// historical accounting.
-template <bool kInflight, typename Sweep>
-bool route_one(const ChurnKernelCtx& c,
-               StepResult (*step)(const ChurnKernelCtx&, NodeSlot,
-                                  std::uint64_t, std::uint64_t),
-               NodeSlot source, std::uint64_t source_id, NodeSlot target,
-               std::uint64_t target_id, std::uint64_t max_hops,
-               std::uint64_t* load, sparse::SparseEstimate* rec,
-               Sweep&& sweep) {
+// shared single-route core behind measure_reference(), measure_inflight()
+// and trace_route().  `step` is one of the scalar kernels above.
+// `on_hop(from, next)` runs after every completed hop: the in-flight
+// lifecycle advance, or the forensics recorder (sync measurement passes
+// NoHop).  kInflight adds the holder-departure check.  Load (when `load` is
+// non-null) is bumped for the holding slot of every forward, before the
+// step -- a dropped route charges the node that had no admissible hop,
+// matching the historical accounting; outcomes are recorded into `rec`
+// when non-null.
+template <bool kInflight, typename OnHop>
+SparseRouteStatus route_one(const ChurnKernelCtx& c, StepFn step,
+                            NodeSlot source, std::uint64_t source_id,
+                            NodeSlot target, std::uint64_t target_id,
+                            std::uint64_t max_hops, std::uint64_t* load,
+                            sparse::SparseEstimate* rec, OnHop&& on_hop) {
   NodeSlot cur = source;
   std::uint64_t cur_id = source_id;
   std::uint64_t hops = 0;
@@ -264,35 +277,35 @@ bool route_one(const ChurnKernelCtx& c,
         if (rec != nullptr) {
           rec->record_drop(obs::RouteFailure::kHolderDeparted);
         }
-        return false;
+        return SparseRouteStatus::kDropped;
       }
     }
     if (cur == target) {
       if (rec != nullptr) {
         rec->record_arrival(hops);
       }
-      return true;
+      return SparseRouteStatus::kArrived;
     }
     if (hops >= max_hops) {
       if (rec != nullptr) {
         rec->record_hop_limit();
       }
-      return false;
+      return SparseRouteStatus::kHopLimit;
     }
-    ++load[cur];
+    if (load != nullptr) {
+      ++load[cur];
+    }
     const StepResult next = step(c, cur, cur_id, target_id);
     if (next.next == kNoSlot) {
       if (rec != nullptr) {
         rec->record_drop(classify_drop(c, cur));
       }
-      return false;
+      return SparseRouteStatus::kDropped;
     }
+    on_hop(cur, next);
     cur = next.next;
     cur_id = next.next_id;
     ++hops;
-    if constexpr (kInflight) {
-      sweep();
-    }
   }
 }
 
@@ -1205,8 +1218,9 @@ ChurnKernelCtx SparseChurnWorld::kernel_ctx() const {
   return ctx;
 }
 
-sparse::SparseEstimate SparseChurnWorld::measure(std::uint64_t pairs,
-                                                 math::Rng& rng) {
+sparse::SparseEstimate SparseChurnWorld::measure_sync(
+    std::uint64_t pairs, RouteChunk route_chunk) {
+  math::Rng& rng = measure_rng_;
   obs::PhaseTimer route_timer(profile_, obs::Phase::kRoute, trace_);
   sparse::SparseEstimate estimate;
   if (membership_.population() < 2) {
@@ -1273,7 +1287,7 @@ sparse::SparseEstimate SparseChurnWorld::measure(std::uint64_t pairs,
       draws_.push_back(draw);
     }
     // Forensics: the sink's stride selects pairs by their index within
-    // this measure() call -- a pure function of (shard, round, pair
+    // this measurement call -- a pure function of (shard, round, pair
     // index), so the traced set is identical at any thread count.  The
     // re-route runs against the same frozen snapshot the measurement
     // routes see and touches no rng, load counter, or estimate.
@@ -1285,28 +1299,25 @@ sparse::SparseEstimate SparseChurnWorld::measure(std::uint64_t pairs,
         }
       }
     }
-    if (batch_routes_) {
-      measure_batched_routes(ctx, attempts, estimate);
-    } else {
-      measure_scalar_routes(ctx, attempts, estimate);
-    }
+    (this->*route_chunk)(ctx, attempts, estimate);
   }
   return estimate;
 }
 
-// Re-routes one selected pair hop by hop against the frozen snapshot,
-// recording each chosen hop's slot, cached id, table rank (the index in
-// the forwarding node's row; -1 marks a successor-list hop), and the
-// generation probe that admitted it.  Routing is rng-free and the world
+// Re-routes one selected pair through route_one against the frozen
+// snapshot, recording each chosen hop's slot, cached id, table rank (the
+// index in the forwarding node's row; -1 marks a successor-list hop), and
+// the generation probe that admitted it.  Routing is rng-free and the world
 // is frozen in sync mode, so the walk reproduces the measurement route
-// exactly without perturbing it.
+// exactly; it charges no load and records into no estimate, so it never
+// perturbs the measurement either.
 void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
                                    NodeSlot source, NodeSlot target,
                                    std::uint64_t pair_index) {
-  StepResult (*step_fn)(const ChurnKernelCtx&, NodeSlot, std::uint64_t,
-                        std::uint64_t) =
-      geometry_ == SparseChurnGeometry::kKademlia ? &step_xor
-                                                  : &step_clockwise;
+  static_assert(static_cast<int>(SparseRouteStatus::kArrived) == 0 &&
+                    static_cast<int>(SparseRouteStatus::kDropped) == 1 &&
+                    static_cast<int>(SparseRouteStatus::kHopLimit) == 2,
+                "RouteTrace::status codes are SparseRouteStatus values");
   obs::RouteTrace trace;
   trace.shard = trace_shard_;
   trace.round = round_;
@@ -1314,23 +1325,7 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
   trace.source_slot = source;
   trace.source_id = ctx.ids[source];
   trace.target_id = ctx.ids[target];
-  NodeSlot cur = source;
-  std::uint64_t cur_id = trace.source_id;
-  std::uint64_t hops = 0;
-  for (;;) {
-    if (cur == target) {
-      trace.status = 0;  // arrived
-      break;
-    }
-    if (hops >= max_hops_) {
-      trace.status = 2;  // hop limit
-      break;
-    }
-    const StepResult next = step_fn(ctx, cur, cur_id, trace.target_id);
-    if (next.next == kNoSlot) {
-      trace.status = 1;  // dropped
-      break;
-    }
+  const auto record_hop = [&](NodeSlot from, const StepResult& next) {
     obs::RouteHop hop;
     hop.slot = next.next;
     hop.id = next.next_id;
@@ -1341,7 +1336,7 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
     // match on slot + cached id so a recycled slot in another cell can't
     // alias the pick.
     const std::uint64_t row_base =
-        cur * static_cast<std::uint64_t>(ctx.row_width);
+        from * static_cast<std::uint64_t>(ctx.row_width);
     for (int j = 0; j < ctx.row_width; ++j) {
       const std::uint64_t off = row_base + static_cast<std::uint64_t>(j);
       if (ctx.table[off] == next.next && ctx.table_id[off] == next.next_id &&
@@ -1353,7 +1348,7 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
     }
     if (hop.rank < 0) {
       const std::uint64_t succ_base =
-          cur * static_cast<std::uint64_t>(ctx.s);
+          from * static_cast<std::uint64_t>(ctx.s);
       for (int t = 0; t < ctx.s; ++t) {
         const std::uint64_t off = succ_base + static_cast<std::uint64_t>(t);
         if (ctx.successors[off] == next.next &&
@@ -1366,10 +1361,11 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
       }
     }
     trace.hops.push_back(hop);
-    cur = next.next;
-    cur_id = next.next_id;
-    ++hops;
-  }
+  };
+  trace.status = static_cast<std::uint32_t>(route_one<false>(
+      ctx, step_kernel(geometry_), source, trace.source_id, target,
+      trace.target_id, max_hops_, /*load=*/nullptr, /*rec=*/nullptr,
+      record_hop));
   trace_sink_->push(std::move(trace));
 }
 
@@ -1379,17 +1375,14 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
 void SparseChurnWorld::measure_scalar_routes(
     const ChurnKernelCtx& ctx, int attempts,
     sparse::SparseEstimate& estimate) {
-  StepResult (*step_fn)(const ChurnKernelCtx&, NodeSlot, std::uint64_t,
-                        std::uint64_t) =
-      geometry_ == SparseChurnGeometry::kKademlia ? &step_xor
-                                                  : &step_clockwise;
+  const StepFn kernel = step_kernel(geometry_);
   const bool workload = workload_enabled();
-  const auto no_sweep = [] {};
   for (const GetDraw& draw : draws_) {
     const std::uint64_t source_id = ctx.ids[draw.source];
-    bool available = route_one<false>(
-        ctx, step_fn, draw.source, source_id, draw.target,
-        ctx.ids[draw.target], max_hops_, load_.data(), &estimate, no_sweep);
+    bool available =
+        route_one<false>(ctx, kernel, draw.source, source_id, draw.target,
+                         ctx.ids[draw.target], max_hops_, load_.data(),
+                         &estimate, NoHop{}) == SparseRouteStatus::kArrived;
     if (!workload) {
       continue;
     }
@@ -1400,12 +1393,12 @@ void SparseChurnWorld::measure_scalar_routes(
       if (!membership_.present(holder)) {
         continue;  // the replica departed with its holder
       }
+      // The source may hold the replica itself.
       available =
-          holder == draw.source  // the source holds the replica itself
-              ? true
-              : route_one<false>(ctx, step_fn, draw.source, source_id, holder,
-                                 ctx.ids[holder], max_hops_, load_.data(),
-                                 nullptr, no_sweep);
+          holder == draw.source ||
+          route_one<false>(ctx, kernel, draw.source, source_id, holder,
+                           ctx.ids[holder], max_hops_, load_.data(), nullptr,
+                           NoHop{}) == SparseRouteStatus::kArrived;
     }
     if (available) {
       ++estimate.gets_available;
@@ -1522,11 +1515,17 @@ void SparseChurnWorld::measure_batched_routes(
 }
 
 sparse::SparseEstimate SparseChurnWorld::measure(std::uint64_t pairs) {
-  return measure(pairs, measure_rng_);
+  return measure_sync(pairs, &SparseChurnWorld::measure_batched_routes);
+}
+
+sparse::SparseEstimate SparseChurnWorld::measure_reference(
+    std::uint64_t pairs) {
+  return measure_sync(pairs, &SparseChurnWorld::measure_scalar_routes);
 }
 
 sparse::SparseEstimate SparseChurnWorld::measure_inflight(
-    std::uint64_t pairs, std::uint64_t events_per_hop, math::Rng& rng) {
+    std::uint64_t pairs, std::uint64_t events_per_hop) {
+  math::Rng& rng = measure_rng_;
   // The in-flight round fuses the lifecycle sweep into the routes (each
   // hop advances the world), so the whole body is one route-phase span --
   // nesting lifecycle/commit timers inside it would double-count.
@@ -1558,22 +1557,21 @@ sparse::SparseEstimate SparseChurnWorld::measure_inflight(
   // which happens at lookup boundaries -- never mid-route -- so the
   // cached-id kernels' carried identifiers cannot go stale in flight.
   const ChurnKernelCtx ctx = kernel_ctx();
-  StepResult (*step_fn)(const ChurnKernelCtx&, NodeSlot, std::uint64_t,
-                        std::uint64_t) =
-      geometry_ == SparseChurnGeometry::kKademlia ? &step_xor
-                                                  : &step_clockwise;
+  const StepFn kernel = step_kernel(geometry_);
   // In-flight route through the shared single-route core: the holder's
   // departure drops the message (checked before arrival -- a route
   // "arriving" at a slot that just left gets no reply), and the lifecycle
   // sweep advances under every hop, which is what keeps this path scalar:
   // each hop depends on the sweep the previous hop triggered.  Forwards
   // bump the holding slot's load counter, rng-free as in measure().
-  const auto sweep = [&] { advance_sweep(cursor, eph); };
+  const auto sweep = [&](NodeSlot /*from*/, const StepResult& /*next*/) {
+    advance_sweep(cursor, eph);
+  };
   const auto route_to = [&](NodeSlot source, NodeSlot target,
                             sparse::SparseEstimate* rec) -> bool {
-    return route_one<true>(ctx, step_fn, source, ctx.ids[source], target,
+    return route_one<true>(ctx, kernel, source, ctx.ids[source], target,
                            ctx.ids[target], max_hops_, load_.data(), rec,
-                           sweep);
+                           sweep) == SparseRouteStatus::kArrived;
   };
   const bool workload = workload_enabled();
   for (std::uint64_t i = 0; i < pairs; ++i) {
@@ -1639,11 +1637,6 @@ sparse::SparseEstimate SparseChurnWorld::measure_inflight(
   advance_sweep(cursor, capacity);
   integrate_joiners(/*commit_always=*/true);
   return estimate;
-}
-
-sparse::SparseEstimate SparseChurnWorld::measure_inflight(
-    std::uint64_t pairs, std::uint64_t events_per_hop) {
-  return measure_inflight(pairs, events_per_hop, measure_rng_);
 }
 
 sim::LoadSummary SparseChurnWorld::load_summary() const {
@@ -1733,7 +1726,6 @@ SparseChurnResult run_sparse_churn_trajectory(
                                options.repair_probability, options.max_hops,
                                rng.fork(s));
         build_timer.stop();
-        world.set_batch_routes(options.batch_routes);
         world.set_observer(profile, options.trace);
         if (!shard_sinks.empty()) {
           world.set_route_trace(&shard_sinks[s], s);

@@ -166,16 +166,19 @@ class SparseChurnWorld {
   /// ChurnWorld::measure contract).
   ///
   /// All per-pair randomness (sources, targets, Zipf objects) is drawn up
-  /// front in pair order; routing itself is rng-free, so the measurement
-  /// stream is byte-for-byte the historical interleaved one.  The routes
-  /// then run either through the 8-lane SoA batch driver (the default) or
-  /// the scalar reference path -- bit-identical by construction, because
-  /// every recorded quantity (estimate counters, per-slot load adds) is
-  /// commutative and the batch executes exactly the scalar attempt set.
-  sparse::SparseEstimate measure(std::uint64_t pairs, math::Rng& rng);
-
-  /// Same, drawing from the world's own measurement sub-stream.
+  /// front in pair order from the world's measurement sub-stream; routing
+  /// itself is rng-free, so the stream is byte-for-byte the historical
+  /// interleaved one.  The routes then run through the 8-lane SoA batch
+  /// driver.
   sparse::SparseEstimate measure(std::uint64_t pairs);
+
+  /// measure()'s scalar reference: the same draws, routed pair by pair
+  /// through the single-route core instead of the batch driver.
+  /// Bit-identical to measure() by construction -- every recorded quantity
+  /// (estimate counters, per-slot load adds) is commutative and the batch
+  /// executes exactly the scalar attempt set -- and gated per pair in
+  /// test_sparse_churn.  The oracle for the batch path, not a run mode.
+  sparse::SparseEstimate measure_reference(std::uint64_t pairs);
 
   /// One in-flight measured round: advances the round AND samples `pairs`
   /// routes while the world moves underneath them.  Instead of the
@@ -189,24 +192,10 @@ class SparseChurnWorld {
   /// boundaries -- a join becomes routable only once the overlay absorbs
   /// it.  Any sweep remainder is flushed at the end, so a measured round
   /// always performs exactly one full lifecycle round and the stationary
-  /// population matches the round-synchronous mode.
-  sparse::SparseEstimate measure_inflight(std::uint64_t pairs,
-                                          std::uint64_t events_per_hop,
-                                          math::Rng& rng);
-
-  /// Same, drawing from the world's own measurement sub-stream.
+  /// population matches the round-synchronous mode.  Draws come from the
+  /// world's measurement sub-stream.
   sparse::SparseEstimate measure_inflight(std::uint64_t pairs,
                                           std::uint64_t events_per_hop = 0);
-
-  /// Selects the sync-mode route engine: true (default) routes GETs in
-  /// 8-lane struct-of-arrays batches; false keeps the scalar reference
-  /// path.  Results are bit-identical either way (gated in
-  /// test_sparse_churn); the knob exists for A/B measurement and the
-  /// equality tests.  In-flight measurement is always scalar: the
-  /// lifecycle sweep advances under every hop, so routes are inherently
-  /// sequential.
-  void set_batch_routes(bool batched) noexcept { batch_routes_ = batched; }
-  bool batch_routes() const noexcept { return batch_routes_; }
 
   int round() const noexcept { return round_; }
   std::uint64_t population() const noexcept {
@@ -243,10 +232,11 @@ class SparseChurnWorld {
   }
 
   /// Attaches a route-forensics sink (obs/route_trace.hpp): sync-mode
-  /// measure() re-routes the pairs the sink's stride selects against the
+  /// measurement re-routes the pairs the sink's stride selects against the
   /// frozen round snapshot, recording each hop's (slot, id, table rank,
-  /// generation check).  The re-route touches no load counter and no rng,
-  /// so estimates and goldens are unchanged.  `shard` labels the records.
+  /// generation check).  The re-route touches no load counter, no estimate
+  /// and no rng, so estimates and goldens are unchanged.  `shard` labels
+  /// the records.
   void set_route_trace(obs::RouteTraceSink* sink,
                        std::uint64_t shard) noexcept {
     trace_sink_ = sink;
@@ -262,8 +252,14 @@ class SparseChurnWorld {
   }
   bool entry_valid(NodeSlot entry, std::uint32_t generation) const;
   ChurnKernelCtx kernel_ctx() const;
-  // Route one chunk of draws_ (scalar reference path / 8-lane batched
-  // path); both consume no rng and record identical per-pair outcomes.
+  // Draws `pairs` GETs a chunk at a time and routes each chunk with
+  // `route_chunk`, one of the two members below: the scalar reference path
+  // or the 8-lane batched path.  Both consume no rng and record identical
+  // per-pair outcomes.
+  using RouteChunk = void (SparseChurnWorld::*)(const ChurnKernelCtx&, int,
+                                                sparse::SparseEstimate&);
+  sparse::SparseEstimate measure_sync(std::uint64_t pairs,
+                                      RouteChunk route_chunk);
   void measure_scalar_routes(const ChurnKernelCtx& ctx, int attempts,
                              sparse::SparseEstimate& estimate);
   void measure_batched_routes(const ChurnKernelCtx& ctx, int attempts,
@@ -281,7 +277,7 @@ class SparseChurnWorld {
   void advance_sweep(std::uint64_t& cursor, std::uint64_t slots);
   // Re-routes one selected pair against the frozen round snapshot and
   // pushes the hop record into trace_sink_ (sync mode only; rng-free, no
-  // load accounting).
+  // load or estimate accounting).
   void trace_route(const ChurnKernelCtx& ctx, NodeSlot source,
                    NodeSlot target, std::uint64_t pair_index);
 
@@ -346,7 +342,6 @@ class SparseChurnWorld {
   std::vector<GetDraw> draws_;
   std::vector<std::uint8_t> get_available_;
   std::vector<std::pair<std::uint32_t, int>> retry_;  // (pair, attempt)
-  bool batch_routes_ = true;
   // Messages forwarded per slot across all measured routes (plain u64: the
   // world is single-threaded; see sim/load_stats.hpp for the shapes).
   std::vector<std::uint64_t> load_;

@@ -88,11 +88,6 @@ struct TrajectoryOptions {
   /// sweep is flushed at the end of the round, so a measured round always
   /// performs exactly one full lifecycle round.
   std::uint64_t inflight_events_per_hop = 0;
-  /// Route sync-mode measurement in 8-lane SoA batches (sparse churn
-  /// engine; bit-identical to the scalar path, which `false` selects for
-  /// A/B measurement).  Ignored by the dense engine and by in-flight mode,
-  /// which is inherently sequential.
-  bool batch_routes = true;
   /// Route forensics (sparse churn engine, sync mode only): sample about
   /// this many routes run-wide and record their full hop sequences
   /// (obs/route_trace.hpp).  Which pairs are traced is a pure function of

@@ -10,9 +10,10 @@
 // derived from the requested sample budget -- never of scheduling, so
 // the SAME pairs are traced at any thread count (asserted in
 // test_observability).  Traced routes are re-routed against the frozen
-// round snapshot through the scalar step kernels with no load accounting
-// and no rng, so tracing perturbs neither the measured estimates nor any
-// stream: goldens are unchanged with tracing on.
+// round snapshot through the engine's single-route core (a per-hop hook
+// records each hop) with no load accounting, no estimate, and no rng, so
+// tracing perturbs neither the measured estimates nor any stream: goldens
+// are unchanged with tracing on.
 //
 // Storage: a bounded ring buffer per shard (capacity = the per-shard
 // sample budget); when more pairs match the stride than fit, the newest

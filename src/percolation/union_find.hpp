@@ -25,7 +25,6 @@ class UnionFind {
   /// Size of x's set.
   std::uint64_t set_size(std::uint64_t x);
 
-  std::uint64_t element_count() const noexcept { return parent_.size(); }
   std::uint64_t set_count() const noexcept { return set_count_; }
 
  private:

@@ -4,14 +4,14 @@
 
 namespace dht::sim {
 
-FailureScenario::FailureScenario(std::uint64_t size, double q)
-    : size_(size), q_(q), alive_(size, 1), alive_count_(size) {
+FailureScenario::FailureScenario(std::uint64_t size)
+    : size_(size), alive_(size, 1), alive_count_(size) {
   rebuild_alive_index();
 }
 
 FailureScenario::FailureScenario(const IdSpace& space, double q,
                                  math::Rng& rng)
-    : size_(space.size()), q_(q), alive_(space.size(), 1),
+    : size_(space.size()), alive_(space.size(), 1),
       alive_count_(space.size()) {
   DHT_CHECK(q >= 0.0 && q <= 1.0, "failure probability q must be in [0, 1]");
   if (q != 0.0) {
@@ -26,7 +26,7 @@ FailureScenario::FailureScenario(const IdSpace& space, double q,
 }
 
 FailureScenario FailureScenario::all_alive(const IdSpace& space) {
-  return FailureScenario(space.size(), 0.0);
+  return FailureScenario(space.size());
 }
 
 void FailureScenario::rebuild_alive_index() {

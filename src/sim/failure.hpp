@@ -36,7 +36,6 @@ class FailureScenario {
   double alive_fraction() const noexcept {
     return static_cast<double>(alive_count_) / static_cast<double>(size_);
   }
-  double failure_probability() const noexcept { return q_; }
   std::uint64_t size() const noexcept { return size_; }
 
   /// Uniformly samples an alive node with a single rng draw (O(1) via the
@@ -65,14 +64,13 @@ class FailureScenario {
   void revive(NodeId id);
 
  private:
-  FailureScenario(std::uint64_t size, double q);
+  explicit FailureScenario(std::uint64_t size);
 
   void rebuild_alive_index();
 
   static constexpr std::uint32_t kDeadPos = ~std::uint32_t{0};
 
   std::uint64_t size_;
-  double q_;
   std::vector<std::uint8_t> alive_;
   std::uint64_t alive_count_ = 0;
   std::vector<std::uint32_t> alive_ids_;  // dense alive ids (sample target)

@@ -71,7 +71,7 @@ inline constexpr NodeId kNoHop = ~NodeId{0};
 
 /// The shared whole-route driver: iterates a per-hop step function until
 /// arrival, drop (step returns kNoHop), or the hop cap -- the same
-/// accounting as sparse::flat::route_flat.  The batched estimator
+/// accounting as the sparse engines' lane drivers.  The batched estimator
 /// (parallel_monte_carlo.cpp) applies the identical accounting to
 /// interleaved routes via the same step functions.
 template <typename Step>

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -447,26 +448,6 @@ struct LanePairSource {
   std::uint64_t remaining_;
 };
 
-// Scripted pair source for the route_pairs_batched test hook: hands out a
-// fixed pair list in order, whichever lane asks.
-struct ListPairSource {
-  bool operator()(int /*lane*/, NodeIndex& source, NodeIndex& target,
-                  std::uint32_t& rank) {
-    if (next == count) {
-      return false;
-    }
-    source = pairs[next].first;
-    target = pairs[next].second;
-    rank = kNoRank;
-    ++next;
-    return true;
-  }
-
-  const std::pair<NodeIndex, NodeIndex>* pairs;
-  std::uint64_t count;
-  std::uint64_t next = 0;
-};
-
 // Virtual-dispatch batch step on the shared driver, so generic and flat
 // runs share the lane schedule hop for hop and are bit-comparable.
 struct GenericStepBatch {
@@ -595,15 +576,6 @@ std::vector<CtxReplica> build_replicas(const FlatSparseCtx& c) {
 }
 
 }  // namespace
-
-void route_pairs_batched(const FlatSparseCtx& c, const SparseOverlay& overlay,
-                         const SparseFailure& failures,
-                         const std::pair<NodeIndex, NodeIndex>* pairs,
-                         std::uint64_t count, SparseEstimate& estimate) {
-  ListPairSource source{pairs, count};
-  run_lanes(c, overlay, failures, source, estimate);
-}
-
 }  // namespace flat
 
 SparseEstimate estimate_routability_parallel(

@@ -22,7 +22,6 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "math/rng.hpp"
@@ -44,11 +43,6 @@ enum class SparseRouteStatus {
   kArrived,   // message reached the target
   kDropped,   // no admissible alive neighbor (failed path)
   kHopLimit,  // safety cap exceeded -- indicates a protocol bug
-};
-
-struct SparseRouteResult {
-  SparseRouteStatus status = SparseRouteStatus::kDropped;
-  int hops = 0;
 };
 
 /// Folds one retired route into the estimate counters.  Shared by the
@@ -133,121 +127,19 @@ inline bool alive_bit(const FlatSparseCtx& c, NodeIndex i) {
   return (c.alive_bits[i >> 6] >> (i & 63)) & 1;
 }
 
-inline SparseRouteResult finish(SparseRouteStatus status, int hops) {
-  SparseRouteResult r;
-  r.status = status;
-  r.hops = hops;
-  return r;
-}
-
-/// The shared single-route driver: iterates a per-hop step function until
-/// arrival, drop (step returns kNoNode), or the hop cap.  The batched
-/// estimator (run_lanes in flat_sparse.cpp) applies the same accounting to
-/// interleaved routes.
-template <typename Step>
-SparseRouteResult route_flat(const FlatSparseCtx& c, NodeIndex source,
-                             NodeIndex target, Step step) {
-  const std::uint64_t target_id = c.ids[target];
-  NodeIndex cur = source;
-  int hops = 0;
-  while (cur != target) {
-    if (static_cast<std::uint64_t>(hops) >= c.max_hops) {
-      return finish(SparseRouteStatus::kHopLimit, hops);
-    }
-    const NodeIndex next = step(c, cur, target_id);
-    if (next == kNoNode) {
-      return finish(SparseRouteStatus::kDropped, hops);
-    }
-    cur = next;
-    ++hops;
-  }
-  return finish(SparseRouteStatus::kArrived, hops);
-}
-
-// Sparse Chord: greedy clockwise without overshoot.  The oracle scans the
-// full d-finger row keeping the best admissible alive finger; the kernel
-// walks the node's fixed-stride row of *distinct* fingers sorted by
-// decreasing precomputed progress, skips the overshooting prefix, and
-// takes the first alive entry.  Duplicates collapse onto the same node
-// (equal progress implies equal identifier), so the admissible candidate
-// set -- and hence the greedy choice -- is exactly
-// SparseChordOverlay::next_hop's, at ~log2 N contiguous u64 reads per hop
-// instead of d random id lookups.
-/// One forwarding step; kNoNode when the protocol drops the message.
-inline NodeIndex step_sparse_chord(const FlatSparseCtx& c, NodeIndex cur,
-                                   std::uint64_t target_id) {
-  const std::uint64_t distance = (target_id - c.ids[cur]) & c.key_mask;
-  const std::uint64_t stride = static_cast<std::uint64_t>(c.row_width);
-  const std::uint64_t len = c.row_len[cur];
-  // Skip the overshooting prefix by *counting* it: progress is strictly
-  // descending within a row, so the count of entries above the remaining
-  // distance IS the index of the first admissible finger.  The branchless
-  // count vectorizes and streams the row sequentially.
-  if (c.packed != nullptr) {
-    // Packed shape: entry > (distance << 32 | 0xFFFFFFFF) iff the entry's
-    // progress exceeds the remaining distance (equal progress would need a
-    // target above 2^32 - 1 to tip the compare, and targets are 32-bit).
-    const std::uint64_t* row = c.packed + cur * stride;
-    const std::uint64_t key =
-        (distance << 32) | std::uint64_t{kNoNode};
-    std::uint64_t k = 0;
-    for (std::uint64_t e = 0; e < len; ++e) {
-      k += row[e] > key ? 1 : 0;
-    }
-    for (std::uint64_t e = k; e < len; ++e) {
-      const NodeIndex f = static_cast<NodeIndex>(row[e]);
-      if (c.alive[f]) {
-        __builtin_prefetch(&c.ids[f]);
-        return f;  // max-progress alive admissible finger
-      }
-    }
-    return kNoNode;
-  }
-  const std::uint64_t* prog = c.progress + cur * stride;
-  const NodeIndex* row = c.table + cur * stride;
-  std::uint64_t k = 0;
-  for (std::uint64_t e = 0; e < len; ++e) {
-    k += prog[e] > distance ? 1 : 0;
-  }
-  for (std::uint64_t e = k; e < len; ++e) {
-    const NodeIndex f = row[e];
-    if (c.alive[f]) {
-      __builtin_prefetch(&c.ids[f]);
-      return f;  // max-progress alive admissible finger
-    }
-  }
-  return kNoNode;
-}
-
-inline SparseRouteResult route_sparse_chord(const FlatSparseCtx& c,
-                                            NodeIndex source,
-                                            NodeIndex target) {
-  return route_flat(c, source, target,
-                    [](const FlatSparseCtx& ctx, NodeIndex cur,
-                       std::uint64_t target_id) {
-                      return step_sparse_chord(ctx, cur, target_id);
-                    });
-}
-
-// Sparse Kademlia: walk the differing levels highest order first; the
-// first alive non-empty contact wins -- exactly
+// Sparse Kademlia: walk the differing levels highest order first, each
+// bucket's k cells head first (bucket_k = 1 reads exactly the pre-k
+// single-contact cells); the first alive non-empty contact wins -- exactly
 // SparseKademliaOverlay::next_hop, *including* its strictly-closer check,
-// which the kernel elides because it is provably always true for bucket
-// contacts: a level-l contact agrees with `cur` above bit d-l, so when the
-// walk probes level l, the contact matches the target on every higher
-// differing bit already probed, clears bit d-l (both contact and target
-// flip it relative to `cur`), and therefore sits strictly closer whatever
-// its suffix.  That removes the candidate id lookup -- the last random
-// read per probe -- from the hot path; the oracle keeps the check
-// defensively, and the per-pair equality test (test_flat_sparse) pins the
-// two paths to each other.
-/// One forwarding step; kNoNode when the protocol drops the message.
-/// k-aware: probes each bucket's k cells head first (bucket_k = 1 reads
-/// exactly the single-contact cells of the pre-k layout).  The
-/// strictly-closer elision holds for EVERY cell, not just the head: any
-/// level-l bucket member clears the probed bit and matches every
-/// higher-order differing bit already corrected, so it sits strictly
-/// closer whatever its suffix.
+// which the kernel elides because it always holds for bucket members: a
+// level-l member agrees with `cur` above bit d-l, so when the walk probes
+// level l it matches the target on every higher differing bit already
+// probed and clears bit d-l, sitting strictly closer whatever its suffix.
+// That removes the candidate id lookup -- the last random read per probe
+// -- from the hot path; the per-pair oracle test (test_flat_sparse) pins
+// the two paths to each other.
+/// One forwarding step; kNoNode when the protocol drops the message.  The
+/// batch kernel's fallback for lanes whose bucket head is empty or dead.
 inline NodeIndex step_sparse_kademlia(const FlatSparseCtx& c, NodeIndex cur,
                                       std::uint64_t target_id) {
   const NodeIndex* row =
@@ -261,15 +153,8 @@ inline NodeIndex step_sparse_kademlia(const FlatSparseCtx& c, NodeIndex cur,
                   static_cast<std::uint64_t>(c.bucket_k);
     for (int cell = 0; cell < c.bucket_k; ++cell) {  // bucket d - bw + 1
       const NodeIndex entry = bucket[cell];
-      if (entry != kNoNode &&
-          (c.alive_bits != nullptr ? alive_bit(c, entry)
-                                   : c.alive[entry] != 0)) {
-        // Warm the next hop's contact row and identifier while other lanes
-        // run (the id feeds the next hop's distance computation).
-        __builtin_prefetch(c.table + entry * static_cast<std::uint64_t>(
-                                         c.row_width));
-        __builtin_prefetch(&c.ids[entry]);
-        return entry;
+      if (entry != kNoNode && alive_bit(c, entry)) {
+        return entry;  // the batch kernel warms the next hop's row and id
       }
     }
     diff &= ~(std::uint64_t{1} << (bw - 1));
@@ -277,19 +162,10 @@ inline NodeIndex step_sparse_kademlia(const FlatSparseCtx& c, NodeIndex cur,
   return kNoNode;
 }
 
-inline SparseRouteResult route_sparse_kademlia(const FlatSparseCtx& c,
-                                               NodeIndex source,
-                                               NodeIndex target) {
-  return route_flat(c, source, target,
-                    [](const FlatSparseCtx& ctx, NodeIndex cur,
-                       std::uint64_t target_id) {
-                      return step_sparse_kademlia(ctx, cur, target_id);
-                    });
-}
-
 // Sparse Symphony: greedy clockwise without overshoot over shortcuts, then
 // the kn ring successors -- exactly SparseSymphonyOverlay::next_hop.
-/// One forwarding step; kNoNode when the protocol drops the message.
+/// One forwarding step; kNoNode when the protocol drops the message.  The
+/// symphony batch kernel runs it per lane.
 inline NodeIndex step_sparse_symphony(const FlatSparseCtx& c, NodeIndex cur,
                                       std::uint64_t target_id) {
   const std::uint64_t cur_id = c.ids[cur];
@@ -321,16 +197,6 @@ inline NodeIndex step_sparse_symphony(const FlatSparseCtx& c, NodeIndex cur,
   return best;
 }
 
-inline SparseRouteResult route_sparse_symphony(const FlatSparseCtx& c,
-                                               NodeIndex source,
-                                               NodeIndex target) {
-  return route_flat(c, source, target,
-                    [](const FlatSparseCtx& ctx, NodeIndex cur,
-                       std::uint64_t target_id) {
-                      return step_sparse_symphony(ctx, cur, target_id);
-                    });
-}
-
 // ---------------------------------------------------------------------------
 // Struct-of-arrays route batches.
 //
@@ -349,8 +215,8 @@ inline SparseRouteResult route_sparse_symphony(const FlatSparseCtx& c,
 /// between kernel steps: an active lane is mid-route (cur != target, cur !=
 /// kNoNode, hops < max_hops) -- the driver retires terminal lanes and
 /// refills before every step.  A kernel signals a drop by writing kNoNode
-/// into cur (leaving hops at the count already taken, matching
-/// route_flat's accounting).
+/// into cur (leaving hops at the count already taken: a dropped route
+/// counts the hops it completed).
 struct RouteBatch {
   static constexpr int kLanes = 8;
   NodeIndex cur[kLanes];
@@ -374,13 +240,19 @@ struct RouteBatch {
   std::uint32_t rank[kLanes];
 };
 
-/// One Chord hop for every active lane.  Same algorithm as
-/// step_sparse_chord, phased: (A) distances and row bases -- pure
-/// arithmetic, the row address is cur * stride with no offsets load on the
-/// critical path, (B) count every lane's overshooting prefix with
-/// branchless fixed-trip loops, (C) probe the max-progress candidates'
-/// liveness in the packed bit mask, falling back to the in-row scan for
-/// the rare dead-candidate lane.  The writeback prefetches the *next*
+/// One Chord hop for every active lane: greedy clockwise without
+/// overshoot, over the node's row of *distinct* fingers sorted by strictly
+/// decreasing progress -- the count of entries above the remaining
+/// distance IS the index of the first admissible finger, and the first
+/// alive one from there is SparseChordOverlay::next_hop's pick (duplicate
+/// fingers collapse onto one node), at ~log2 N contiguous reads per hop.
+/// Packed rows compare entry > (distance << 32 | 0xFFFFFFFF): true iff
+/// the entry's progress exceeds the distance (targets are 32-bit).
+/// Phased: (A) distances and row bases -- pure arithmetic, the row address
+/// is cur * stride with no offsets load on the critical path, (B) count
+/// every lane's overshooting prefix with branchless fixed-trip loops, (C)
+/// probe the max-progress candidates' liveness in the packed bit mask,
+/// falling back to the in-row scan for the rare dead-candidate lane.  The writeback prefetches the *next*
 /// hop's whole row, so phase B of the following turn runs against lines
 /// that have had a full batch turn of latency cover.
 inline void step_batch_chord_packed(const FlatSparseCtx& c, RouteBatch& b) {
@@ -623,17 +495,6 @@ inline std::uint64_t object_key(std::uint64_t key_mask, std::uint64_t object) {
 std::vector<NodeIndex> object_owners(const SparseIdSpace& space,
                                      const SparseFailure& failures,
                                      std::uint64_t objects);
-
-/// Test hook: routes the given ordered (source, target) index pairs through
-/// the same struct-of-arrays lane driver the estimator uses (kGeneric
-/// contexts step through overlay.next_hop) and records every outcome into
-/// `estimate`.  Bit-equivalent to routing each pair alone with route_flat
-/// and the matching scalar step: interleaving changes when routes run,
-/// never what they do.
-void route_pairs_batched(const FlatSparseCtx& c, const SparseOverlay& overlay,
-                         const SparseFailure& failures,
-                         const std::pair<NodeIndex, NodeIndex>* pairs,
-                         std::uint64_t count, SparseEstimate& estimate);
 
 }  // namespace flat
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -34,63 +35,20 @@ struct Instance {
 };
 
 Instance make_instance(const std::string& name, int bits, std::uint64_t n,
-                       std::uint64_t seed) {
+                       std::uint64_t seed, int bucket_k = 1) {
   math::Rng rng(seed);
   Instance inst;
   inst.space = std::make_unique<SparseIdSpace>(bits, n, rng);
   if (name == "chord") {
     inst.overlay = std::make_unique<SparseChordOverlay>(*inst.space);
   } else if (name == "kademlia") {
-    inst.overlay = std::make_unique<SparseKademliaOverlay>(*inst.space, rng);
+    inst.overlay = std::make_unique<SparseKademliaOverlay>(*inst.space, rng,
+                                                           bucket_k);
   } else {
     inst.overlay = std::make_unique<SparseSymphonyOverlay>(*inst.space, 2, 2,
                                                            rng);
   }
   return inst;
-}
-
-TEST(FlatSparse, KernelsMatchVirtualOraclePerPair) {
-  // Same (source, target) under the same scenario: the kernel and the
-  // virtual next_hop path must agree on the outcome AND the hop count for
-  // every pair -- the kernels are replicas, not approximations.
-  for (const std::string name : {"chord", "kademlia", "symphony"}) {
-    const auto inst = make_instance(name, 22, 3000, 301);
-    math::Rng fail_rng(302);
-    const SparseFailure failures(*inst.space, 0.25, fail_rng);
-    const auto ctx = flat::make_sparse_ctx(*inst.overlay, failures, 0, true);
-    ASSERT_NE(ctx.kind, flat::SparseKernelKind::kGeneric) << name;
-
-    math::Rng pair_rng(303);
-    for (int i = 0; i < 2000; ++i) {
-      const NodeIndex source = failures.sample_alive(pair_rng);
-      NodeIndex target = failures.sample_alive(pair_rng);
-      if (target == source) {
-        continue;
-      }
-      flat::SparseRouteResult kernel;
-      switch (ctx.kind) {
-        case flat::SparseKernelKind::kChord:
-          kernel = flat::route_sparse_chord(ctx, source, target);
-          break;
-        case flat::SparseKernelKind::kKademlia:
-          kernel = flat::route_sparse_kademlia(ctx, source, target);
-          break;
-        default:
-          kernel = flat::route_sparse_symphony(ctx, source, target);
-          break;
-      }
-      const auto oracle = route(*inst.overlay, failures, source, target);
-      if (oracle.has_value()) {
-        ASSERT_EQ(kernel.status, flat::SparseRouteStatus::kArrived)
-            << name << " source=" << source << " target=" << target;
-        EXPECT_EQ(kernel.hops, *oracle)
-            << name << " source=" << source << " target=" << target;
-      } else {
-        ASSERT_EQ(kernel.status, flat::SparseRouteStatus::kDropped)
-            << name << " source=" << source << " target=" << target;
-      }
-    }
-  }
 }
 
 TEST(FlatSparse, FlatAndGenericEstimatesAreBitIdentical) {
@@ -205,41 +163,6 @@ TEST(FlatSparse, MergeOfShardsEqualsOnePass) {
   expect_identical(one_pass, merged, "merge-empty");
 }
 
-TEST(FlatSparse, KBucketKernelMatchesOraclePerPair) {
-  // The k-aware kernel must replicate the widened oracle hop for hop: same
-  // head-first cell probing, same strictly-closer greedy choice (which the
-  // kernel elides because it provably holds for every bucket member).
-  math::Rng rng(401);
-  const SparseIdSpace space(22, 3000, rng);
-  const SparseKademliaOverlay overlay(space, rng, /*k=*/3);
-  EXPECT_EQ(overlay.bucket_k(), 3);
-  math::Rng fail_rng(402);
-  const SparseFailure failures(space, 0.3, fail_rng);
-  const auto ctx = flat::make_sparse_ctx(overlay, failures, 0, true);
-  ASSERT_EQ(ctx.kind, flat::SparseKernelKind::kKademlia);
-  ASSERT_EQ(ctx.bucket_k, 3);
-  ASSERT_EQ(ctx.row_width, 22 * 3);
-  math::Rng pair_rng(403);
-  for (int i = 0; i < 2000; ++i) {
-    const NodeIndex source = failures.sample_alive(pair_rng);
-    const NodeIndex target = failures.sample_alive(pair_rng);
-    if (target == source) {
-      continue;
-    }
-    const auto kernel = flat::route_sparse_kademlia(ctx, source, target);
-    const auto oracle = route(overlay, failures, source, target);
-    if (oracle.has_value()) {
-      ASSERT_EQ(kernel.status, flat::SparseRouteStatus::kArrived)
-          << "source=" << source << " target=" << target;
-      EXPECT_EQ(kernel.hops, *oracle)
-          << "source=" << source << " target=" << target;
-    } else {
-      ASSERT_EQ(kernel.status, flat::SparseRouteStatus::kDropped)
-          << "source=" << source << " target=" << target;
-    }
-  }
-}
-
 TEST(FlatSparse, KBucketCellsAreDistinctAndKOneIsTheSingleContactLayout) {
   // The explicit k = 1 constructor must produce the byte-identical table
   // of the historical single-contact constructor (same rng stream, same
@@ -286,14 +209,18 @@ TEST(FlatSparse, KBucketCellsAreDistinctAndKOneIsTheSingleContactLayout) {
   EXPECT_GT(est_wide.routability(), est_single.routability() + 0.03);
 }
 
+// One route's outcome: status and the hops it completed.
+struct RouteOutcome {
+  flat::SparseRouteStatus status = flat::SparseRouteStatus::kDropped;
+  int hops = 0;
+};
+
 // Routes one (source, target) pair through the struct-of-arrays batch
 // kernels -- lane 0 active, the rest parked -- until the lane terminates,
-// mirroring the engine driver's retire logic.  The batch kernels must be
-// pure restructurings of the scalar steppers, so the outcome and hop count
-// must match route_sparse_* exactly.
-flat::SparseRouteResult route_one_batched(const flat::FlatSparseCtx& c,
-                                          NodeIndex source, NodeIndex target,
-                                          std::uint64_t max_hops) {
+// mirroring the engine driver's retire logic.
+RouteOutcome route_one_batched(const flat::FlatSparseCtx& c,
+                               NodeIndex source, NodeIndex target,
+                               std::uint64_t max_hops) {
   flat::RouteBatch b{};
   for (int l = 0; l < flat::RouteBatch::kLanes; ++l) {
     b.active[l] = 0;
@@ -316,34 +243,58 @@ flat::SparseRouteResult route_one_batched(const flat::FlatSparseCtx& c,
         flat::step_batch_symphony(c, b);
         break;
     }
+    const int hops = static_cast<int>(b.hops[0]);
     if (b.cur[0] == kNoNode) {
-      return {flat::SparseRouteStatus::kDropped,
-              static_cast<int>(b.hops[0])};
+      return {flat::SparseRouteStatus::kDropped, hops};
     }
     if (b.cur[0] == b.target[0]) {
-      return {flat::SparseRouteStatus::kArrived,
-              static_cast<int>(b.hops[0])};
+      return {flat::SparseRouteStatus::kArrived, hops};
     }
     if (b.hops[0] >= max_hops) {
-      return {flat::SparseRouteStatus::kHopLimit,
-              static_cast<int>(b.hops[0])};
+      return {flat::SparseRouteStatus::kHopLimit, hops};
     }
   }
 }
 
-TEST(FlatSparse, BatchKernelsMatchScalarSteppersPerPair) {
-  // Every geometry, both liveness regimes: batch and scalar must agree on
-  // status and hop count for every pair.
-  for (const std::string name : {"chord", "kademlia", "symphony"}) {
-    for (double q : {0.0, 0.3}) {
-      const auto inst = make_instance(name, 22, 3000, 501);
+TEST(FlatSparse, BatchKernelsMatchVirtualOraclePerPair) {
+  // Same (source, target) under the same scenario: every batch kernel
+  // shape -- packed and wide Chord rows, single- and k-contact Kademlia
+  // buckets, Symphony -- must agree with the virtual next_hop path on the
+  // outcome AND the hop count for every pair, with and without failures.
+  // The kernels are replicas, not approximations.
+  struct Shape {
+    const char* name;
+    const char* geometry;
+    int bits;
+    std::uint64_t n;
+    int bucket_k;
+  };
+  constexpr Shape kShapes[] = {
+      {"chord packed", "chord", 22, 3000, 1},
+      {"chord wide", "chord", 40, 4096, 1},
+      {"kademlia k=1", "kademlia", 22, 3000, 1},
+      {"kademlia k=3", "kademlia", 22, 3000, 3},
+      {"symphony", "symphony", 22, 3000, 1},
+  };
+  for (const Shape& shape : kShapes) {
+    for (const double q : {0.0, 0.25, 0.3, 0.4}) {
+      const std::string what =
+          std::string(shape.name) + " q=" + std::to_string(q);
+      const auto inst = make_instance(shape.geometry, shape.bits, shape.n,
+                                      501, shape.bucket_k);
       math::Rng fail_rng(502);
       const SparseFailure failures(*inst.space, q, fail_rng);
       const auto ctx =
           flat::make_sparse_ctx(*inst.overlay, failures, 0, true);
-      ASSERT_NE(ctx.kind, flat::SparseKernelKind::kGeneric) << name;
+      ASSERT_NE(ctx.kind, flat::SparseKernelKind::kGeneric) << what;
       if (ctx.kind == flat::SparseKernelKind::kChord) {
-        ASSERT_NE(ctx.packed, nullptr) << "bits <= 32 must use packed rows";
+        // bits <= 32 selects the packed u64 rows, wider spaces the
+        // two-array (progress, finger) shape.
+        ASSERT_EQ(ctx.packed != nullptr, shape.bits <= 32) << what;
+      }
+      if (ctx.kind == flat::SparseKernelKind::kKademlia) {
+        ASSERT_EQ(ctx.bucket_k, shape.bucket_k) << what;
+        ASSERT_EQ(ctx.row_width, shape.bits * shape.bucket_k) << what;
       }
       const std::uint64_t max_hops = inst.space->node_count();
       math::Rng pair_rng(503);
@@ -353,85 +304,19 @@ TEST(FlatSparse, BatchKernelsMatchScalarSteppersPerPair) {
         if (target == source) {
           continue;
         }
-        flat::SparseRouteResult scalar;
-        switch (ctx.kind) {
-          case flat::SparseKernelKind::kChord:
-            scalar = flat::route_sparse_chord(ctx, source, target);
-            break;
-          case flat::SparseKernelKind::kKademlia:
-            scalar = flat::route_sparse_kademlia(ctx, source, target);
-            break;
-          default:
-            scalar = flat::route_sparse_symphony(ctx, source, target);
-            break;
-        }
         const auto batched = route_one_batched(ctx, source, target, max_hops);
-        ASSERT_EQ(batched.status, scalar.status)
-            << name << " q=" << q << " source=" << source
-            << " target=" << target;
-        EXPECT_EQ(batched.hops, scalar.hops)
-            << name << " q=" << q << " source=" << source
-            << " target=" << target;
+        const auto oracle = route(*inst.overlay, failures, source, target);
+        if (oracle.has_value()) {
+          ASSERT_EQ(batched.status, flat::SparseRouteStatus::kArrived)
+              << what << " source=" << source << " target=" << target;
+          EXPECT_EQ(batched.hops, *oracle)
+              << what << " source=" << source << " target=" << target;
+        } else {
+          ASSERT_EQ(batched.status, flat::SparseRouteStatus::kDropped)
+              << what << " source=" << source << " target=" << target;
+        }
       }
     }
-  }
-}
-
-TEST(FlatSparse, WideChordBatchKernelMatchesScalar) {
-  // bits > 32 selects the two-array chord shape (progress no longer fits
-  // the packed u64); the wide batch kernel must replicate the scalar
-  // stepper just like the packed one.
-  math::Rng rng(511);
-  const SparseIdSpace space(40, 4096, rng);
-  const SparseChordOverlay overlay(space);
-  ASSERT_TRUE(overlay.route_packed().empty());
-  ASSERT_FALSE(overlay.route_progress().empty());
-  math::Rng fail_rng(512);
-  const SparseFailure failures(space, 0.25, fail_rng);
-  const auto ctx = flat::make_sparse_ctx(overlay, failures, 0, true);
-  ASSERT_EQ(ctx.kind, flat::SparseKernelKind::kChord);
-  ASSERT_EQ(ctx.packed, nullptr);
-  math::Rng pair_rng(513);
-  for (int i = 0; i < 1500; ++i) {
-    const NodeIndex source = failures.sample_alive(pair_rng);
-    const NodeIndex target = failures.sample_alive(pair_rng);
-    if (target == source) {
-      continue;
-    }
-    const auto scalar = flat::route_sparse_chord(ctx, source, target);
-    const auto batched =
-        route_one_batched(ctx, source, target, space.node_count());
-    ASSERT_EQ(batched.status, scalar.status)
-        << "source=" << source << " target=" << target;
-    EXPECT_EQ(batched.hops, scalar.hops)
-        << "source=" << source << " target=" << target;
-  }
-}
-
-TEST(FlatSparse, KBucketBatchKernelMatchesScalar) {
-  // The k > 1 bucket layout through the batched kernel: head-first cell
-  // probing must survive the phase split.
-  math::Rng rng(521);
-  const SparseIdSpace space(22, 3000, rng);
-  const SparseKademliaOverlay overlay(space, rng, /*k=*/3);
-  math::Rng fail_rng(522);
-  const SparseFailure failures(space, 0.4, fail_rng);
-  const auto ctx = flat::make_sparse_ctx(overlay, failures, 0, true);
-  ASSERT_EQ(ctx.bucket_k, 3);
-  math::Rng pair_rng(523);
-  for (int i = 0; i < 1500; ++i) {
-    const NodeIndex source = failures.sample_alive(pair_rng);
-    const NodeIndex target = failures.sample_alive(pair_rng);
-    if (target == source) {
-      continue;
-    }
-    const auto scalar = flat::route_sparse_kademlia(ctx, source, target);
-    const auto batched =
-        route_one_batched(ctx, source, target, space.node_count());
-    ASSERT_EQ(batched.status, scalar.status)
-        << "source=" << source << " target=" << target;
-    EXPECT_EQ(batched.hops, scalar.hops)
-        << "source=" << source << " target=" << target;
   }
 }
 

@@ -245,29 +245,22 @@ TEST(TaxonomyDeterminism, CountersIdenticalAcrossThreadCounts) {
   const SparseChurnConfig config{
       .bits = 24, .capacity = 1024, .successors = 3, .shortcuts = 4};
   for (const bool inflight : {false, true}) {
-    for (const bool batch : {true, false}) {
-      if (inflight && !batch) {
-        continue;  // in-flight is inherently scalar; batch flag ignored
-      }
-      std::vector<sparse::SparseEstimate> estimates;
-      for (const unsigned threads : {1u, 2u, 8u}) {
-        TrajectoryOptions options{.warmup_rounds = 25,
-                                  .measured_rounds = 3,
-                                  .pairs_per_round = 400,
-                                  .shards = 8,
-                                  .threads = threads};
-        options.inflight = inflight;
-        options.batch_routes = batch;
-        const auto result = run_sparse_churn_trajectory(
-            SparseChurnGeometry::kChord, config, params, options,
-            math::Rng(4242));
-        estimates.push_back(result.overall);
-      }
-      const std::string what = std::string(inflight ? "inflight" : "sync") +
-                               (batch ? "/batched" : "/scalar");
-      expect_identical(estimates[0], estimates[1], what.c_str());
-      expect_identical(estimates[0], estimates[2], what.c_str());
+    std::vector<sparse::SparseEstimate> estimates;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      TrajectoryOptions options{.warmup_rounds = 25,
+                                .measured_rounds = 3,
+                                .pairs_per_round = 400,
+                                .shards = 8,
+                                .threads = threads};
+      options.inflight = inflight;
+      const auto result = run_sparse_churn_trajectory(
+          SparseChurnGeometry::kChord, config, params, options,
+          math::Rng(4242));
+      estimates.push_back(result.overall);
     }
+    const char* what = inflight ? "inflight" : "sync";
+    expect_identical(estimates[0], estimates[1], what);
+    expect_identical(estimates[0], estimates[2], what);
   }
 }
 
@@ -350,12 +343,65 @@ TEST(RouteForensics, AttachingSinksNeverChangesEstimates) {
   for (std::size_t i = 0; i < bare.per_round.size(); ++i) {
     expect_identical(bare.per_round[i], observed.per_round[i], "per round");
   }
+  // Traced re-routes charge no load: the per-slot load digest is unchanged.
+  EXPECT_EQ(bare.load_max, observed.load_max);
+  EXPECT_EQ(bare.load_p99, observed.load_p99);
+  EXPECT_EQ(bare.load_cv, observed.load_cv);
   EXPECT_TRUE(bare.traces.empty());
   EXPECT_FALSE(observed.traces.empty());
   EXPECT_GT(profile.total(), 0.0);
   EXPECT_GT(profile[obs::Phase::kRoute], 0.0);
   EXPECT_GT(profile[obs::Phase::kWorldBuild], 0.0);
   EXPECT_FALSE(trace.events().empty());
+}
+
+TEST(RouteForensics, TraceMatchesTheMeasuredOutcomePerPair) {
+  // A trace is the measured route, hop for hop: with a stride-1 sink and
+  // one pair per measure() call, each trace's status and hop count must
+  // equal the single outcome the estimate recorded for that pair -- an
+  // arrival with its hop count, a drop, or a hop-limit hit.
+  const ChurnParams params{.death_per_round = 0.1,
+                           .rebirth_per_round = 0.1,
+                           .refresh_interval = 20};
+  for (const SparseChurnGeometry geometry : kAllGeometries) {
+    for (const int successors : {0, 3}) {
+      const std::string what = std::string(churn::to_string(geometry)) +
+                               " s=" + std::to_string(successors);
+      const SparseChurnConfig config{.bits = 20,
+                                     .capacity = 512,
+                                     .successors = successors,
+                                     .shortcuts = 4};
+      churn::SparseChurnWorld world(geometry, config, params, 0.0, 0,
+                                    math::Rng(7373));
+      obs::RouteTraceSink sink(/*stride=*/1, /*capacity=*/1);
+      world.set_route_trace(&sink, 0);
+      std::uint64_t arrivals = 0;
+      std::uint64_t drops = 0;
+      for (int round = 0; round < 12; ++round) {
+        world.step();
+        for (int pair = 0; pair < 30; ++pair) {
+          const sparse::SparseEstimate e = world.measure(1);
+          const std::vector<obs::RouteTrace> traces = sink.drain();
+          ASSERT_EQ(e.attempts, 1u) << what;
+          ASSERT_EQ(traces.size(), 1u) << what;
+          const obs::RouteTrace& trace = traces[0];
+          if (e.hops.count() == 1) {
+            ++arrivals;
+            EXPECT_EQ(trace.status, 0u) << what;
+            EXPECT_EQ(trace.hops.size(), e.hops.sum()) << what;
+          } else if (e.hop_limit_hits() == 1) {
+            EXPECT_EQ(trace.status, 2u) << what;
+            EXPECT_EQ(trace.hops.size(), world.capacity()) << what;
+          } else {
+            ++drops;
+            EXPECT_EQ(trace.status, 1u) << what;
+          }
+        }
+      }
+      EXPECT_GT(arrivals, 0u) << what;
+      EXPECT_GT(drops, 0u) << what;
+    }
+  }
 }
 
 TEST(RouteForensics, InflightModeRejectsTracing) {

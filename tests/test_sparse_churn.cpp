@@ -617,12 +617,36 @@ void expect_estimates_equal(const sparse::SparseEstimate& a,
 }
 
 TEST(SparseChurn, BatchedMatchesScalarPerPair) {
-  // The tentpole gate: the 8-lane batched sync path must agree with the
-  // scalar reference path PER PAIR -- not merely in aggregate -- across
-  // every geometry, bucket width, successor-list length, and replication
-  // factor.  Two worlds share a seed (identical rng lineage); measuring
-  // one pair at a time makes each call's estimate a single pair's
-  // outcome, so any kernel divergence pins itself to the exact pair.
+  // The tentpole gate: the 8-lane batched sync path (measure) must agree
+  // with the scalar reference path (measure_reference) PER PAIR -- not
+  // merely in aggregate -- across every geometry, bucket width,
+  // successor-list length, replication factor, and a repaired Zipf GET
+  // workload.  Two worlds share a seed (identical rng lineage); measuring
+  // one pair at a time makes each call's estimate a single pair's outcome,
+  // so any kernel divergence pins itself to the exact pair.
+  const auto check = [](SparseChurnGeometry geometry,
+                        const SparseChurnConfig& config,
+                        const ChurnParams& params, double rho,
+                        const std::string& what) {
+    SparseChurnWorld scalar_world(geometry, config, params, rho, 0,
+                                  math::Rng(91));
+    SparseChurnWorld batched_world(geometry, config, params, rho, 0,
+                                   math::Rng(91));
+    for (int round = 0; round < 6; ++round) {
+      scalar_world.step();
+      batched_world.step();
+      for (int pair = 0; pair < 40; ++pair) {
+        expect_estimates_equal(scalar_world.measure_reference(1),
+                               batched_world.measure(1),
+                               what + " round " + std::to_string(round) +
+                                   " pair " + std::to_string(pair));
+      }
+    }
+    // The load accounting (bumps per forward, including the bump a
+    // dropping hop charges) must agree exactly as well.
+    EXPECT_EQ(scalar_world.load_summary(), batched_world.load_summary())
+        << what;
+  };
   const ChurnParams params{.death_per_round = 0.06,
                            .rebirth_per_round = 0.06,
                            .refresh_interval = 4};
@@ -639,77 +663,27 @@ TEST(SparseChurn, BatchedMatchesScalarPerPair) {
                                          .shortcuts = 4,
                                          .bucket_k = bucket_k,
                                          .replicas = replicas};
-          const std::string what =
-              std::string(to_string(geometry)) +
-              " k=" + std::to_string(bucket_k) +
-              " s=" + std::to_string(successors) +
-              " r=" + std::to_string(replicas);
-          SparseChurnWorld scalar_world(geometry, config, params, 0.0, 0,
-                                        math::Rng(91));
-          SparseChurnWorld batched_world(geometry, config, params, 0.0, 0,
-                                         math::Rng(91));
-          scalar_world.set_batch_routes(false);
-          batched_world.set_batch_routes(true);
-          for (int round = 0; round < 6; ++round) {
-            scalar_world.step();
-            batched_world.step();
-            for (int pair = 0; pair < 40; ++pair) {
-              expect_estimates_equal(
-                  scalar_world.measure(1), batched_world.measure(1),
-                  what + " round " + std::to_string(round) + " pair " +
-                      std::to_string(pair));
-            }
-          }
-          // The load accounting (bumps per forward, including the bump a
-          // dropping hop charges) must agree exactly as well.
-          EXPECT_EQ(scalar_world.load_summary(), batched_world.load_summary())
-              << what;
+          check(geometry, config, params, 0.0,
+                std::string(to_string(geometry)) +
+                    " k=" + std::to_string(bucket_k) +
+                    " s=" + std::to_string(successors) +
+                    " r=" + std::to_string(replicas));
         }
       }
     }
-  }
-}
-
-TEST(SparseChurn, BatchedTrajectoryMatchesScalarTrajectory) {
-  // End-to-end over the sharded engine: TrajectoryOptions::batch_routes
-  // flips the measurement path only, so every per-round estimate and
-  // diagnostic must be bit-identical between the two settings.
-  const ChurnParams params{.death_per_round = 0.04,
-                           .rebirth_per_round = 0.06,
-                           .refresh_interval = 5};
-  const SparseChurnConfig config{.bits = 24,
-                                 .capacity = 900,
-                                 .successors = 3,
-                                 .shortcuts = 4,
-                                 .bucket_k = 2,
-                                 .replicas = 2,
-                                 .zipf_s = 0.8};
-  for (const SparseChurnGeometry geometry : kAllGeometries) {
-    TrajectoryOptions options{.warmup_rounds = 6,
-                              .measured_rounds = 3,
-                              .pairs_per_round = 500,
-                              .shards = 4,
-                              .repair_probability = 0.2};
-    options.batch_routes = true;
-    const auto batched = run_sparse_churn_trajectory(
-        geometry, config, params, options, math::Rng(29));
-    options.batch_routes = false;
-    const auto scalar = run_sparse_churn_trajectory(
-        geometry, config, params, options, math::Rng(29));
-    ASSERT_EQ(batched.per_round.size(), scalar.per_round.size());
-    for (std::size_t r = 0; r < batched.per_round.size(); ++r) {
-      expect_estimates_equal(scalar.per_round[r], batched.per_round[r],
-                             std::string(to_string(geometry)) + " round " +
-                                 std::to_string(r));
-    }
-    expect_estimates_equal(scalar.overall, batched.overall,
-                           to_string(geometry));
-    EXPECT_EQ(scalar.mean_population, batched.mean_population);
-    EXPECT_EQ(scalar.mean_alive_fraction, batched.mean_alive_fraction);
-    EXPECT_EQ(scalar.mean_entry_age, batched.mean_entry_age);
-    EXPECT_EQ(scalar.load_max, batched.load_max);
-    EXPECT_EQ(scalar.load_p99, batched.load_p99);
-    EXPECT_EQ(scalar.load_cv, batched.load_cv);
+    // Wider key space, Zipf-skewed replicated GETs, and eager repair.
+    check(geometry,
+          SparseChurnConfig{.bits = 24,
+                            .capacity = 900,
+                            .successors = 3,
+                            .shortcuts = 4,
+                            .bucket_k = 2,
+                            .replicas = 2,
+                            .zipf_s = 0.8},
+          ChurnParams{.death_per_round = 0.04,
+                      .rebirth_per_round = 0.06,
+                      .refresh_interval = 5},
+          0.2, std::string(to_string(geometry)) + " zipf repaired");
   }
 }
 
@@ -726,7 +700,6 @@ TEST(SparseChurn, BatchedPathHonorsZeroPairAndCollapsedContracts) {
       .replicas = 3};
   SparseChurnWorld world(SparseChurnGeometry::kChord, config, params, 0.0, 0,
                          math::Rng(83));
-  world.set_batch_routes(true);
   world.step();
   const auto none = world.measure(0);
   EXPECT_EQ(none.attempts, 0u);
@@ -735,7 +708,6 @@ TEST(SparseChurn, BatchedPathHonorsZeroPairAndCollapsedContracts) {
   // pairs produces the same next estimate.
   SparseChurnWorld twin(SparseChurnGeometry::kChord, config, params, 0.0, 0,
                         math::Rng(83));
-  twin.set_batch_routes(true);
   twin.step();
   expect_estimates_equal(world.measure(20), twin.measure(20), "zero-pair");
   bool collapsed = false;
