@@ -47,6 +47,7 @@
 //   latency <geometry> <d> <q>        chain-predicted hops of survivors
 //
 // Geometries: tree | hypercube | xor | ring | symphony.
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -152,6 +153,42 @@ bool parse_int_flag(const char* command, const char* flag, const char* text,
     return false;
   }
   out = static_cast<int>(value);
+  return true;
+}
+
+// Strict unsigned flag parsing: the whole of `text` must be base-10 digits
+// with a value in [lo, hi] (strtoull alone accepts "5x" as 5 and wraps
+// "-1" to 2^64 - 1).
+bool parse_u64_flag(const char* command, const char* flag, const char* text,
+                    std::uint64_t lo, std::uint64_t hi, std::uint64_t& out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE || value < lo || value > hi) {
+    std::cerr << command << ": " << flag << " must be an integer in [" << lo
+              << ", " << hi << "], got " << text << "\n";
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+// Strict real flag parsing: the whole of `text` must be one finite number
+// (atof would read "abc" as 0 and "0.5x" as 0.5).  Domain checks stay with
+// the command.
+bool parse_double_flag(const char* command, const char* flag,
+                       const char* text, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value)) {
+    std::cerr << command << ": " << flag << " must be a finite number, got "
+              << text << "\n";
+    return false;
+  }
+  out = value;
   return true;
 }
 
@@ -820,16 +857,28 @@ int main(int argc, char** argv) {
       std::uint64_t trace_routes = 0;
       std::string trace_out;
       std::vector<std::string> positional;
+      constexpr std::uint64_t kAnyU64 =
+          std::numeric_limits<std::uint64_t>::max();
       for (int i = 8; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--threads" && i + 1 < argc) {
-          threads = static_cast<unsigned>(std::atoi(argv[i + 1]));
+          std::uint64_t value = 0;
+          if (!parse_u64_flag("sparse-churn", "--threads", argv[i + 1], 0,
+                              std::numeric_limits<unsigned>::max(), value)) {
+            return 1;
+          }
+          threads = static_cast<unsigned>(value);
           ++i;
         } else if (arg == "--shards" && i + 1 < argc) {
-          shards = std::strtoull(argv[i + 1], nullptr, 10);
+          if (!parse_u64_flag("sparse-churn", "--shards", argv[i + 1], 0,
+                              kAnyU64, shards)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--rho" && i + 1 < argc) {
-          rho = std::atof(argv[i + 1]);
+          if (!parse_double_flag("sparse-churn", "--rho", argv[i + 1], rho)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--succ" && i + 1 < argc) {
           if (!parse_int_flag("sparse-churn", "--succ", argv[i + 1], 0, 64,
@@ -862,7 +911,10 @@ int main(int argc, char** argv) {
           session.kind = kind;
           ++i;
         } else if (arg == "--alpha" && i + 1 < argc) {
-          session.pareto_alpha = std::atof(argv[i + 1]);
+          if (!parse_double_flag("sparse-churn", "--alpha", argv[i + 1],
+                                 session.pareto_alpha)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--replicas" && i + 1 < argc) {
           if (!parse_int_flag("sparse-churn", "--replicas", argv[i + 1], 1,
@@ -871,13 +923,22 @@ int main(int argc, char** argv) {
           }
           ++i;
         } else if (arg == "--zipf" && i + 1 < argc) {
-          zipf_s = std::atof(argv[i + 1]);
+          if (!parse_double_flag("sparse-churn", "--zipf", argv[i + 1],
+                                 zipf_s)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--objects" && i + 1 < argc) {
-          objects = std::strtoull(argv[i + 1], nullptr, 10);
+          if (!parse_u64_flag("sparse-churn", "--objects", argv[i + 1], 0,
+                              std::uint64_t{1} << 26, objects)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--trace-routes" && i + 1 < argc) {
-          trace_routes = std::strtoull(argv[i + 1], nullptr, 10);
+          if (!parse_u64_flag("sparse-churn", "--trace-routes", argv[i + 1],
+                              0, kAnyU64, trace_routes)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--trace-out" && i + 1 < argc) {
           trace_out = argv[i + 1];
@@ -889,16 +950,20 @@ int main(int argc, char** argv) {
           positional.push_back(arg);
         }
       }
-      const int rounds =
-          !positional.empty() ? std::atoi(positional[0].c_str()) : 4;
-      const std::uint64_t pairs =
-          positional.size() >= 2
-              ? std::strtoull(positional[1].c_str(), nullptr, 10)
-              : 1000;
-      const std::uint64_t seed =
-          positional.size() >= 3
-              ? std::strtoull(positional[2].c_str(), nullptr, 10)
-              : 1;
+      int rounds = 4;
+      std::uint64_t pairs = 1000;
+      std::uint64_t seed = 1;
+      if ((!positional.empty() &&
+           !parse_int_flag("sparse-churn", "rounds", positional[0].c_str(), 1,
+                           std::numeric_limits<int>::max(), rounds)) ||
+          (positional.size() >= 2 &&
+           !parse_u64_flag("sparse-churn", "pairs", positional[1].c_str(), 0,
+                           kAnyU64, pairs)) ||
+          (positional.size() >= 3 &&
+           !parse_u64_flag("sparse-churn", "seed", positional[2].c_str(), 0,
+                           kAnyU64, seed))) {
+        return 1;
+      }
       return cmd_sparse_churn(argv[2], std::atoi(argv[3]),
                               std::strtoull(argv[4], nullptr, 10),
                               std::atof(argv[5]), std::atof(argv[6]),

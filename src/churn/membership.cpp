@@ -44,13 +44,7 @@ bool SparseMembership::id_occupied(std::uint64_t id) const {
   // Occupied = owned by a still-present node: either an order entry whose
   // slot has not left since the last commit, or a pending joiner.  Ids of
   // departed nodes are free for re-draw immediately.
-  std::uint64_t window_lo = 0;
-  std::uint64_t window_hi = order_ids_.size();
-  if (seek_fresh_) {
-    const std::uint64_t bucket = id >> seek_shift_;
-    window_lo = seek_[bucket];
-    window_hi = seek_[bucket + 1];
-  }
+  const auto [window_lo, window_hi] = seek_window(id >> seek_shift_);
   const auto it = std::lower_bound(order_ids_.begin() + window_lo,
                                    order_ids_.begin() + window_hi, id);
   if (it != order_ids_.end() && *it == id) {
@@ -174,7 +168,8 @@ void SparseMembership::commit(bool refresh_seek) {
     return;  // membership unchanged since the last commit
   }
   // Pass 1 (departures): compact the survivors in place, keeping order.
-  std::uint64_t kept = order_ids_.size();
+  const std::uint64_t before = order_ids_.size();
+  std::uint64_t kept = before;
   if (stale_) {
     std::uint64_t w = 0;
     for (std::uint64_t r = 0; r < order_ids_.size(); ++r) {
@@ -222,9 +217,11 @@ void SparseMembership::commit(bool refresh_seek) {
   DHT_CHECK(order_ids_.size() == population_,
             "order index out of sync with the population");
   if (!refresh_seek) {
-    // The arrays moved under the seek table; queries fall back to
-    // full-range searches until a refreshing commit.
-    seek_fresh_ = false;
+    // The arrays moved under the seek table: a position shifts down by at
+    // most the entries removed before it and up by at most those merged
+    // before it, so the cumulative counts bound every bucket's drift.
+    seek_removed_ += before - kept;
+    seek_added_ += order_ids_.size() - kept;
     return;
   }
   // Refresh the prefix-seek table in one streaming pass: walking the
@@ -242,7 +239,79 @@ void SparseMembership::commit(bool refresh_seek) {
   while (b <= buckets) {
     seek_[b++] = static_cast<std::uint32_t>(order_ids_.size());
   }
-  seek_fresh_ = true;
+  seek_removed_ = 0;
+  seek_added_ = 0;
+}
+
+void SparseMembership::bucket_ranges(
+    std::uint64_t id,
+    std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) const {
+  out.resize(static_cast<std::size_t>(bits_));
+  const std::uint64_t* ids = order_ids_.data();
+  // [lo, hi): the ids sharing `id`'s first `level` bits.  Members share
+  // that prefix, so bit level + 1 is sorted within the window and one
+  // partition point splits it.
+  std::uint64_t lo = 0;
+  std::uint64_t hi = order_ids_.size();
+  int level = 0;
+  for (; level < bits_ && lo < hi; ++level) {
+    const std::uint64_t bit = std::uint64_t{1} << (bits_ - level - 1);
+    const auto split = static_cast<std::uint64_t>(
+        std::partition_point(ids + lo, ids + hi,
+                             [bit](std::uint64_t other) {
+                               return (other & bit) == 0;
+                             }) -
+        ids);
+    if ((id & bit) != 0) {
+      out[static_cast<std::size_t>(level)] = {lo, split};
+      lo = split;
+    } else {
+      out[static_cast<std::size_t>(level)] = {split, hi};
+      hi = split;
+    }
+  }
+  // Every deeper bucket lies inside the empty window's key range, so its
+  // bounds both collapse onto the window's position.
+  for (; level < bits_; ++level) {
+    out[static_cast<std::size_t>(level)] = {lo, lo};
+  }
+}
+
+void SparseMembership::audit() const {
+  const std::uint64_t size = order_ids_.size();
+  DHT_CHECK(order_slots_.size() == size,
+            "order ids and slots differ in length");
+  for (std::uint64_t pos = 1; pos < size; ++pos) {
+    DHT_CHECK(order_ids_[pos - 1] < order_ids_[pos],
+              "order ids must be strictly ascending");
+  }
+  if (pending_.empty() && !stale_) {
+    // Committed: the index is exactly the alive bitmap's present slots,
+    // each under its current identifier.
+    std::uint64_t present = 0;
+    for (std::uint64_t word = 0; word < alive_bits_.size(); ++word) {
+      present += static_cast<std::uint64_t>(std::popcount(alive_bits_[word]));
+    }
+    DHT_CHECK(present == population_ && size == population_,
+              "committed index must hold exactly the present slots");
+    for (std::uint64_t pos = 0; pos < size; ++pos) {
+      const NodeSlot slot = order_slots_[pos];
+      DHT_CHECK((alive_bits_[slot >> 6] >> (slot & 63) & 1) != 0,
+                "committed index holds an absent slot");
+      DHT_CHECK(ids_[slot] == order_ids_[pos],
+                "committed index entry disagrees with its slot's id");
+    }
+  }
+  // A bucket's true first position sits within the drift of its recorded
+  // one, hence inside the widened window every query searches.
+  std::uint64_t pos = 0;
+  for (std::uint64_t b = 0; b + 1 < seek_.size(); ++b) {
+    while (pos < size && (order_ids_[pos] >> seek_shift_) < b) {
+      ++pos;
+    }
+    DHT_CHECK(pos + seek_removed_ >= seek_[b] && pos <= seek_[b] + seek_added_,
+              "seek bucket start drifted past its window");
+  }
 }
 
 }  // namespace dht::churn

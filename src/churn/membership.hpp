@@ -44,8 +44,9 @@ inline constexpr NodeSlot kNoSlot = sparse::kNoNode;
 /// The identifier range of Kademlia bucket `level` (1-based from the most
 /// significant of `bits` bits) around `id`: ids sharing the first level-1
 /// bits with bit `level` flipped -- a contiguous [lo, hi] once the suffix
-/// is freed.  Shared by entry refresh and join announcement so the two
-/// paths cannot drift.
+/// is freed.  Single-entry refresh searches this range;
+/// SparseMembership::bucket_ranges finds every level's at once and is
+/// tested against it.
 inline std::pair<std::uint64_t, std::uint64_t> kademlia_bucket_range(
     std::uint64_t id, int level, int bits) {
   const int suffix_bits = bits - level;
@@ -120,9 +121,12 @@ class SparseMembership {
   /// O(buckets + N) streaming pass) so subsequent order queries run over
   /// tiny bucket windows.  Pass false on high-frequency commits whose
   /// query volume would not amortize the rebuild -- the in-flight engine's
-  /// per-lookup-boundary commits -- and the queries transparently fall
-  /// back to full-range binary search until the next refreshing commit.
-  /// Results are identical either way; this is purely a cost trade.
+  /// per-lookup-boundary commits.  The table then lags the arrays, but
+  /// by a known amount: no position has moved further than the entries
+  /// removed (down) or merged (up) since the last refreshing commit, so
+  /// the queries widen each bucket window by exactly that drift until the
+  /// next refresh.  Results are identical either way; this is purely a
+  /// cost trade.
   void commit(bool refresh_seek = true);
 
   // --- Order-index queries (reflect the membership as of the last
@@ -145,18 +149,10 @@ class SparseMembership {
   /// instructions worth keeping call-free.
   std::uint64_t successor_position(std::uint64_t key) const {
     DHT_CHECK(!order_ids_.empty(), "successor query on an empty population");
-    // Window the search to `key`'s seek bucket when the table is fresh:
-    // ids at positions >= seek_[bucket + 1] belong to higher prefixes and
-    // are > key, so if the bucket holds nothing >= key the answer is
-    // exactly its end.  A stale table (non-refreshing commit) degrades to
-    // the full range -- same lower bound, bigger window.
-    std::uint64_t window_lo = 0;
-    std::uint64_t window_hi = order_ids_.size();
-    if (seek_fresh_) {
-      const std::uint64_t bucket = key >> seek_shift_;
-      window_lo = seek_[bucket];
-      window_hi = seek_[bucket + 1];
-    }
+    // Search only `key`'s seek window: ids past the window's end belong
+    // to higher prefixes and are > key, so if the window holds nothing
+    // >= key the answer is exactly its end.
+    const auto [window_lo, window_hi] = seek_window(key >> seek_shift_);
     const auto it = std::lower_bound(order_ids_.begin() + window_lo,
                                      order_ids_.begin() + window_hi, key);
     const auto pos = static_cast<std::uint64_t>(it - order_ids_.begin());
@@ -177,26 +173,38 @@ class SparseMembership {
                                                       std::uint64_t hi) const {
     DHT_CHECK(lo <= hi, "order_range requires lo <= hi");
     // Same windowing as successor_position, once per endpoint: positions
-    // past a bucket's end hold strictly larger prefixes, so each bound is
-    // fully determined inside its own bucket window.
-    if (!seek_fresh_) {
-      const auto first =
-          std::lower_bound(order_ids_.begin(), order_ids_.end(), lo);
-      const auto last = std::upper_bound(first, order_ids_.end(), hi);
-      return {static_cast<std::uint64_t>(first - order_ids_.begin()),
-              static_cast<std::uint64_t>(last - order_ids_.begin())};
-    }
-    const std::uint64_t lo_bucket = lo >> seek_shift_;
-    const auto first =
-        std::lower_bound(order_ids_.begin() + seek_[lo_bucket],
-                         order_ids_.begin() + seek_[lo_bucket + 1], lo);
-    const std::uint64_t hi_bucket = hi >> seek_shift_;
-    const auto last = std::upper_bound(
-        std::max(first, order_ids_.begin() + seek_[hi_bucket]),
-        order_ids_.begin() + seek_[hi_bucket + 1], hi);
+    // past a window's end hold strictly larger prefixes, so each bound is
+    // fully determined inside its own bucket's window.
+    const auto [lo_first, lo_last] = seek_window(lo >> seek_shift_);
+    const auto first = std::lower_bound(order_ids_.begin() + lo_first,
+                                        order_ids_.begin() + lo_last, lo);
+    const auto [hi_first, hi_last] = seek_window(hi >> seek_shift_);
+    const auto last =
+        std::upper_bound(std::max(first, order_ids_.begin() + hi_first),
+                         order_ids_.begin() + hi_last, hi);
     return {static_cast<std::uint64_t>(first - order_ids_.begin()),
             static_cast<std::uint64_t>(last - order_ids_.begin())};
   }
+
+  /// The order-position ranges of all bits() Kademlia buckets of `id`:
+  /// out[l - 1] is order_range over kademlia_bucket_range(id, l, bits()),
+  /// for every level l, found in one narrowing pass instead of bits()
+  /// independent searches.  The ids sharing `id`'s first l bits form a
+  /// contiguous window; splitting it at its first id with bit l + 1 set
+  /// yields the next window (`id`'s side) and bucket l + 1 (the far
+  /// side).  Only an empty window ends the pass: the index may hold
+  /// departed entries or lack `id` itself, so a one-entry window is not
+  /// proof that the deeper buckets are empty.  Resizes `out` to bits().
+  void bucket_ranges(
+      std::uint64_t id,
+      std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) const;
+
+  /// Checks the index invariants, throwing PreconditionError on the first
+  /// violation: ids strictly ascending; with no leave()/join() since the
+  /// last commit(), exactly the present slots under their current ids;
+  /// and every seek bucket's true first position inside its
+  /// drift-widened window.  O(capacity + N + buckets); for tests.
+  void audit() const;
 
   /// The slot `steps` positions clockwise of ring position `pos`.
   /// Precondition: order_size() > 0.
@@ -211,6 +219,23 @@ class SparseMembership {
 
  private:
   bool id_occupied(std::uint64_t id) const;
+
+  // The order positions that can hold the lower bound of any key in seek
+  // bucket `bucket`: the bucket's span as of the last refreshing commit,
+  // widened by the drift since (entries before it removed pull its start
+  // down, entries merged pull its end up), clamped to the array.  Zero
+  // drift -- every query after a refreshing commit -- skips the widening
+  // arithmetic, which would cost these one-or-two-element searches ~10%.
+  std::pair<std::uint64_t, std::uint64_t> seek_window(
+      std::uint64_t bucket) const {
+    const std::uint64_t first = seek_[bucket];
+    const std::uint64_t last = seek_[bucket + 1];
+    if ((seek_removed_ | seek_added_) == 0) {
+      return {first, last};
+    }
+    return {first > seek_removed_ ? first - seek_removed_ : 0,
+            std::min<std::uint64_t>(last + seek_added_, order_ids_.size())};
+  }
 
   int bits_;
   std::vector<std::uint64_t> ids_;       // per slot; stale while absent
@@ -236,8 +261,12 @@ class SparseMembership {
   // are bit-identical to the plain searches.  Rebuilt by commit() in one
   // streaming pass (the arrays it walks are already hot from the merge).
   int seek_shift_ = 0;
-  bool seek_fresh_ = false;  // false after a non-refreshing commit
   std::vector<std::uint32_t> seek_;
+  // Entries removed from / merged into the order index since seek_ was
+  // last rebuilt (zero after a refreshing commit): the drift bound
+  // seek_window() widens by.
+  std::uint64_t seek_removed_ = 0;
+  std::uint64_t seek_added_ = 0;
   // Joins since the last commit(), sorted by id, plus a per-slot flag so
   // commit() can tell a surviving order entry from one whose slot was
   // recycled this round (possibly onto the very same identifier).

@@ -794,6 +794,11 @@ void SparseChurnWorld::refresh_entry(NodeSlot slot, int index) {
       break;
     }
   }
+  install_entry(offset, chosen, id);
+}
+
+void SparseChurnWorld::install_entry(std::uint64_t offset, NodeSlot chosen,
+                                     std::uint64_t owner_id) {
   table_[offset] = chosen;
   table_gen_[offset] =
       chosen == kNoSlot ? 0 : membership_.generation(chosen);
@@ -803,7 +808,8 @@ void SparseChurnWorld::refresh_entry(NodeSlot slot, int index) {
   // kernel's admissibility arithmetic rejects (progress 0 on the ring,
   // equal XOR distance), so kernels can screen candidates by cached id
   // without ever probing an out-of-row slot.
-  table_id_[offset] = chosen == kNoSlot ? id : membership_.id_of(chosen);
+  table_id_[offset] =
+      chosen == kNoSlot ? owner_id : membership_.id_of(chosen);
   refreshed_at_[offset] = static_cast<std::int32_t>(round_);
 }
 
@@ -827,6 +833,26 @@ void SparseChurnWorld::rebuild_tables(NodeSlot slot) {
       table_gen_[offset] = membership_.generation(chosen);
       table_id_[offset] = membership_.id_of(chosen);
       refreshed_at_[offset] = stamp;
+    }
+    return;
+  }
+  if (geometry_ == SparseChurnGeometry::kKademlia) {
+    // Bulk bucket rebuild: every bucket's range from one narrowing pass,
+    // then its k cells drawn from that range in refresh_entry's cell
+    // order -- the same draws and writes as refresh_entry per index,
+    // without re-searching a bucket once per cell.
+    const std::uint64_t id = membership_.id_of(slot);
+    const int k = config_.bucket_k;
+    membership_.bucket_ranges(id, bucket_ranges_);
+    std::uint64_t offset = slot * static_cast<std::uint64_t>(row_width_);
+    for (const auto& [first, last] : bucket_ranges_) {
+      for (int cell = 0; cell < k; ++cell, ++offset) {
+        const NodeSlot chosen =
+            first < last ? membership_.slot_at(
+                               first + table_rng_.uniform_below(last - first))
+                         : kNoSlot;
+        install_entry(offset, chosen, id);
+      }
     }
     return;
   }
@@ -892,9 +918,10 @@ void SparseChurnWorld::announce_join(NodeSlot slot) {
     const int k = config_.bucket_k;
     const std::uint64_t id = membership_.id_of(slot);
     const std::uint32_t generation = membership_.generation(slot);
+    membership_.bucket_ranges(id, bucket_ranges_);
     for (int level = config_.bits; level >= 1 && budget > 0; --level) {
-      const auto [lo, hi] = kademlia_bucket_range(id, level, config_.bits);
-      const auto [first, last] = membership_.order_range(lo, hi);
+      const auto [first, last] =
+          bucket_ranges_[static_cast<std::size_t>(level - 1)];
       for (std::uint64_t pos = first; pos < last && budget > 0; ++pos) {
         const NodeSlot peer = membership_.slot_at(pos);
         // The joiner enters the peer's bucket at its first free cell --
@@ -1103,7 +1130,8 @@ void SparseChurnWorld::integrate_joiners(bool commit_always) {
   // amortizes the rebuild many times over.  The in-flight engine's
   // per-lookup boundary commits skip the rebuild -- their delta is a
   // handful of slots and the next boundary is one lookup away -- at the
-  // price of full-range (pre-accelerator) searches in between.
+  // price of seek windows widened by the membership drift since the last
+  // refreshing commit.
   if (joiners_.empty()) {
     if (commit_always) {
       membership_.commit(/*refresh_seek=*/true);

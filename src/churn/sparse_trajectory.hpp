@@ -265,6 +265,8 @@ class SparseChurnWorld {
   void measure_batched_routes(const ChurnKernelCtx& ctx, int attempts,
                               sparse::SparseEstimate& estimate);
   void refresh_entry(NodeSlot slot, int index);
+  void install_entry(std::uint64_t offset, NodeSlot chosen,
+                     std::uint64_t owner_id);
   void announce_join(NodeSlot slot);
   void rebuild_tables(NodeSlot slot);
   void rebuild_successors(NodeSlot slot, std::uint64_t from_position);
@@ -331,6 +333,9 @@ class SparseChurnWorld {
   std::vector<std::int32_t> successors_refreshed_at_;
   // Scratch for step() (avoids per-round allocation).
   std::vector<NodeSlot> joiners_;
+  // Kademlia bootstrap/announce scratch: one node's bucket order ranges
+  // (SparseMembership::bucket_ranges).
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> bucket_ranges_;
   // Sync-mode measurement scratch, reused across rounds: the up-front
   // per-pair draws, the per-GET availability flags, and the batch
   // driver's failed-attempt worklist.

@@ -1,5 +1,7 @@
 // The dynamic-membership sparse churn engine (churn/sparse_trajectory.hpp):
-// membership/order-index invariants under joins and leaves, thread-count
+// membership/order-index invariants under joins and leaves (bucket ranges
+// and drift-widened seek windows against full-array search oracles),
+// pinned k-bucket counters in both measurement modes, thread-count
 // determinism and merge semantics of the sharded replica estimator, the
 // successor-list and join-announcement mechanisms, the empty-estimate
 // contract on collapsed populations, the sweep grid API, and the headline
@@ -9,7 +11,10 @@
 // at d' = log2 N.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "churn/sparse_trajectory.hpp"
 #include "churn/trajectory.hpp"
@@ -49,6 +54,7 @@ TEST(SparseMembership, OrderIndexStaysConsistentUnderChurn) {
   for (int round = 0; round < 40; ++round) {
     world.step();
     const SparseMembership& membership = world.membership();
+    membership.audit();
     // The order index covers exactly the present slots, in strictly
     // ascending id order (ids distinct), each mapping back to a present
     // slot with the matching identifier.
@@ -164,6 +170,64 @@ TEST(SparseChurn, GoldenBitCompatWithPreKBucketEngine) {
   }
 }
 
+TEST(SparseChurn, KBucketCountersPinnedAcrossMeasurementModes) {
+  // Exact counters of the k-bucket Kademlia world under Pareto sessions:
+  // k in {1, 4} x announce in {0, 8}, each measured round-synchronously
+  // and in flight.  The in-flight rows commit the order index without a
+  // seek refresh at every joiner boundary, so they exercise the
+  // drift-widened membership queries; every row bootstraps joiners and
+  // announces them through the per-node bucket ranges.  Any change to a
+  // drawn bucket member, an announce insert or a query result bends one of
+  // these integers.
+  const ChurnParams params{.death_per_round = 0.05,
+                           .rebirth_per_round = 0.05,
+                           .refresh_interval = 8};
+  struct Golden {
+    int bucket_k;
+    int announce;
+    bool inflight;
+    std::uint64_t attempts, delivered, hop_sum, fail_dead_entry;
+    double mean_population;
+  };
+  const Golden goldens[] = {
+      {1, 0, false, 2400, 2204, 11914, 196, 1502.5},
+      {1, 0, true, 2400, 2169, 11747, 231, 1502.5},
+      {1, 8, false, 2400, 2350, 12739, 50, 1502.5},
+      {1, 8, true, 2400, 2342, 12960, 58, 1502.5},
+      {4, 0, false, 2400, 2303, 12036, 97, 1502.5},
+      {4, 0, true, 2400, 2297, 11982, 103, 1502.5},
+      {4, 8, false, 2400, 2400, 12605, 0, 1502.5},
+      {4, 8, true, 2400, 2400, 12463, 0, 1502.5},
+  };
+  for (const Golden& golden : goldens) {
+    SparseChurnConfig config{
+        .bits = 32, .capacity = 3000, .successors = 2, .shortcuts = 4};
+    config.bucket_k = golden.bucket_k;
+    config.announce = golden.announce;
+    config.session = SessionModel{.kind = SessionKind::kPareto,
+                                  .pareto_alpha = 2.0};
+    TrajectoryOptions options{.warmup_rounds = 8,
+                              .measured_rounds = 3,
+                              .pairs_per_round = 400,
+                              .shards = 2,
+                              .repair_probability = 0.3};
+    options.inflight = golden.inflight;
+    const auto result = run_sparse_churn_trajectory(
+        SparseChurnGeometry::kKademlia, config, params, options,
+        math::Rng(29));
+    const std::string what = "k=" + std::to_string(golden.bucket_k) +
+                             " announce=" + std::to_string(golden.announce) +
+                             (golden.inflight ? " inflight" : " sync");
+    EXPECT_EQ(result.overall.attempts, golden.attempts) << what;
+    EXPECT_EQ(result.overall.hops.count(), golden.delivered) << what;
+    EXPECT_EQ(result.overall.hops.sum(), golden.hop_sum) << what;
+    EXPECT_EQ(result.overall.failures[obs::RouteFailure::kDeadEntry],
+              golden.fail_dead_entry)
+        << what;
+    EXPECT_DOUBLE_EQ(result.mean_population, golden.mean_population) << what;
+  }
+}
+
 TEST(SparseChurn, InflightBitIdenticalAcrossThreadCounts) {
   // In-flight measurement interleaves lifecycle, repair, and routing
   // inside each shard's private world, so the replica-sharding determinism
@@ -236,6 +300,7 @@ TEST(SparseChurn, InflightWorldKeepsRoundAndOrderInvariants) {
     (void)world.measure_inflight(50);
     ASSERT_EQ(world.round(), before + 1);
     const SparseMembership& membership = world.membership();
+    membership.audit();
     std::uint64_t present = 0;
     for (NodeSlot slot = 0; slot < membership.capacity(); ++slot) {
       present += membership.present(slot) ? 1 : 0;
@@ -364,6 +429,216 @@ TEST(SparseMembership, JoinStaysFastAtFullOccupancyDenseLimit) {
   membership.join({static_cast<NodeSlot>(keys - 1)}, rng);
   membership.commit();
   EXPECT_EQ(membership.population(), keys);
+}
+
+// The committed order ids, read back through the public accessors.
+std::vector<std::uint64_t> order_ids_of(const SparseMembership& m) {
+  std::vector<std::uint64_t> ids(m.order_size());
+  for (std::uint64_t pos = 0; pos < ids.size(); ++pos) {
+    ids[pos] = m.id_at(pos);
+  }
+  return ids;
+}
+
+// Full-array searches: the answers every windowed query must reproduce.
+std::pair<std::uint64_t, std::uint64_t> full_range(
+    const std::vector<std::uint64_t>& ids, std::uint64_t lo,
+    std::uint64_t hi) {
+  const auto first = std::lower_bound(ids.begin(), ids.end(), lo);
+  const auto last = std::upper_bound(first, ids.end(), hi);
+  return {static_cast<std::uint64_t>(first - ids.begin()),
+          static_cast<std::uint64_t>(last - ids.begin())};
+}
+
+// bucket_ranges(id) against the per-level oracle order_range(
+// kademlia_bucket_range(id, l, bits)), which in turn must equal the
+// full-array search.
+void expect_bucket_ranges_match_oracle(const SparseMembership& m,
+                                       const std::vector<std::uint64_t>& ids,
+                                       std::uint64_t id,
+                                       const std::string& what) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+  m.bucket_ranges(id, ranges);
+  ASSERT_EQ(ranges.size(), static_cast<std::size_t>(m.bits())) << what;
+  for (int level = 1; level <= m.bits(); ++level) {
+    const auto [lo, hi] = kademlia_bucket_range(id, level, m.bits());
+    const auto oracle = m.order_range(lo, hi);
+    ASSERT_EQ(oracle, full_range(ids, lo, hi))
+        << what << " id=" << id << " level=" << level;
+    ASSERT_EQ(ranges[static_cast<std::size_t>(level - 1)], oracle)
+        << what << " id=" << id << " level=" << level;
+  }
+}
+
+// A membership of `population` present slots over 2^bits keys.  A stale
+// build first commits a seek-refreshed cohort, then recycles or retires it
+// and commits the final set without a refresh, so every query runs on a
+// drift-widened window.
+SparseMembership make_membership(int bits, std::uint64_t population,
+                                 bool fresh, math::Rng& rng) {
+  const std::uint64_t capacity = std::max<std::uint64_t>(
+      2, std::min(2 * population, std::uint64_t{1} << bits));
+  SparseMembership m(bits, capacity);
+  std::vector<NodeSlot> cohort;
+  if (!fresh) {
+    const std::uint64_t half = (capacity + 1) / 2;
+    for (NodeSlot slot = 0; slot < half; ++slot) {
+      cohort.push_back(slot);
+    }
+    m.join(cohort, rng);
+    m.commit(true);
+    for (NodeSlot slot = 0; slot < half; ++slot) {
+      if (slot < capacity - population || slot % 2 == 0) {
+        m.leave(slot);
+      }
+    }
+    cohort.clear();
+  }
+  for (NodeSlot slot = capacity - population; slot < capacity; ++slot) {
+    if (!m.present(slot)) {
+      cohort.push_back(slot);
+    }
+  }
+  m.join(cohort, rng);
+  m.commit(fresh);
+  return m;
+}
+
+TEST(SparseMembership, BucketRangesMatchPerLevelOracle) {
+  math::Rng rng(71);
+  for (const int bits : {8, 20, 32, 63}) {
+    const std::uint64_t max_id = (std::uint64_t{1} << bits) - 1;
+    for (const std::uint64_t population :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+          bits == 8 ? std::uint64_t{256} : std::uint64_t{1000}}) {
+      for (const bool fresh : {true, false}) {
+        const std::string what = "bits=" + std::to_string(bits) +
+                                 " n=" + std::to_string(population) +
+                                 (fresh ? " fresh" : " stale");
+        SparseMembership m = make_membership(bits, population, fresh, rng);
+        ASSERT_EQ(m.population(), population) << what;
+        m.audit();
+        // Queries: both ends of the key space, random (mostly absent) ids,
+        // present ids, and ids of nodes that left after the commit -- the
+        // index still holds them, as it does mid-round in flight.
+        std::vector<std::uint64_t> queries = {0, max_id};
+        for (int i = 0; i < 8; ++i) {
+          queries.push_back(rng.uniform_below(max_id) + 1);
+        }
+        std::vector<NodeSlot> present;
+        for (NodeSlot slot = 0; slot < m.capacity(); ++slot) {
+          if (m.present(slot)) {
+            present.push_back(slot);
+          }
+        }
+        for (std::size_t i = 0; i < present.size() && i < 6; ++i) {
+          const NodeSlot slot =
+              present[rng.uniform_below(present.size())];
+          queries.push_back(m.id_of(slot));
+          if (i % 2 == 1 && m.present(slot)) {
+            m.leave(slot);  // departed, not yet committed
+          }
+        }
+        m.audit();
+        const std::vector<std::uint64_t> ids = order_ids_of(m);
+        for (const std::uint64_t id : queries) {
+          expect_bucket_ranges_match_oracle(m, ids, id, what);
+        }
+      }
+    }
+  }
+}
+
+TEST(SparseMembership, DriftWindowsAnswerExactlyUnderRandomCommitWalk) {
+  // A seeded walk of leave / join+commit(false) / join+commit(true) /
+  // bare commit steps.  Runs of non-refreshing commits pile up drift well
+  // past the population; after every step each windowed query must equal
+  // the full-array search, and the index must pass its audit.
+  for (const int bits : {12, 40}) {
+    const std::uint64_t capacity = 400;
+    const std::uint64_t max_id = (std::uint64_t{1} << bits) - 1;
+    SparseMembership m(bits, capacity);
+    math::Rng rng(static_cast<std::uint64_t>(bits) * 7919);
+    std::vector<NodeSlot> cohort;
+    for (NodeSlot slot = 0; slot < capacity / 2; ++slot) {
+      cohort.push_back(slot);
+    }
+    m.join(cohort, rng);
+    m.commit(true);
+    // Drift as the index sees it: entries dropped and merged since the
+    // last refreshing commit.
+    std::uint64_t drift = 0;
+    std::uint64_t max_drift_over_population = 0;
+    for (int step = 0; step < 400; ++step) {
+      const std::string what =
+          "bits=" + std::to_string(bits) + " step=" + std::to_string(step);
+      const std::uint64_t op = rng.uniform_below(8);
+      const std::uint64_t size_before = m.order_size();
+      if (op < 3) {
+        // Leaves only: the index keeps the departed entries until commit.
+        for (NodeSlot slot = 0; slot < capacity; ++slot) {
+          if (m.present(slot) && rng.uniform_below(4) == 0) {
+            m.leave(slot);
+          }
+        }
+      } else if (op < 7) {
+        cohort.clear();
+        for (NodeSlot slot = 0; slot < capacity; ++slot) {
+          if (!m.present(slot) && rng.uniform_below(3) == 0) {
+            cohort.push_back(slot);
+          }
+        }
+        m.join(cohort, rng);
+        const bool refresh = op == 6;
+        m.commit(refresh);
+        drift = refresh ? 0
+                        : drift + (size_before + cohort.size() -
+                                   m.order_size()) +
+                              cohort.size();
+      } else {
+        const bool refresh = rng.uniform_below(2) == 0;
+        m.commit(refresh);
+        drift = refresh ? 0 : drift + (size_before - m.order_size());
+      }
+      if (m.population() > 0) {
+        max_drift_over_population = std::max(
+            max_drift_over_population, drift / m.population());
+      }
+      m.audit();
+      const std::vector<std::uint64_t> ids = order_ids_of(m);
+      std::vector<std::uint64_t> keys = {0, max_id};
+      for (int i = 0; i < 24; ++i) {
+        keys.push_back(rng.uniform_below(max_id + 1));
+      }
+      for (int i = 0; i < 8 && !ids.empty(); ++i) {
+        const std::uint64_t id = ids[rng.uniform_below(ids.size())];
+        keys.push_back(id);
+        keys.push_back(id - 1 > max_id ? 0 : id - 1);
+        keys.push_back(std::min(id + 1, max_id));
+      }
+      for (const std::uint64_t key : keys) {
+        if (!ids.empty()) {
+          const auto it = std::lower_bound(ids.begin(), ids.end(), key);
+          const std::uint64_t expected =
+              it == ids.end() ? 0
+                              : static_cast<std::uint64_t>(it - ids.begin());
+          ASSERT_EQ(m.successor_position(key), expected)
+              << what << " key=" << key;
+        }
+        const std::uint64_t other = keys[rng.uniform_below(keys.size())];
+        const std::uint64_t lo = std::min(key, other);
+        const std::uint64_t hi = std::max(key, other);
+        ASSERT_EQ(m.order_range(lo, hi), full_range(ids, lo, hi))
+            << what << " range=[" << lo << ", " << hi << "]";
+      }
+      for (int i = 0; i < 2; ++i) {
+        expect_bucket_ranges_match_oracle(m, ids, keys[i + 2], what);
+      }
+    }
+    // The walk reached drift beyond the whole population, where the
+    // widened windows clamp to the full array.
+    EXPECT_GE(max_drift_over_population, 1u) << "bits=" << bits;
+  }
 }
 
 TEST(SparseChurn, RepeatedCallsAreIdentical) {
