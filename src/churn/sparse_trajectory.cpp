@@ -8,33 +8,10 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/hugepage.hpp"
 #include "sim/shard_pool.hpp"
 #include "sparse/flat_sparse.hpp"
 
 namespace dht::churn {
-
-// Flattened routing view over a world's slot state: identifiers (stale for
-// departed slots), the packed epoch structure (one alive-bitmap u64 word
-// per 64 slots + the flat generation array), the row-major tables with
-// their cached install-time target ids, and the successor lists.  Kernels
-// compare identifiers but step between slots -- the sparse/flat_sparse.hpp
-// pattern with mutable membership underneath.
-struct ChurnKernelCtx {
-  const std::uint64_t* ids = nullptr;
-  const std::uint64_t* alive_bits = nullptr;
-  const std::uint32_t* generations = nullptr;
-  const NodeSlot* table = nullptr;
-  const std::uint32_t* table_gen = nullptr;
-  const std::uint64_t* table_id = nullptr;
-  const NodeSlot* successors = nullptr;
-  const std::uint32_t* successors_gen = nullptr;
-  const std::uint64_t* successors_id = nullptr;
-  int row_width = 0;
-  int bucket_k = 1;  // kademlia contacts per bucket (row_width = d * k)
-  int s = 0;
-  std::uint64_t key_mask = 0;
-};
 
 namespace {
 
@@ -44,7 +21,7 @@ using flat::SparseRouteStatus;
 
 // Upper bound on a greedy-ring candidate set: the table row (<= 63
 // entries; bits <= 63, shortcuts capped at 64) plus the successor list
-// (capped at 64) -- enforced by check_config so the per-hop progress
+// (capped at 64) -- enforced by checked_config so the per-hop progress
 // lattice fits on the stack.
 constexpr int kMaxCandidates = 128;
 
@@ -575,8 +552,10 @@ void for_each_alive(const SparseMembership& membership, Fn&& fn) {
   }
 }
 
-void check_config(const SparseChurnConfig& config,
-                  SparseChurnGeometry geometry) {
+// Validates the config ahead of every allocation (the world's first
+// member initializer runs this) and passes it through.
+const SparseChurnConfig& checked_config(const SparseChurnConfig& config,
+                                        SparseChurnGeometry geometry) {
   DHT_CHECK(config.successors >= 0 && config.successors <= 64,
             "successor-list length must be in [0, 64]");
   DHT_CHECK(config.bucket_k >= 1 && config.bucket_k <= 64,
@@ -594,6 +573,7 @@ void check_config(const SparseChurnConfig& config,
     DHT_CHECK(config.shortcuts >= 1 && config.shortcuts <= 64,
               "symphony shortcut count must be in [1, 64]");
   }
+  return config;
 }
 
 }  // namespace
@@ -646,25 +626,20 @@ SparseChurnWorld::SparseChurnWorld(SparseChurnGeometry geometry,
                                    std::uint64_t max_hops,
                                    const math::Rng& rng)
     : geometry_(geometry),
-      config_(config),
+      config_(checked_config(config, geometry)),
       params_(params),
       repair_probability_(repair_probability),
       max_hops_(max_hops == 0 ? config.capacity : max_hops),
-      row_width_(geometry == SparseChurnGeometry::kSymphony
-                     ? config.shortcuts
-                     : (geometry == SparseChurnGeometry::kKademlia
-                            ? config.bits * config.bucket_k
-                            : config.bits)),
       session_(params, config.session),
       lifecycle_rng_(rng.fork(1)),
       table_rng_(rng.fork(2)),
       measure_rng_(rng.fork(3)),
       id_rng_(rng.fork(4)),
-      membership_(config.bits, config.capacity) {
+      membership_(config.bits, config.capacity),
+      rows_(geometry, config) {
   const double a = availability(params);  // validates the lifecycle rates
   DHT_CHECK(repair_probability >= 0.0 && repair_probability <= 1.0,
             "repair probability must be in [0, 1]");
-  check_config(config, geometry);
   const std::uint64_t capacity = membership_.capacity();
   joined_at_.assign(capacity, 0);
   load_.assign(capacity, 0);
@@ -691,45 +666,21 @@ SparseChurnWorld::SparseChurnWorld(SparseChurnGeometry geometry,
   membership_.join(joiners_, id_rng_);
   membership_.commit();
   total_joins_ += joiners_.size();
-  // The row arenas are the kernels' random-access working set; back them
-  // with huge pages (best effort) before first touch so the fill faults
-  // 2MB pages directly -- same rationale as the static engine's tables.
-  const std::uint64_t row_cells =
-      capacity * static_cast<std::uint64_t>(row_width_);
-  const std::uint64_t succ_cells =
-      capacity * static_cast<std::uint64_t>(config_.successors);
-  common::reserve_hugepages(table_, row_cells);
-  common::reserve_hugepages(table_id_, row_cells);
-  common::reserve_hugepages(table_gen_, row_cells);
-  common::reserve_hugepages(refreshed_at_, row_cells);
-  common::reserve_hugepages(successors_, succ_cells);
-  common::reserve_hugepages(successors_id_, succ_cells);
-  common::reserve_hugepages(successors_gen_, succ_cells);
-  table_.assign(row_cells, kNoSlot);
-  table_gen_.assign(table_.size(), 0);
-  table_id_.assign(table_.size(), 0);
-  refreshed_at_.assign(table_.size(), 0);
-  // INT32_MIN = "possibly due immediately": rows earn a real bound at
-  // their first full maintenance scan.
-  table_due_round_.assign(capacity, std::numeric_limits<std::int32_t>::min());
-  successors_.assign(succ_cells, kNoSlot);
-  successors_gen_.assign(successors_.size(), 0);
-  successors_id_.assign(successors_.size(), 0);
-  successors_refreshed_at_.assign(capacity, 0);
   for_each_alive(membership_, [&](NodeSlot slot) { rebuild_node(slot); });
   // Stagger refresh phases so entry ages start uniform over 0..R-1,
   // matching the q_eff derivation (and the dense world's construction).
   const auto interval =
       static_cast<std::uint64_t>(params_.refresh_interval);
   for_each_alive(membership_, [&](NodeSlot slot) {
-    for (int j = 0; j < row_width_; ++j) {
-      refreshed_at_[slot * static_cast<std::uint64_t>(row_width_) +
-                    static_cast<std::uint64_t>(j)] =
-          -static_cast<std::int32_t>(table_rng_.uniform_below(interval));
+    const std::uint64_t base = rows_.row_offset(slot);
+    for (int j = 0; j < rows_.row_width(); ++j) {
+      rows_.set_stamp(
+          base + static_cast<std::uint64_t>(j),
+          -static_cast<std::int32_t>(table_rng_.uniform_below(interval)));
     }
     if (config_.successors > 0) {
-      successors_refreshed_at_[slot] =
-          -static_cast<std::int32_t>(table_rng_.uniform_below(interval));
+      rows_.set_successors_refreshed_at(
+          slot, -static_cast<std::int32_t>(table_rng_.uniform_below(interval)));
     }
   });
 }
@@ -749,8 +700,7 @@ void SparseChurnWorld::refresh_entry(NodeSlot slot, int index) {
   const std::uint64_t id = membership_.id_of(slot);
   const std::uint64_t mask = membership_.key_mask();
   const std::uint64_t offset =
-      slot * static_cast<std::uint64_t>(row_width_) +
-      static_cast<std::uint64_t>(index);
+      rows_.row_offset(slot) + static_cast<std::uint64_t>(index);
   NodeSlot chosen = kNoSlot;
   switch (geometry_) {
     case SparseChurnGeometry::kChord: {
@@ -794,46 +744,16 @@ void SparseChurnWorld::refresh_entry(NodeSlot slot, int index) {
       break;
     }
   }
-  install_entry(offset, chosen, id);
-}
-
-void SparseChurnWorld::install_entry(std::uint64_t offset, NodeSlot chosen,
-                                     std::uint64_t owner_id) {
-  table_[offset] = chosen;
-  table_gen_[offset] =
-      chosen == kNoSlot ? 0 : membership_.generation(chosen);
-  // Cache the target's install-time id: for as long as the entry stays
-  // valid this IS its current id (ids change only on rejoin, which bumps
-  // the generation).  Empty cells carry the owner's own id, which every
-  // kernel's admissibility arithmetic rejects (progress 0 on the ring,
-  // equal XOR distance), so kernels can screen candidates by cached id
-  // without ever probing an out-of-row slot.
-  table_id_[offset] =
-      chosen == kNoSlot ? owner_id : membership_.id_of(chosen);
-  refreshed_at_[offset] = static_cast<std::int32_t>(round_);
+  rows_.install(offset, chosen, membership_, id,
+                static_cast<std::int32_t>(round_));
 }
 
 void SparseChurnWorld::rebuild_tables(NodeSlot slot) {
   if (geometry_ == SparseChurnGeometry::kChord) {
     // Bulk finger rebuild -- the join-storm path (every joiner re-derives
     // its whole row, hundreds of millions of entries per trajectory).
-    // Same writes as refresh_entry per index, with the per-call reloads
-    // (owner id, mask, stamps) hoisted out of the loop; chord refreshes
-    // consume no rng, so the fusion is stream-exact.
-    const std::uint64_t id = membership_.id_of(slot);
-    const std::uint64_t mask = membership_.key_mask();
-    const std::uint64_t base = slot * static_cast<std::uint64_t>(row_width_);
-    const auto stamp = static_cast<std::int32_t>(round_);
-    for (int j = 0; j < row_width_; ++j) {
-      const std::uint64_t key =
-          (id + (std::uint64_t{1} << (config_.bits - j - 1))) & mask;
-      const NodeSlot chosen = membership_.successor_of_key(key);
-      const std::uint64_t offset = base + static_cast<std::uint64_t>(j);
-      table_[offset] = chosen;
-      table_gen_[offset] = membership_.generation(chosen);
-      table_id_[offset] = membership_.id_of(chosen);
-      refreshed_at_[offset] = stamp;
-    }
+    rows_.install_chord_row(slot, membership_,
+                            static_cast<std::int32_t>(round_));
     return;
   }
   if (geometry_ == SparseChurnGeometry::kKademlia) {
@@ -844,40 +764,22 @@ void SparseChurnWorld::rebuild_tables(NodeSlot slot) {
     const std::uint64_t id = membership_.id_of(slot);
     const int k = config_.bucket_k;
     membership_.bucket_ranges(id, bucket_ranges_);
-    std::uint64_t offset = slot * static_cast<std::uint64_t>(row_width_);
+    std::uint64_t offset = rows_.row_offset(slot);
+    const auto stamp = static_cast<std::int32_t>(round_);
     for (const auto& [first, last] : bucket_ranges_) {
       for (int cell = 0; cell < k; ++cell, ++offset) {
         const NodeSlot chosen =
             first < last ? membership_.slot_at(
                                first + table_rng_.uniform_below(last - first))
                          : kNoSlot;
-        install_entry(offset, chosen, id);
+        rows_.install(offset, chosen, membership_, id, stamp);
       }
     }
     return;
   }
-  for (int j = 0; j < row_width_; ++j) {
+  for (int j = 0; j < rows_.row_width(); ++j) {
     refresh_entry(slot, j);
   }
-}
-
-void SparseChurnWorld::rebuild_successors(NodeSlot slot,
-                                          std::uint64_t from_position) {
-  const int s = config_.successors;
-  const std::uint64_t base = slot * static_cast<std::uint64_t>(s);
-  for (int t = 0; t < s; ++t) {
-    const NodeSlot succ = membership_.ring_successor(
-        from_position, static_cast<std::uint64_t>(t));
-    successors_[base + static_cast<std::uint64_t>(t)] = succ;
-    successors_gen_[base + static_cast<std::uint64_t>(t)] =
-        membership_.generation(succ);
-    // Install-time id cache; a self-entry (tiny populations wrap the
-    // ring onto the owner) carries the owner's id, inadmissible to every
-    // kernel by arithmetic alone.
-    successors_id_[base + static_cast<std::uint64_t>(t)] =
-        membership_.id_of(succ);
-  }
-  successors_refreshed_at_[slot] = static_cast<std::int32_t>(round_);
 }
 
 void SparseChurnWorld::rebuild_node(NodeSlot slot) {
@@ -885,7 +787,9 @@ void SparseChurnWorld::rebuild_node(NodeSlot slot) {
   if (config_.successors > 0) {
     const std::uint64_t own =
         membership_.successor_position(membership_.id_of(slot));
-    rebuild_successors(slot, own + 1);  // first node strictly clockwise
+    // First node strictly clockwise.
+    rows_.rebuild_successors(slot, membership_, own + 1,
+                             static_cast<std::int32_t>(round_));
   }
 }
 
@@ -904,7 +808,8 @@ void SparseChurnWorld::announce_join(NodeSlot slot) {
     const NodeSlot predecessor =
         membership_.slot_at((own + population - 1) % population);
     if (predecessor != slot) {
-      rebuild_successors(predecessor, own);
+      rows_.rebuild_successors(predecessor, membership_, own,
+                               static_cast<std::int32_t>(round_));
     }
   }
   // Kademlia's join lookup: the joiner installs itself into the matching
@@ -930,17 +835,15 @@ void SparseChurnWorld::announce_join(NodeSlot slot) {
         // contacts ignores the announcement (classic Kademlia keeps its
         // long-lived members).
         const std::uint64_t bucket_base =
-            peer * static_cast<std::uint64_t>(row_width_) +
-            static_cast<std::uint64_t>(level - 1) *
-                static_cast<std::uint64_t>(k);
+            rows_.row_offset(peer) + static_cast<std::uint64_t>(level - 1) *
+                                         static_cast<std::uint64_t>(k);
         for (int cell = 0; cell < k; ++cell) {
           const std::uint64_t offset =
               bucket_base + static_cast<std::uint64_t>(cell);
-          if (!entry_valid(table_[offset], table_gen_[offset])) {
-            table_[offset] = slot;
-            table_gen_[offset] = generation;
-            table_id_[offset] = id;
-            refreshed_at_[offset] = static_cast<std::int32_t>(round_);
+          if (!entry_valid(rows_.entry(offset),
+                           rows_.entry_generation(offset))) {
+            rows_.install_contact(offset, slot, generation, id,
+                                  static_cast<std::int32_t>(round_));
             break;
           }
         }
@@ -955,13 +858,11 @@ void SparseChurnWorld::maintain_successors(NodeSlot slot) {
   if (s == 0) {
     return;
   }
-  const std::uint64_t base = slot * static_cast<std::uint64_t>(s);
   bool broken = false;
   NodeSlot first_alive = kNoSlot;
   for (int t = 0; t < s; ++t) {
-    const NodeSlot e = successors_[base + static_cast<std::uint64_t>(t)];
-    if (e == slot ||
-        !entry_valid(e, successors_gen_[base + static_cast<std::uint64_t>(t)])) {
+    const NodeSlot e = rows_.successor(slot, t);
+    if (e == slot || !entry_valid(e, rows_.successor_generation(slot, t))) {
       broken = true;
     } else if (first_alive == kNoSlot) {
       first_alive = e;
@@ -973,19 +874,21 @@ void SparseChurnWorld::maintain_successors(NodeSlot slot) {
       // (its current clockwise chain).  Joiners between this node and that
       // entry are picked up by the next scheduled rebuild -- the
       // stabilization lag of real successor lists.
-      rebuild_successors(
-          slot,
-          membership_.successor_position(membership_.id_of(first_alive)));
+      rows_.rebuild_successors(
+          slot, membership_,
+          membership_.successor_position(membership_.id_of(first_alive)),
+          static_cast<std::int32_t>(round_));
     } else {
       // Every sequential neighbor is gone: fall back to a full rebuild
       // (tables included), the re-join-like recovery path.
       rebuild_node(slot);
     }
-  } else if (round_ - successors_refreshed_at_[slot] >=
+  } else if (round_ - rows_.successors_refreshed_at(slot) >=
              params_.refresh_interval) {
     const std::uint64_t own =
         membership_.successor_position(membership_.id_of(slot));
-    rebuild_successors(slot, own + 1);
+    rows_.rebuild_successors(slot, membership_, own + 1,
+                             static_cast<std::int32_t>(round_));
   }
 }
 
@@ -1006,7 +909,7 @@ void SparseChurnWorld::maintain_entries(NodeSlot slot) {
     // sweep.  The bound is conservative: stamps only move forward between
     // scans (refreshes and announcements re-stamp with the current
     // round), so a skipped row provably has nothing due.
-    if (round_ < table_due_round_[slot]) {
+    if (round_ < rows_.due_round(slot)) {
       return;
     }
     // Two passes so the common case -- scanning a row with nothing or
@@ -1017,15 +920,14 @@ void SparseChurnWorld::maintain_entries(NodeSlot slot) {
     // post-scan minimum is min(surviving stamps, round_), and round_ only
     // enters when something was refreshed -- surviving stamps never
     // exceed it.
-    const std::uint64_t row_base =
-        slot * static_cast<std::uint64_t>(row_width_);
-    const std::int32_t* stamps = refreshed_at_.data() + row_base;
+    const int row_width = rows_.row_width();
+    const std::int32_t* stamps = rows_.row_stamps(slot);
     const std::int32_t due_at =
         static_cast<std::int32_t>(round_) -
         static_cast<std::int32_t>(params_.refresh_interval);
     std::uint64_t due = 0;
     std::int32_t min_live = std::numeric_limits<std::int32_t>::max();
-    for (int j = 0; j < row_width_; ++j) {
+    for (int j = 0; j < row_width; ++j) {
       const bool is_due = stamps[j] <= due_at;
       due |= static_cast<std::uint64_t>(is_due) << j;
       min_live = !is_due && stamps[j] < min_live ? stamps[j] : min_live;
@@ -1038,22 +940,22 @@ void SparseChurnWorld::maintain_entries(NodeSlot slot) {
       } while (due != 0);
       min_stamp = std::min(min_live, static_cast<std::int32_t>(round_));
     }
-    table_due_round_[slot] =
-        min_stamp + static_cast<std::int32_t>(params_.refresh_interval);
+    rows_.set_due_round(
+        slot, min_stamp + static_cast<std::int32_t>(params_.refresh_interval));
     return;
   }
-  for (int j = 0; j < row_width_; ++j) {
-    const std::uint64_t offset =
-        slot * static_cast<std::uint64_t>(row_width_) +
-        static_cast<std::uint64_t>(j);
-    if (round_ - refreshed_at_[offset] >= params_.refresh_interval) {
+  const std::uint64_t row_base = rows_.row_offset(slot);
+  for (int j = 0; j < rows_.row_width(); ++j) {
+    const std::uint64_t offset = row_base + static_cast<std::uint64_t>(j);
+    if (round_ - rows_.stamp(offset) >= params_.refresh_interval) {
       refresh_entry(slot, j);
     } else {
       // Observed-dead covers departed targets AND recycled slots (the
       // node at that address is a different one now) -- both are
       // generation mismatches.
-      const NodeSlot entry = table_[offset];
-      if (entry != kNoSlot && !entry_valid(entry, table_gen_[offset]) &&
+      const NodeSlot entry = rows_.entry(offset);
+      if (entry != kNoSlot &&
+          !entry_valid(entry, rows_.entry_generation(offset)) &&
           table_rng_.bernoulli(repair_probability_)) {
         refresh_entry(slot, j);
       }
@@ -1070,14 +972,13 @@ void SparseChurnWorld::maintain_entries(NodeSlot slot) {
 // the pre-k rng stream and tables are reproduced bit for bit.
 void SparseChurnWorld::maintain_kademlia_buckets(NodeSlot slot) {
   const int k = config_.bucket_k;
-  const std::uint64_t row_base =
-      slot * static_cast<std::uint64_t>(row_width_);
+  const std::uint64_t row_base = rows_.row_offset(slot);
   // rho == 0: the scan is rng-free, so the due-round bound applies
   // exactly as in maintain_entries (evictions -- which shift stamps
   // mid-scan -- exist only on the rho > 0 branch, where the bound is
   // never consulted or maintained).
   const bool lazy_only = repair_probability_ == 0.0;
-  if (lazy_only && round_ < table_due_round_[slot]) {
+  if (lazy_only && round_ < rows_.due_round(slot)) {
     return;
   }
   std::int32_t min_stamp = std::numeric_limits<std::int32_t>::max();
@@ -1087,31 +988,25 @@ void SparseChurnWorld::maintain_kademlia_buckets(NodeSlot slot) {
     for (int cell = 0; cell < k; ++cell) {
       const std::uint64_t offset =
           bucket_base + static_cast<std::uint64_t>(cell);
-      if (round_ - refreshed_at_[offset] >= params_.refresh_interval) {
+      if (round_ - rows_.stamp(offset) >= params_.refresh_interval) {
         refresh_entry(slot, b * k + cell);
       } else if (!lazy_only) {
-        const NodeSlot entry = table_[offset];
-        if (entry != kNoSlot && !entry_valid(entry, table_gen_[offset]) &&
+        const NodeSlot entry = rows_.entry(offset);
+        if (entry != kNoSlot &&
+            !entry_valid(entry, rows_.entry_generation(offset)) &&
             table_rng_.bernoulli(repair_probability_)) {
-          for (int t = cell; t + 1 < k; ++t) {
-            const std::uint64_t dst =
-                bucket_base + static_cast<std::uint64_t>(t);
-            table_[dst] = table_[dst + 1];
-            table_gen_[dst] = table_gen_[dst + 1];
-            table_id_[dst] = table_id_[dst + 1];
-            refreshed_at_[dst] = refreshed_at_[dst + 1];
-          }
+          rows_.evict(bucket_base, cell, k);
           refresh_entry(slot, b * k + (k - 1));
           // The shifted-in cell keeps its own stamps and gets its next
           // look next round -- each cell is examined once per round.
         }
       }
-      min_stamp = std::min(min_stamp, refreshed_at_[offset]);
+      min_stamp = std::min(min_stamp, rows_.stamp(offset));
     }
   }
   if (lazy_only) {
-    table_due_round_[slot] =
-        min_stamp + static_cast<std::int32_t>(params_.refresh_interval);
+    rows_.set_due_round(
+        slot, min_stamp + static_cast<std::int32_t>(params_.refresh_interval));
   }
 }
 
@@ -1228,24 +1123,6 @@ void SparseChurnWorld::step() {
   });
 }
 
-ChurnKernelCtx SparseChurnWorld::kernel_ctx() const {
-  ChurnKernelCtx ctx;
-  ctx.ids = membership_.id_data();
-  ctx.alive_bits = membership_.alive_bits_data();
-  ctx.generations = membership_.generation_data();
-  ctx.table = table_.data();
-  ctx.table_gen = table_gen_.data();
-  ctx.table_id = table_id_.data();
-  ctx.successors = successors_.data();
-  ctx.successors_gen = successors_gen_.data();
-  ctx.successors_id = successors_id_.data();
-  ctx.row_width = row_width_;
-  ctx.bucket_k = config_.bucket_k;
-  ctx.s = config_.successors;
-  ctx.key_mask = membership_.key_mask();
-  return ctx;
-}
-
 sparse::SparseEstimate SparseChurnWorld::measure_sync(
     std::uint64_t pairs, RouteChunk route_chunk) {
   math::Rng& rng = measure_rng_;
@@ -1254,7 +1131,7 @@ sparse::SparseEstimate SparseChurnWorld::measure_sync(
   if (membership_.population() < 2) {
     return estimate;  // nothing to sample: the empty-estimate contract
   }
-  const ChurnKernelCtx ctx = kernel_ctx();
+  const ChurnKernelCtx ctx = rows_.kernel_view(membership_);
   const std::uint64_t capacity = membership_.capacity();
   const bool workload = workload_enabled();
   // Replica attempts are capped by the population once for the whole
@@ -1584,7 +1461,7 @@ sparse::SparseEstimate SparseChurnWorld::measure_inflight(
   // the packed epoch structure in place.  Ids can change only on rejoin,
   // which happens at lookup boundaries -- never mid-route -- so the
   // cached-id kernels' carried identifiers cannot go stale in flight.
-  const ChurnKernelCtx ctx = kernel_ctx();
+  const ChurnKernelCtx ctx = rows_.kernel_view(membership_);
   const StepFn kernel = step_kernel(geometry_);
   // In-flight route through the shared single-route core: the holder's
   // departure drops the message (checked before arrival -- a route
@@ -1685,10 +1562,9 @@ double SparseChurnWorld::mean_entry_age() const {
   // floating-point accumulation is bit-identical to the historical
   // full-capacity scan.
   for_each_alive(membership_, [&](NodeSlot slot) {
-    for (int j = 0; j < row_width_; ++j) {
-      total += round_ -
-               refreshed_at_[slot * static_cast<std::uint64_t>(row_width_) +
-                             static_cast<std::uint64_t>(j)];
+    const std::int32_t* stamps = rows_.row_stamps(slot);
+    for (int j = 0; j < rows_.row_width(); ++j) {
+      total += round_ - stamps[j];
       ++counted;
     }
   });

@@ -58,7 +58,9 @@
 #include <string_view>
 #include <vector>
 
+#include "churn/churn_rows.hpp"
 #include "churn/membership.hpp"
+#include "churn/sparse_config.hpp"
 #include "churn/trajectory.hpp"
 #include "math/rng.hpp"
 #include "math/zipf.hpp"
@@ -67,71 +69,6 @@
 #include "sparse/sparse_overlay.hpp"
 
 namespace dht::churn {
-
-struct ChurnKernelCtx;  // flattened routing view (sparse_trajectory.cpp)
-
-/// Geometries of the sparse churn world (the three sparse overlay
-/// families; named like the dhtscale_cli sparse geometries).
-enum class SparseChurnGeometry {
-  kChord,     // "ring": successor-of-key fingers, greedy clockwise
-  kKademlia,  // "xor": bucket contacts, XOR-greedy bucket walk
-  kSymphony,  // "symphony": harmonic shortcuts, greedy clockwise
-};
-
-/// Maps "ring" | "xor" | "symphony" to the enum; anything else is false.
-bool sparse_churn_geometry_from_name(std::string_view name,
-                                     SparseChurnGeometry& out);
-
-const char* to_string(SparseChurnGeometry geometry) noexcept;
-
-struct SparseChurnConfig {
-  /// Key-space bits (1 <= bits <= 63).
-  int bits = 32;
-  /// Slot-roster size C.  Each slot runs the two-state lifecycle of
-  /// churn/churn.hpp (present w.p. a = pr/(pd+pr) at stationarity), so the
-  /// stationary population is a * C.  Capacity <= min(2^bits, 2^26).
-  std::uint64_t capacity = std::uint64_t{1} << 14;
-  /// Successor-list length s (0 disables sequential neighbors).
-  int successors = 4;
-  /// Symphony shortcut count ks (ignored by the other geometries).
-  int shortcuts = 6;
-  /// Join-announcement budget: how many nearby nodes a joiner installs
-  /// itself into (Kademlia's self-lookup deep-bucket inserts; 0 disables).
-  /// The ring geometries announce to the clockwise predecessor's successor
-  /// list instead (Chord's notify), which costs nothing extra.  Without
-  /// announcement a newcomer is invisible to in-edges until their owners
-  /// refresh -- up to R rounds of arrival blindness the dense model cannot
-  /// express, because there a reborn node keeps its identity and every
-  /// stale in-edge revives instantly.
-  int announce = 8;
-  /// Kademlia bucket width k (the Roos et al. k-bucket model): each of the
-  /// d buckets holds up to k contacts in insertion order -- longest-lived
-  /// at the head, newcomers at the tail.  Routing probes a bucket head
-  /// first (Kademlia's preference for long-lived contacts, which the
-  /// heavy-tailed session model rewards); maintenance evicts a contact
-  /// observed dead by compacting the bucket and refreshing the freed tail
-  /// cell (the LRU replacement), and join announcement inserts into the
-  /// first free cell.  k = 1 reproduces the single-contact rows of the
-  /// pre-k engine bit for bit.  Ignored by the ring geometries.
-  int bucket_k = 1;
-  /// Session-length distribution of the lifecycle (churn/churn.hpp):
-  /// geometric (memoryless, the historical model) or heavy-tailed Pareto
-  /// with the same mean session 1/pd.
-  SessionModel session{};
-  /// r-way object replication over the successor list: a GET succeeds when
-  /// ANY of the object key's first r clockwise present holders is reached
-  /// (attempt 0, toward the primary, is what the routing estimate records;
-  /// the extra attempts feed only the availability counters).  replicas = 1
-  /// together with zipf_s = 0 keeps the historical uniform-pair
-  /// measurement, bit for bit.
-  int replicas = 1;
-  /// Zipf skew of object popularity for the measured GETs (0 = uniform
-  /// over objects; only meaningful with the workload measurement engaged,
-  /// i.e. replicas > 1 or zipf_s > 0).
-  double zipf_s = 0.0;
-  /// Distinct objects (0 = one per roster slot).  Capped at 2^26.
-  std::uint64_t objects = 0;
-};
 
 /// The capacity whose stationary population is `population`:
 /// round(population / availability(params)).
@@ -251,7 +188,6 @@ class SparseChurnWorld {
     return config_.objects != 0 ? config_.objects : membership_.capacity();
   }
   bool entry_valid(NodeSlot entry, std::uint32_t generation) const;
-  ChurnKernelCtx kernel_ctx() const;
   // Draws `pairs` GETs a chunk at a time and routes each chunk with
   // `route_chunk`, one of the two members below: the scalar reference path
   // or the 8-lane batched path.  Both consume no rng and record identical
@@ -265,11 +201,8 @@ class SparseChurnWorld {
   void measure_batched_routes(const ChurnKernelCtx& ctx, int attempts,
                               sparse::SparseEstimate& estimate);
   void refresh_entry(NodeSlot slot, int index);
-  void install_entry(std::uint64_t offset, NodeSlot chosen,
-                     std::uint64_t owner_id);
   void announce_join(NodeSlot slot);
   void rebuild_tables(NodeSlot slot);
-  void rebuild_successors(NodeSlot slot, std::uint64_t from_position);
   void maintain_successors(NodeSlot slot);
   void maintain_entries(NodeSlot slot);
   void maintain_kademlia_buckets(NodeSlot slot);
@@ -288,7 +221,6 @@ class SparseChurnWorld {
   const ChurnParams params_;
   const double repair_probability_;
   const std::uint64_t max_hops_;
-  const int row_width_;
   const SessionProcess session_;
   math::Rng lifecycle_rng_;
   math::Rng table_rng_;
@@ -302,35 +234,8 @@ class SparseChurnWorld {
   // the departure hazard depends on this age (negative stamps encode the
   // stationary ages the world is initialized with).
   std::vector<std::int64_t> joined_at_;
-  // Row-major [slot][index] table entries, the generation each entry was
-  // installed against (an entry is valid only while its target slot keeps
-  // that generation -- identities never return), and the round each entry
-  // was refreshed.
-  std::vector<NodeSlot> table_;
-  std::vector<std::uint32_t> table_gen_;
-  std::vector<std::int32_t> refreshed_at_;
-  // Install-time identifier of each entry's target, cached row-major next
-  // to the entries.  While an entry is valid its target's id cannot have
-  // changed (ids change only on rejoin, which bumps the generation), so
-  // the kernels compute progress / XOR distance from this sequential row
-  // instead of chasing ids_[entry] pointers; invalid entries yield garbage
-  // geometry but are rejected by the validity probe exactly as before.
-  // Empty cells store the row owner's own id: zero clockwise progress /
-  // XOR distance equal to the owner's, inadmissible in both metrics, so
-  // they fall out arithmetically.
-  std::vector<std::uint64_t> table_id_;
-  // Earliest round at which a slot's row can hold a due entry
-  // (min refreshed_at over the row + R, maintained conservatively: stamps
-  // only increase between scans).  Lets rho = 0 maintenance skip whole
-  // rows without touching them -- a skipped row consumes no rng, exactly
-  // like a scanned row with nothing due.
-  std::vector<std::int32_t> table_due_round_;
-  // Row-major [slot][0..s) successor lists + generations + cached target
-  // ids (same discipline as table_id_) + per-node refresh stamps.
-  std::vector<NodeSlot> successors_;
-  std::vector<std::uint32_t> successors_gen_;
-  std::vector<std::uint64_t> successors_id_;
-  std::vector<std::int32_t> successors_refreshed_at_;
+  // The routing rows: tables, successor lists, and their stamps.
+  ChurnRows rows_;
   // Scratch for step() (avoids per-round allocation).
   std::vector<NodeSlot> joiners_;
   // Kademlia bootstrap/announce scratch: one node's bucket order ranges
