@@ -26,6 +26,17 @@ std::uint64_t add_sat(std::uint64_t a, std::uint64_t b) {
 
 }  // namespace
 
+void IdColumn::allocate(std::uint64_t cells, bool narrow) {
+  narrow_ = narrow;
+  if (narrow) {
+    common::reserve_hugepages(narrow_ids_, cells);
+    narrow_ids_.assign(cells, 0);
+  } else {
+    common::reserve_hugepages(wide_ids_, cells);
+    wide_ids_.assign(cells, 0);
+  }
+}
+
 ChurnRows::ChurnRows(SparseChurnGeometry geometry,
                      const SparseChurnConfig& config)
     : row_width_(row_width_for(geometry, config)),
@@ -39,20 +50,18 @@ ChurnRows::ChurnRows(SparseChurnGeometry geometry,
   // with huge pages (best effort) before first touch so the fill faults
   // 2MB pages directly -- same rationale as the static engine's tables.
   common::reserve_hugepages(table_, row_cells);
-  common::reserve_hugepages(table_id_, row_cells);
   common::reserve_hugepages(table_gen_, row_cells);
   common::reserve_hugepages(refreshed_at_, row_cells);
   common::reserve_hugepages(successors_, succ_cells);
-  common::reserve_hugepages(successors_id_, succ_cells);
   common::reserve_hugepages(successors_gen_, succ_cells);
   table_.assign(row_cells, kNoSlot);
   table_gen_.assign(row_cells, 0);
-  table_id_.assign(row_cells, 0);
+  table_id_.allocate(row_cells, narrow_ids_for(config));
   refreshed_at_.assign(row_cells, 0);
   table_due_round_.assign(capacity, std::numeric_limits<std::int32_t>::min());
   successors_.assign(succ_cells, kNoSlot);
   successors_gen_.assign(succ_cells, 0);
-  successors_id_.assign(succ_cells, 0);
+  successors_id_.allocate(succ_cells, narrow_ids_for(config));
   successors_refreshed_at_.assign(capacity, 0);
 }
 
@@ -71,11 +80,13 @@ int ChurnRows::row_width_for(SparseChurnGeometry geometry,
 
 std::uint64_t ChurnRows::bytes_for(SparseChurnGeometry geometry,
                                    const SparseChurnConfig& config) {
+  const std::uint64_t id_bytes = narrow_ids_for(config)
+                                     ? sizeof(std::uint32_t)
+                                     : sizeof(std::uint64_t);
   const std::uint64_t cell_bytes = sizeof(NodeSlot) + sizeof(std::uint32_t) +
-                                   sizeof(std::uint64_t) +
-                                   sizeof(std::int32_t);
+                                   id_bytes + sizeof(std::int32_t);
   const std::uint64_t successor_bytes =
-      sizeof(NodeSlot) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
+      sizeof(NodeSlot) + sizeof(std::uint32_t) + id_bytes;
   const std::uint64_t slot_bytes = add_sat(
       add_sat(mul_sat(static_cast<std::uint64_t>(
                           row_width_for(geometry, config)),
@@ -111,7 +122,7 @@ void ChurnRows::rebuild_successors(NodeSlot slot,
     const std::uint64_t offset = successor_offset(slot, t);
     successors_[offset] = succ;
     successors_gen_[offset] = membership.generation(succ);
-    successors_id_[offset] = membership.id_of(succ);
+    successors_id_.set(offset, membership.id_of(succ));
   }
   successors_refreshed_at_[slot] = round;
 }
@@ -121,28 +132,9 @@ void ChurnRows::evict(std::uint64_t bucket_base, int cell, int k) {
     const std::uint64_t dst = bucket_base + static_cast<std::uint64_t>(t);
     table_[dst] = table_[dst + 1];
     table_gen_[dst] = table_gen_[dst + 1];
-    table_id_[dst] = table_id_[dst + 1];
+    table_id_.set(dst, table_id_.get(dst + 1));
     refreshed_at_[dst] = refreshed_at_[dst + 1];
   }
-}
-
-ChurnKernelCtx ChurnRows::kernel_view(
-    const SparseMembership& membership) const {
-  ChurnKernelCtx ctx;
-  ctx.ids = membership.id_data();
-  ctx.alive_bits = membership.alive_bits_data();
-  ctx.generations = membership.generation_data();
-  ctx.table = table_.data();
-  ctx.table_gen = table_gen_.data();
-  ctx.table_id = table_id_.data();
-  ctx.successors = successors_.data();
-  ctx.successors_gen = successors_gen_.data();
-  ctx.successors_id = successors_id_.data();
-  ctx.row_width = row_width_;
-  ctx.bucket_k = bucket_k_;
-  ctx.s = s_;
-  ctx.key_mask = membership.key_mask();
-  return ctx;
 }
 
 }  // namespace dht::churn

@@ -10,6 +10,14 @@
 // -- the round the cell was refreshed.  Rows add the earliest round at
 // which they can hold a due cell; successor lists add one refresh stamp.
 //
+// The id columns are as wide as the key space needs: u32 when bits <= 32
+// (every id fits), u64 above.  A table cell is then 16 or 20 bytes and a
+// successor cell 12 or 16.  The columns stay separate (SoA): the ring
+// kernels scan only the id row and probe slot + generation for the ~2
+// candidates a hop tries, so narrow ids halve the bytes each hop scans.
+// The kernels take the id type as a template parameter (ChurnKernelCtx<Id>)
+// and the world picks the instantiation once per measure call.
+//
 // ChurnRows owns allocation, every cell write (single install, the Chord
 // bulk rebuild, the join-announcement insert, successor-list rebuilds, the
 // Kademlia LRU eviction shift), and the flattened kernel view; the world
@@ -17,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "churn/membership.hpp"
@@ -29,21 +38,57 @@ namespace dht::churn {
 // per 64 slots + the flat generation array), the row-major tables with
 // their cached install-time target ids, and the successor lists.  Kernels
 // compare identifiers but step between slots -- the sparse/flat_sparse.hpp
-// pattern with mutable membership underneath.
+// pattern with mutable membership underneath.  `Id` is the cached-id
+// column type (ChurnRows::narrow_ids); membership ids stay 64-bit.
+template <typename Id>
 struct ChurnKernelCtx {
   const std::uint64_t* ids = nullptr;
   const std::uint64_t* alive_bits = nullptr;
   const std::uint32_t* generations = nullptr;
   const NodeSlot* table = nullptr;
   const std::uint32_t* table_gen = nullptr;
-  const std::uint64_t* table_id = nullptr;
+  const Id* table_id = nullptr;
   const NodeSlot* successors = nullptr;
   const std::uint32_t* successors_gen = nullptr;
-  const std::uint64_t* successors_id = nullptr;
+  const Id* successors_id = nullptr;
   int row_width = 0;
   int bucket_k = 1;  // kademlia contacts per bucket (row_width = d * k)
   int s = 0;
   std::uint64_t key_mask = 0;
+};
+
+// One cached-id column: u32 cells when narrow, u64 otherwise.  Exactly
+// one of the two vectors is allocated.
+class IdColumn {
+ public:
+  /// Allocates `cells` zero ids, backed by huge pages where possible.
+  void allocate(std::uint64_t cells, bool narrow);
+  bool narrow() const noexcept { return narrow_; }
+  std::uint64_t get(std::uint64_t i) const {
+    return narrow_ ? narrow_ids_[i] : wide_ids_[i];
+  }
+  /// Stores `id`; narrow columns hold only ids below 2^32.
+  void set(std::uint64_t i, std::uint64_t id) {
+    if (narrow_) {
+      narrow_ids_[i] = static_cast<std::uint32_t>(id);
+    } else {
+      wide_ids_[i] = id;
+    }
+  }
+  template <typename Id>
+  const Id* data() const noexcept {
+    if constexpr (std::is_same_v<Id, std::uint32_t>) {
+      return narrow_ids_.data();
+    } else {
+      static_assert(std::is_same_v<Id, std::uint64_t>);
+      return wide_ids_.data();
+    }
+  }
+
+ private:
+  bool narrow_ = false;
+  std::vector<std::uint32_t> narrow_ids_;
+  std::vector<std::uint64_t> wide_ids_;
 };
 
 class ChurnRows {
@@ -61,6 +106,13 @@ class ChurnRows {
   /// per-cell and per-slot sizes, saturating at UINT64_MAX.
   static std::uint64_t bytes_for(SparseChurnGeometry geometry,
                                  const SparseChurnConfig& config);
+
+  /// Whether the cached-id columns store u32: every id of a bits <= 32
+  /// key space fits, so the narrowing is exact.
+  static bool narrow_ids_for(const SparseChurnConfig& config) {
+    return config.bits <= 32;
+  }
+  bool narrow_ids() const noexcept { return table_id_.narrow(); }
 
   int row_width() const noexcept { return row_width_; }
   int successors() const noexcept { return s_; }
@@ -150,8 +202,26 @@ class ChurnRows {
   /// newcomer end.
   void evict(std::uint64_t bucket_base, int cell, int k);
 
-  /// The kernels' raw view of these rows over `membership`.
-  ChurnKernelCtx kernel_view(const SparseMembership& membership) const;
+  /// The kernels' raw view of these rows over `membership`.  `Id` must
+  /// be the column type: std::uint32_t iff narrow_ids().
+  template <typename Id>
+  ChurnKernelCtx<Id> kernel_view(const SparseMembership& membership) const {
+    ChurnKernelCtx<Id> ctx;
+    ctx.ids = membership.id_data();
+    ctx.alive_bits = membership.alive_bits_data();
+    ctx.generations = membership.generation_data();
+    ctx.table = table_.data();
+    ctx.table_gen = table_gen_.data();
+    ctx.table_id = table_id_.data<Id>();
+    ctx.successors = successors_.data();
+    ctx.successors_gen = successors_gen_.data();
+    ctx.successors_id = successors_id_.data<Id>();
+    ctx.row_width = row_width_;
+    ctx.bucket_k = bucket_k_;
+    ctx.s = s_;
+    ctx.key_mask = membership.key_mask();
+    return ctx;
+  }
 
  private:
   std::uint64_t successor_offset(NodeSlot slot, int t) const noexcept {
@@ -162,7 +232,7 @@ class ChurnRows {
              std::uint64_t id, std::int32_t round) {
     table_[offset] = slot;
     table_gen_[offset] = generation;
-    table_id_[offset] = id;
+    table_id_.set(offset, id);
     refreshed_at_[offset] = round;
   }
 
@@ -174,7 +244,7 @@ class ChurnRows {
   // it was refreshed.
   std::vector<NodeSlot> table_;
   std::vector<std::uint32_t> table_gen_;
-  std::vector<std::uint64_t> table_id_;
+  IdColumn table_id_;
   std::vector<std::int32_t> refreshed_at_;
   // Per slot: earliest round at which the row can hold a due entry (min
   // refreshed_at over the row + R, maintained conservatively: stamps only
@@ -186,7 +256,7 @@ class ChurnRows {
   // ids (same discipline as the table) + per-node refresh stamps.
   std::vector<NodeSlot> successors_;
   std::vector<std::uint32_t> successors_gen_;
-  std::vector<std::uint64_t> successors_id_;
+  IdColumn successors_id_;
   std::vector<std::int32_t> successors_refreshed_at_;
 };
 

@@ -25,7 +25,8 @@ using flat::SparseRouteStatus;
 // lattice fits on the stack.
 constexpr int kMaxCandidates = 128;
 
-inline bool ctx_slot_alive(const ChurnKernelCtx& c, NodeSlot slot) {
+template <typename Id>
+inline bool ctx_slot_alive(const ChurnKernelCtx<Id>& c, NodeSlot slot) {
   return ((c.alive_bits[slot >> 6] >> (slot & 63)) & 1) != 0;
 }
 
@@ -36,7 +37,8 @@ inline bool ctx_slot_alive(const ChurnKernelCtx& c, NodeSlot slot) {
 // this probe passes (ids change only on rejoin, which bumps the
 // generation) -- so screening candidates by cached geometry first can
 // never change which entry a kernel picks.
-inline bool ctx_entry_valid(const ChurnKernelCtx& c, NodeSlot entry,
+template <typename Id>
+inline bool ctx_entry_valid(const ChurnKernelCtx<Id>& c, NodeSlot entry,
                             std::uint32_t generation) {
   return entry != kNoSlot && ctx_slot_alive(c, entry) &&
          c.generations[entry] == generation;
@@ -49,7 +51,8 @@ inline bool ctx_entry_valid(const ChurnKernelCtx& c, NodeSlot entry,
 // a dead-entry stall.  The probe re-reads state the failing step already
 // touched: rng-free, so classification is a pure function of the frozen
 // snapshot and merges bit-identically at any thread count.
-inline obs::RouteFailure classify_drop(const ChurnKernelCtx& c,
+template <typename Id>
+inline obs::RouteFailure classify_drop(const ChurnKernelCtx<Id>& c,
                                        NodeSlot cur) {
   if (c.s > 0) {
     const std::uint64_t base = cur * static_cast<std::uint64_t>(c.s);
@@ -74,16 +77,18 @@ struct StepResult {
 
 // Warms the next hop's sequential working set: the cached-id row (and
 // successor-id row), the only per-hop streams the ring kernels scan.
-inline void prefetch_ring_row(const ChurnKernelCtx& c, NodeSlot slot) {
+template <typename Id>
+inline void prefetch_ring_row(const ChurnKernelCtx<Id>& c, NodeSlot slot) {
+  constexpr int kIdBytes = sizeof(Id);
   const auto* row = reinterpret_cast<const char*>(
       c.table_id + slot * static_cast<std::uint64_t>(c.row_width));
-  for (int off = 0; off < c.row_width * 8; off += 64) {
+  for (int off = 0; off < c.row_width * kIdBytes; off += 64) {
     __builtin_prefetch(row + off);
   }
   if (c.s > 0) {
     const auto* succ = reinterpret_cast<const char*>(
         c.successors_id + slot * static_cast<std::uint64_t>(c.s));
-    for (int off = 0; off < c.s * 8; off += 64) {
+    for (int off = 0; off < c.s * kIdBytes; off += 64) {
       __builtin_prefetch(succ + off);
     }
   }
@@ -91,7 +96,8 @@ inline void prefetch_ring_row(const ChurnKernelCtx& c, NodeSlot slot) {
 
 // Warms the first bucket the next XOR hop will read -- its index is a
 // pure function of the new distance -- in the cached-id row.
-inline void prefetch_xor_bucket(const ChurnKernelCtx& c, NodeSlot slot,
+template <typename Id>
+inline void prefetch_xor_bucket(const ChurnKernelCtx<Id>& c, NodeSlot slot,
                                 std::uint64_t cur_id,
                                 std::uint64_t target_id) {
   const std::uint64_t distance = cur_id ^ target_id;
@@ -103,7 +109,8 @@ inline void prefetch_xor_bucket(const ChurnKernelCtx& c, NodeSlot slot,
       slot * static_cast<std::uint64_t>(c.row_width) +
       static_cast<std::uint64_t>(d - std::bit_width(distance)) *
           static_cast<std::uint64_t>(c.bucket_k);
-  for (int cell = 0; cell < c.bucket_k; cell += 8) {
+  constexpr int kIdsPerLine = 64 / static_cast<int>(sizeof(Id));
+  for (int cell = 0; cell < c.bucket_k; cell += kIdsPerLine) {
     __builtin_prefetch(&c.table_id[base + static_cast<std::uint64_t>(cell)]);
   }
 }
@@ -119,33 +126,41 @@ inline void prefetch_xor_bucket(const ChurnKernelCtx& c, NodeSlot slot,
 // only possible against invalid entries (present ids are distinct), so
 // the surviving pick equals the historical current-id kernel's bit for
 // bit.  Empty cells carry the owner's own id: progress 0, inadmissible.
-inline StepResult step_clockwise(const ChurnKernelCtx& c, NodeSlot cur,
+//
+// Progress runs at the id columns' width: with Id = u32 (bits <= 32) every
+// id and the key mask fit, and (a - b) mod 2^bits depends only on a and b
+// mod 2^bits, so the narrow lattice orders candidates exactly like the
+// 64-bit one.
+template <typename Id>
+inline StepResult step_clockwise(const ChurnKernelCtx<Id>& c, NodeSlot cur,
                                  std::uint64_t cur_id,
                                  std::uint64_t target_id) {
-  const std::uint64_t distance = (target_id - cur_id) & c.key_mask;
+  const auto mask = static_cast<Id>(c.key_mask);
+  const auto cur_key = static_cast<Id>(cur_id);
+  const Id distance = (static_cast<Id>(target_id) - cur_key) & mask;
   const std::uint64_t row_base =
       cur * static_cast<std::uint64_t>(c.row_width);
   const std::uint64_t succ_base = cur * static_cast<std::uint64_t>(c.s);
   const int m = c.row_width + c.s;
-  std::uint64_t progress[kMaxCandidates];
+  Id progress[kMaxCandidates];
   for (int j = 0; j < c.row_width; ++j) {
     progress[j] =
-        (c.table_id[row_base + static_cast<std::uint64_t>(j)] - cur_id) &
-        c.key_mask;
+        (c.table_id[row_base + static_cast<std::uint64_t>(j)] - cur_key) &
+        mask;
   }
   for (int t = 0; t < c.s; ++t) {
     progress[c.row_width + t] =
         (c.successors_id[succ_base + static_cast<std::uint64_t>(t)] -
-         cur_id) &
-        c.key_mask;
+         cur_key) &
+        mask;
   }
   for (;;) {
     // Admissible: 1 <= p <= distance, as the single wrap-around compare
-    // p - 1 < distance (p = 0 wraps past every distance < 2^64).
-    std::uint64_t best = 0;
+    // p - 1 < distance (p = 0 wraps past every distance <= the mask).
+    Id best = 0;
     int bj = -1;
     for (int j = 0; j < m; ++j) {
-      const std::uint64_t p = progress[j];
+      const Id p = progress[j];
       if (p - 1 < distance && p > best) {
         best = p;
         bj = j;
@@ -179,7 +194,8 @@ inline StepResult step_clockwise(const ChurnKernelCtx& c, NodeSlot cur,
 // where the deep buckets have decayed (an entry equal to cur, or an empty
 // cell carrying the owner's id, has equal distance and falls out of the
 // strict compare).  bucket_k = 1 reads exactly the pre-k cells.
-inline StepResult step_xor(const ChurnKernelCtx& c, NodeSlot cur,
+template <typename Id>
+inline StepResult step_xor(const ChurnKernelCtx<Id>& c, NodeSlot cur,
                            std::uint64_t cur_id, std::uint64_t target_id) {
   const std::uint64_t cur_distance = cur_id ^ target_id;
   const std::uint64_t row_base =
@@ -214,12 +230,14 @@ inline StepResult step_xor(const ChurnKernelCtx& c, NodeSlot cur,
   return {};
 }
 
-using StepFn = StepResult (*)(const ChurnKernelCtx&, NodeSlot, std::uint64_t,
-                              std::uint64_t);
+template <typename Id>
+using StepFn = StepResult (*)(const ChurnKernelCtx<Id>&, NodeSlot,
+                              std::uint64_t, std::uint64_t);
 
-StepFn step_kernel(SparseChurnGeometry geometry) {
-  return geometry == SparseChurnGeometry::kKademlia ? &step_xor
-                                                    : &step_clockwise;
+template <typename Id>
+StepFn<Id> step_kernel(SparseChurnGeometry geometry) {
+  return geometry == SparseChurnGeometry::kKademlia ? &step_xor<Id>
+                                                    : &step_clockwise<Id>;
 }
 
 // The per-hop hook of a route that observes nothing; compiles away.
@@ -237,8 +255,8 @@ struct NoHop {
 // step -- a dropped route charges the node that had no admissible hop,
 // matching the historical accounting; outcomes are recorded into `rec`
 // when non-null.
-template <bool kInflight, typename OnHop>
-SparseRouteStatus route_one(const ChurnKernelCtx& c, StepFn step,
+template <bool kInflight, typename Id, typename OnHop>
+SparseRouteStatus route_one(const ChurnKernelCtx<Id>& c, StepFn<Id> step,
                             NodeSlot source, std::uint64_t source_id,
                             NodeSlot target, std::uint64_t target_id,
                             std::uint64_t max_hops, std::uint64_t* load,
@@ -293,38 +311,40 @@ SparseRouteStatus route_one(const ChurnKernelCtx& c, StepFn step,
 // structure, excluding failures and rescanning -- ~2 expected probes per
 // hop under churn vs the historical kernel's row_width + s pointer
 // chases.  b.dist carries the lane's current-hop id.
-inline void step_batch_ring(const ChurnKernelCtx& c, RouteBatch& b) {
+template <typename Id>
+inline void step_batch_ring(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
   constexpr int kLanes = RouteBatch::kLanes;
-  std::uint64_t progress[kLanes][kMaxCandidates];
-  std::uint64_t dist[kLanes];
+  Id progress[kLanes][kMaxCandidates];
+  Id dist[kLanes];
   int cand[kLanes];
   const int m = c.row_width + c.s;
+  const auto mask = static_cast<Id>(c.key_mask);
   for (int l = 0; l < kLanes; ++l) {
     if (b.active[l] == 0) {
       continue;
     }
     const NodeSlot cur = b.cur[l];
-    const std::uint64_t cur_id = b.dist[l];
-    dist[l] = (b.target_id[l] - cur_id) & c.key_mask;
+    const auto cur_key = static_cast<Id>(b.dist[l]);
+    dist[l] = (static_cast<Id>(b.target_id[l]) - cur_key) & mask;
     const std::uint64_t row_base =
         cur * static_cast<std::uint64_t>(c.row_width);
     const std::uint64_t succ_base = cur * static_cast<std::uint64_t>(c.s);
-    std::uint64_t* prog = progress[l];
+    Id* prog = progress[l];
     for (int j = 0; j < c.row_width; ++j) {
       prog[j] =
-          (c.table_id[row_base + static_cast<std::uint64_t>(j)] - cur_id) &
-          c.key_mask;
+          (c.table_id[row_base + static_cast<std::uint64_t>(j)] - cur_key) &
+          mask;
     }
     for (int t = 0; t < c.s; ++t) {
       prog[c.row_width + t] =
           (c.successors_id[succ_base + static_cast<std::uint64_t>(t)] -
-           cur_id) &
-          c.key_mask;
+           cur_key) &
+          mask;
     }
-    std::uint64_t best = 0;
+    Id best = 0;
     int bj = -1;
     for (int j = 0; j < m; ++j) {
-      const std::uint64_t p = prog[j];
+      const Id p = prog[j];
       if (p - 1 < dist[l] && p > best) {
         best = p;
         bj = j;
@@ -352,7 +372,7 @@ inline void step_batch_ring(const ChurnKernelCtx& c, RouteBatch& b) {
     const std::uint64_t row_base =
         cur * static_cast<std::uint64_t>(c.row_width);
     const std::uint64_t succ_base = cur * static_cast<std::uint64_t>(c.s);
-    std::uint64_t* prog = progress[l];
+    Id* prog = progress[l];
     int bj = cand[l];
     for (;;) {
       if (bj < 0) {
@@ -376,10 +396,10 @@ inline void step_batch_ring(const ChurnKernelCtx& c, RouteBatch& b) {
         break;
       }
       prog[bj] = 0;
-      std::uint64_t best = 0;
+      Id best = 0;
       bj = -1;
       for (int j = 0; j < m; ++j) {
-        const std::uint64_t p = prog[j];
+        const Id p = prog[j];
         if (p - 1 < dist[l] && p > best) {
           best = p;
           bj = j;
@@ -397,7 +417,8 @@ inline void step_batch_ring(const ChurnKernelCtx& c, RouteBatch& b) {
 // lane with no cached-closer cell anywhere holds no valid closer entry at
 // all (valid entries' cached ids are current) and drops without a single
 // random load.
-inline void step_batch_xor(const ChurnKernelCtx& c, RouteBatch& b) {
+template <typename Id>
+inline void step_batch_xor(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
   constexpr int kLanes = RouteBatch::kLanes;
   constexpr std::uint64_t kNoCand = ~std::uint64_t{0};
   std::uint64_t cand[kLanes];  // (offset << 1) | is_successor
@@ -489,8 +510,8 @@ inline void step_batch_xor(const ChurnKernelCtx& c, RouteBatch& b) {
 // the lane's pre-step slot -- the node that had no admissible hop -- so a
 // drop can be classified (the batch kernels overwrite cur with the kNoSlot
 // sentinel, erasing the dropping slot).
-template <typename StepBatch, typename Refill, typename Retire>
-void drive_churn_lanes(const ChurnKernelCtx& c, std::uint64_t max_hops,
+template <typename Id, typename StepBatch, typename Refill, typename Retire>
+void drive_churn_lanes(const ChurnKernelCtx<Id>& c, std::uint64_t max_hops,
                        std::uint64_t* load, StepBatch&& step_batch,
                        Refill&& refill, Retire&& retire) {
   RouteBatch b;
@@ -1123,15 +1144,16 @@ void SparseChurnWorld::step() {
   });
 }
 
-sparse::SparseEstimate SparseChurnWorld::measure_sync(
-    std::uint64_t pairs, RouteChunk route_chunk) {
+template <typename Id>
+sparse::SparseEstimate SparseChurnWorld::measure_sync(std::uint64_t pairs,
+                                                      bool batched) {
   math::Rng& rng = measure_rng_;
   obs::PhaseTimer route_timer(profile_, obs::Phase::kRoute, trace_);
   sparse::SparseEstimate estimate;
   if (membership_.population() < 2) {
     return estimate;  // nothing to sample: the empty-estimate contract
   }
-  const ChurnKernelCtx ctx = rows_.kernel_view(membership_);
+  const ChurnKernelCtx<Id> ctx = rows_.kernel_view<Id>(membership_);
   const std::uint64_t capacity = membership_.capacity();
   const bool workload = workload_enabled();
   // Replica attempts are capped by the population once for the whole
@@ -1204,7 +1226,11 @@ sparse::SparseEstimate SparseChurnWorld::measure_sync(
         }
       }
     }
-    (this->*route_chunk)(ctx, attempts, estimate);
+    if (batched) {
+      measure_batched_routes(ctx, attempts, estimate);
+    } else {
+      measure_scalar_routes(ctx, attempts, estimate);
+    }
   }
   return estimate;
 }
@@ -1216,7 +1242,8 @@ sparse::SparseEstimate SparseChurnWorld::measure_sync(
 // is frozen in sync mode, so the walk reproduces the measurement route
 // exactly; it charges no load and records into no estimate, so it never
 // perturbs the measurement either.
-void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
+template <typename Id>
+void SparseChurnWorld::trace_route(const ChurnKernelCtx<Id>& ctx,
                                    NodeSlot source, NodeSlot target,
                                    std::uint64_t pair_index) {
   static_assert(static_cast<int>(SparseRouteStatus::kArrived) == 0 &&
@@ -1268,7 +1295,7 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
     trace.hops.push_back(hop);
   };
   trace.status = static_cast<std::uint32_t>(route_one<false>(
-      ctx, step_kernel(geometry_), source, trace.source_id, target,
+      ctx, step_kernel<Id>(geometry_), source, trace.source_id, target,
       trace.target_id, max_hops_, /*load=*/nullptr, /*rec=*/nullptr,
       record_hop));
   trace_sink_->push(std::move(trace));
@@ -1277,10 +1304,11 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx& ctx,
 // The scalar reference path: pair by pair through the shared single-route
 // core, replicas consulted in attempt order only while unavailable --
 // exactly the historical control flow over the drawn chunk.
+template <typename Id>
 void SparseChurnWorld::measure_scalar_routes(
-    const ChurnKernelCtx& ctx, int attempts,
+    const ChurnKernelCtx<Id>& ctx, int attempts,
     sparse::SparseEstimate& estimate) {
-  const StepFn kernel = step_kernel(geometry_);
+  const StepFn<Id> kernel = step_kernel<Id>(geometry_);
   const bool workload = workload_enabled();
   for (const GetDraw& draw : draws_) {
     const std::uint64_t source_id = ctx.ids[draw.source];
@@ -1319,8 +1347,9 @@ void SparseChurnWorld::measure_scalar_routes(
 // identical set, so lane scheduling cannot change the merged result;
 // per-pair equality against measure_scalar_routes is gated in
 // test_sparse_churn.
+template <typename Id>
 void SparseChurnWorld::measure_batched_routes(
-    const ChurnKernelCtx& ctx, int attempts,
+    const ChurnKernelCtx<Id>& ctx, int attempts,
     sparse::SparseEstimate& estimate) {
   const bool workload = workload_enabled();
   const bool xor_geometry = geometry_ == SparseChurnGeometry::kKademlia;
@@ -1405,10 +1434,10 @@ void SparseChurnWorld::measure_batched_routes(
     }
   };
   if (xor_geometry) {
-    drive_churn_lanes(ctx, max_hops_, load_.data(), step_batch_xor, refill,
-                      retire);
+    drive_churn_lanes(ctx, max_hops_, load_.data(), step_batch_xor<Id>,
+                      refill, retire);
   } else {
-    drive_churn_lanes(ctx, max_hops_, load_.data(), step_batch_ring,
+    drive_churn_lanes(ctx, max_hops_, load_.data(), step_batch_ring<Id>,
                       refill, retire);
   }
   if (workload) {
@@ -1420,15 +1449,25 @@ void SparseChurnWorld::measure_batched_routes(
 }
 
 sparse::SparseEstimate SparseChurnWorld::measure(std::uint64_t pairs) {
-  return measure_sync(pairs, &SparseChurnWorld::measure_batched_routes);
+  return rows_.narrow_ids() ? measure_sync<std::uint32_t>(pairs, true)
+                            : measure_sync<std::uint64_t>(pairs, true);
 }
 
 sparse::SparseEstimate SparseChurnWorld::measure_reference(
     std::uint64_t pairs) {
-  return measure_sync(pairs, &SparseChurnWorld::measure_scalar_routes);
+  return rows_.narrow_ids() ? measure_sync<std::uint32_t>(pairs, false)
+                            : measure_sync<std::uint64_t>(pairs, false);
 }
 
 sparse::SparseEstimate SparseChurnWorld::measure_inflight(
+    std::uint64_t pairs, std::uint64_t events_per_hop) {
+  return rows_.narrow_ids()
+             ? inflight_round<std::uint32_t>(pairs, events_per_hop)
+             : inflight_round<std::uint64_t>(pairs, events_per_hop);
+}
+
+template <typename Id>
+sparse::SparseEstimate SparseChurnWorld::inflight_round(
     std::uint64_t pairs, std::uint64_t events_per_hop) {
   math::Rng& rng = measure_rng_;
   // The in-flight round fuses the lifecycle sweep into the routes (each
@@ -1461,8 +1500,8 @@ sparse::SparseEstimate SparseChurnWorld::measure_inflight(
   // the packed epoch structure in place.  Ids can change only on rejoin,
   // which happens at lookup boundaries -- never mid-route -- so the
   // cached-id kernels' carried identifiers cannot go stale in flight.
-  const ChurnKernelCtx ctx = rows_.kernel_view(membership_);
-  const StepFn kernel = step_kernel(geometry_);
+  const ChurnKernelCtx<Id> ctx = rows_.kernel_view<Id>(membership_);
+  const StepFn<Id> kernel = step_kernel<Id>(geometry_);
   // In-flight route through the shared single-route core: the holder's
   // departure drops the message (checked before arrival -- a route
   // "arriving" at a slot that just left gets no reply), and the lifecycle

@@ -188,18 +188,24 @@ class SparseChurnWorld {
     return config_.objects != 0 ? config_.objects : membership_.capacity();
   }
   bool entry_valid(NodeSlot entry, std::uint32_t generation) const;
-  // Draws `pairs` GETs a chunk at a time and routes each chunk with
-  // `route_chunk`, one of the two members below: the scalar reference path
-  // or the 8-lane batched path.  Both consume no rng and record identical
-  // per-pair outcomes.
-  using RouteChunk = void (SparseChurnWorld::*)(const ChurnKernelCtx&, int,
-                                                sparse::SparseEstimate&);
-  sparse::SparseEstimate measure_sync(std::uint64_t pairs,
-                                      RouteChunk route_chunk);
-  void measure_scalar_routes(const ChurnKernelCtx& ctx, int attempts,
+  // The measurement bodies run over ChurnKernelCtx<Id>, Id the rows'
+  // cached-id column type; the public measure calls pick the instantiation
+  // once per call from rows_.narrow_ids().
+  //
+  // measure_sync draws `pairs` GETs a chunk at a time and routes each chunk
+  // through the 8-lane batched path (`batched`) or the scalar reference
+  // path.  Both consume no rng and record identical per-pair outcomes.
+  template <typename Id>
+  sparse::SparseEstimate measure_sync(std::uint64_t pairs, bool batched);
+  template <typename Id>
+  void measure_scalar_routes(const ChurnKernelCtx<Id>& ctx, int attempts,
                              sparse::SparseEstimate& estimate);
-  void measure_batched_routes(const ChurnKernelCtx& ctx, int attempts,
+  template <typename Id>
+  void measure_batched_routes(const ChurnKernelCtx<Id>& ctx, int attempts,
                               sparse::SparseEstimate& estimate);
+  template <typename Id>
+  sparse::SparseEstimate inflight_round(std::uint64_t pairs,
+                                        std::uint64_t events_per_hop);
   void refresh_entry(NodeSlot slot, int index);
   void announce_join(NodeSlot slot);
   void rebuild_tables(NodeSlot slot);
@@ -213,7 +219,8 @@ class SparseChurnWorld {
   // Re-routes one selected pair against the frozen round snapshot and
   // pushes the hop record into trace_sink_ (sync mode only; rng-free, no
   // load or estimate accounting).
-  void trace_route(const ChurnKernelCtx& ctx, NodeSlot source,
+  template <typename Id>
+  void trace_route(const ChurnKernelCtx<Id>& ctx, NodeSlot source,
                    NodeSlot target, std::uint64_t pair_index);
 
   const SparseChurnGeometry geometry_;
