@@ -950,6 +950,22 @@ int main(int argc, char** argv) {
           positional.push_back(arg);
         }
       }
+      // The world positionals parse as strictly as the flags: "32x" or
+      // "1e6" must not silently run a different config.
+      int bits = 0;
+      std::uint64_t n0 = 0;
+      double pd = 0.0;
+      double pr = 0.0;
+      int refresh = 0;
+      if (!parse_int_flag("sparse-churn", "<bits>", argv[3], 1, 63, bits) ||
+          !parse_u64_flag("sparse-churn", "<n0>", argv[4], 1,
+                          std::uint64_t{1} << 26, n0) ||
+          !parse_double_flag("sparse-churn", "<pd>", argv[5], pd) ||
+          !parse_double_flag("sparse-churn", "<pr>", argv[6], pr) ||
+          !parse_int_flag("sparse-churn", "<R>", argv[7], 1,
+                          std::numeric_limits<int>::max(), refresh)) {
+        return 1;
+      }
       int rounds = 4;
       std::uint64_t pairs = 1000;
       std::uint64_t seed = 1;
@@ -964,12 +980,9 @@ int main(int argc, char** argv) {
                            kAnyU64, seed))) {
         return 1;
       }
-      return cmd_sparse_churn(argv[2], std::atoi(argv[3]),
-                              std::strtoull(argv[4], nullptr, 10),
-                              std::atof(argv[5]), std::atof(argv[6]),
-                              std::atoi(argv[7]), rounds, pairs, seed,
-                              threads, shards, rho, succ, announce,
-                              bucket_k, inflight, session,
+      return cmd_sparse_churn(argv[2], bits, n0, pd, pr, refresh, rounds,
+                              pairs, seed, threads, shards, rho, succ,
+                              announce, bucket_k, inflight, session,
                               replicas, zipf_s, objects, trace_routes,
                               trace_out);
     }

@@ -1,30 +1,13 @@
 #include "churn/churn_rows.hpp"
 
+#include <algorithm>
 #include <limits>
 
+#include "common/check.hpp"
 #include "common/hugepage.hpp"
+#include "common/memory.hpp"
 
 namespace dht::churn {
-
-namespace {
-
-// a * b, saturating at UINT64_MAX (footprints of configs far past any
-// host's memory must still compare as "too big", never wrap).
-std::uint64_t mul_sat(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t out = 0;
-  return __builtin_mul_overflow(a, b, &out)
-             ? std::numeric_limits<std::uint64_t>::max()
-             : out;
-}
-
-std::uint64_t add_sat(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t out = 0;
-  return __builtin_add_overflow(a, b, &out)
-             ? std::numeric_limits<std::uint64_t>::max()
-             : out;
-}
-
-}  // namespace
 
 void IdColumn::allocate(std::uint64_t cells, bool narrow) {
   narrow_ = narrow;
@@ -87,14 +70,16 @@ std::uint64_t ChurnRows::bytes_for(SparseChurnGeometry geometry,
                                    id_bytes + sizeof(std::int32_t);
   const std::uint64_t successor_bytes =
       sizeof(NodeSlot) + sizeof(std::uint32_t) + id_bytes;
-  const std::uint64_t slot_bytes = add_sat(
-      add_sat(mul_sat(static_cast<std::uint64_t>(
-                          row_width_for(geometry, config)),
-                      cell_bytes),
-              mul_sat(static_cast<std::uint64_t>(config.successors),
-                      successor_bytes)),
+  const std::uint64_t slot_bytes = common::saturating_add(
+      common::saturating_add(
+          common::saturating_mul(
+              static_cast<std::uint64_t>(row_width_for(geometry, config)),
+              cell_bytes),
+          common::saturating_mul(
+              static_cast<std::uint64_t>(config.successors),
+              successor_bytes)),
       2 * sizeof(std::int32_t));  // due round + successor stamp
-  return mul_sat(config.capacity, slot_bytes);
+  return common::saturating_mul(config.capacity, slot_bytes);
 }
 
 void ChurnRows::install_chord_row(NodeSlot slot,
@@ -134,6 +119,50 @@ void ChurnRows::evict(std::uint64_t bucket_base, int cell, int k) {
     table_gen_[dst] = table_gen_[dst + 1];
     table_id_.set(dst, table_id_.get(dst + 1));
     refreshed_at_[dst] = refreshed_at_[dst + 1];
+  }
+}
+
+void ChurnRows::audit(const SparseMembership& membership, int round,
+                      int refresh_interval, bool due_bound) const {
+  const auto check_entry = [&](NodeSlot target, std::uint32_t generation,
+                               std::uint64_t cached_id) {
+    DHT_CHECK(target < membership.capacity(),
+              "routing entry points outside the roster");
+    const std::uint32_t current = membership.generation(target);
+    DHT_CHECK(generation <= current,
+              "routing entry generation is ahead of its target's");
+    DHT_CHECK(generation != current || cached_id == membership.id_of(target),
+              "valid routing entry caches a stale or truncated target id");
+  };
+  for (NodeSlot slot = 0; slot < membership.capacity(); ++slot) {
+    if (!membership.present(slot)) {
+      continue;
+    }
+    const std::uint64_t owner_id = membership.id_of(slot);
+    const std::uint64_t base = row_offset(slot);
+    std::int32_t min_stamp = std::numeric_limits<std::int32_t>::max();
+    for (int j = 0; j < row_width_; ++j) {
+      const std::uint64_t offset = base + static_cast<std::uint64_t>(j);
+      if (table_[offset] == kNoSlot) {
+        DHT_CHECK(table_id_.get(offset) == owner_id,
+                  "empty table cell must cache its owner's id");
+      } else {
+        check_entry(table_[offset], table_gen_[offset], table_id_.get(offset));
+      }
+      DHT_CHECK(refreshed_at_[offset] <= round,
+                "table cell stamped past the current round");
+      min_stamp = std::min(min_stamp, refreshed_at_[offset]);
+    }
+    DHT_CHECK(!due_bound || row_width_ == 0 ||
+                  table_due_round_[slot] <= min_stamp + refresh_interval,
+              "row due round exceeds its minimum stamp + R");
+    for (int t = 0; t < s_; ++t) {
+      const std::uint64_t offset = successor_offset(slot, t);
+      check_entry(successors_[offset], successors_gen_[offset],
+                  successors_id_.get(offset));
+    }
+    DHT_CHECK(successors_refreshed_at_[slot] <= round,
+              "successor list stamped past the current round");
   }
 }
 

@@ -97,25 +97,15 @@ class ChurnRows {
   /// due) for config.capacity slots, backed by huge pages where possible.
   ChurnRows(SparseChurnGeometry geometry, const SparseChurnConfig& config);
 
-  /// Cells per table row: shortcuts (Symphony), bits * bucket_k
-  /// (Kademlia), or bits (Chord).
-  static int row_width_for(SparseChurnGeometry geometry,
-                           const SparseChurnConfig& config);
-
   /// Bytes the constructor allocates for (geometry, config) -- the same
   /// per-cell and per-slot sizes, saturating at UINT64_MAX.
   static std::uint64_t bytes_for(SparseChurnGeometry geometry,
                                  const SparseChurnConfig& config);
 
-  /// Whether the cached-id columns store u32: every id of a bits <= 32
-  /// key space fits, so the narrowing is exact.
-  static bool narrow_ids_for(const SparseChurnConfig& config) {
-    return config.bits <= 32;
-  }
+  /// Whether the cached-id columns store u32 (bits <= 32).
   bool narrow_ids() const noexcept { return table_id_.narrow(); }
 
   int row_width() const noexcept { return row_width_; }
-  int successors() const noexcept { return s_; }
   /// Offset of `slot`'s first table cell; cell j of the row is at + j.
   std::uint64_t row_offset(NodeSlot slot) const noexcept {
     return slot * static_cast<std::uint64_t>(row_width_);
@@ -160,25 +150,19 @@ class ChurnRows {
   }
 
   /// Installs `chosen` (kNoSlot for an empty cell) at `offset`, stamped
-  /// `round`.  The cached id is the target's install-time id: for as long
-  /// as the entry stays valid this IS its current id (ids change only on
-  /// rejoin, which bumps the generation).  Empty cells carry the owner's
-  /// own id, which every kernel's admissibility arithmetic rejects
-  /// (progress 0 on the ring, equal XOR distance), so kernels can screen
-  /// candidates by cached id without ever probing an out-of-row slot.
+  /// `round` -- refreshes, bulk Kademlia rebuilds, join announcements.
+  /// The cached id is the target's install-time id: for as long as the
+  /// entry stays valid this IS its current id (ids change only on rejoin,
+  /// which bumps the generation).  Empty cells carry the owner's own id,
+  /// which every kernel's admissibility arithmetic rejects (progress 0 on
+  /// the ring, equal XOR distance), so kernels can screen candidates by
+  /// cached id without ever probing an out-of-row slot.
   void install(std::uint64_t offset, NodeSlot chosen,
                const SparseMembership& membership, std::uint64_t owner_id,
                std::int32_t round) {
     write(offset, chosen,
           chosen == kNoSlot ? 0 : membership.generation(chosen),
           chosen == kNoSlot ? owner_id : membership.id_of(chosen), round);
-  }
-
-  /// Writes a known-valid contact: the join announcement's insert.
-  void install_contact(std::uint64_t offset, NodeSlot contact,
-                       std::uint32_t generation, std::uint64_t id,
-                       std::int32_t round) {
-    write(offset, contact, generation, id, round);
   }
 
   /// Chord's bulk finger rebuild of `slot`'s row: finger j + 1 points at
@@ -202,6 +186,20 @@ class ChurnRows {
   /// newcomer end.
   void evict(std::uint64_t bucket_base, int cell, int k);
 
+  /// Checks the rows of every present slot against `membership`,
+  /// throwing PreconditionError on the first violation:
+  ///  * no entry's generation is ahead of its target's (generations only
+  ///    increase), and every entry whose generation is its target's
+  ///    current one -- every valid entry -- caches, at the column's width,
+  ///    exactly the target's id;
+  ///  * every empty (kNoSlot) table cell caches its owner's id;
+  ///  * no stamp lies past `round`;
+  ///  * with `due_bound` (rho = 0 worlds), each row's due round is at most
+  ///    its true minimum stamp + `refresh_interval`.
+  /// O(capacity x (row width + s)); for tests.
+  void audit(const SparseMembership& membership, int round,
+             int refresh_interval, bool due_bound) const;
+
   /// The kernels' raw view of these rows over `membership`.  `Id` must
   /// be the column type: std::uint32_t iff narrow_ids().
   template <typename Id>
@@ -224,6 +222,15 @@ class ChurnRows {
   }
 
  private:
+  // Cells per table row: shortcuts (Symphony), bits * bucket_k
+  // (Kademlia), or bits (Chord).
+  static int row_width_for(SparseChurnGeometry geometry,
+                           const SparseChurnConfig& config);
+  // Whether the id columns store u32: every id of a bits <= 32 key space
+  // fits, so the narrowing is exact.
+  static bool narrow_ids_for(const SparseChurnConfig& config) {
+    return config.bits <= 32;
+  }
   std::uint64_t successor_offset(NodeSlot slot, int t) const noexcept {
     return slot * static_cast<std::uint64_t>(s_) +
            static_cast<std::uint64_t>(t);

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "common/check.hpp"
+#include "common/memory.hpp"
 
 namespace dht::churn {
 
@@ -21,15 +22,36 @@ SparseMembership::SparseMembership(int bits, std::uint64_t capacity)
   generations_.resize(capacity, 0);
   alive_bits_.resize((capacity + 63) / 64, 0);
   in_pending_.resize(capacity, 0);
+  const int bucket_bits = seek_bucket_bits(bits, capacity);
+  seek_shift_ = bits_ - bucket_bits;
+  seek_.assign((std::uint64_t{1} << bucket_bits) + 1, 0);
+}
+
+int SparseMembership::seek_bucket_bits(int bits, std::uint64_t capacity) {
   // Size the seek table to ~capacity/2 buckets: population never exceeds
   // capacity, so mean occupancy stays around 1-2 ids per bucket -- enough
   // to collapse the binary searches -- while commit()'s streaming refresh
   // of the table costs less than the survivor compaction it rides on.
   // Capped at 2^20 buckets (4 MiB) and at the key space itself.
-  const int bucket_bits = std::min(
-      bits_, std::min(20, static_cast<int>(std::bit_width(capacity)) - 2));
-  seek_shift_ = bits_ - bucket_bits;
-  seek_.assign((std::uint64_t{1} << bucket_bits) + 1, 0);
+  return std::max(
+      0, std::min(bits, std::min(20, static_cast<int>(std::bit_width(
+                                         capacity)) - 2)));
+}
+
+std::uint64_t SparseMembership::bytes_for(int bits, std::uint64_t capacity) {
+  // Per slot: id, presence byte, generation, join flag, plus one order
+  // entry (id + slot) at full population; one alive word per 64 slots.
+  constexpr std::uint64_t kSlotBytes =
+      sizeof(std::uint64_t) + sizeof(std::uint8_t) + sizeof(std::uint32_t) +
+      sizeof(std::uint8_t) + sizeof(std::uint64_t) + sizeof(NodeSlot);
+  const std::uint64_t seek_bytes =
+      ((std::uint64_t{1} << seek_bucket_bits(bits, capacity)) + 1) *
+      sizeof(std::uint32_t);
+  return common::saturating_add(
+      common::saturating_add(common::saturating_mul(capacity, kSlotBytes),
+                             capacity / 64 * sizeof(std::uint64_t) +
+                                 sizeof(std::uint64_t)),
+      seek_bytes);
 }
 
 void SparseMembership::leave(NodeSlot slot) {

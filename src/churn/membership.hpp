@@ -63,6 +63,13 @@ class SparseMembership {
   /// capacity <= 2^26 (per-slot state is materialized).
   SparseMembership(int bits, std::uint64_t capacity);
 
+  /// Bytes the per-slot state and the order index of a (bits, capacity)
+  /// roster occupy at full population -- ids, presence, generations, the
+  /// packed alive mask, the join flags, the order arrays and the seek
+  /// table -- saturating at UINT64_MAX.  The footprint check of the sparse
+  /// churn world adds this to its routing rows.
+  static std::uint64_t bytes_for(int bits, std::uint64_t capacity);
+
   int bits() const noexcept { return bits_; }
   std::uint64_t key_space_size() const noexcept {
     return std::uint64_t{1} << bits_;
@@ -218,6 +225,8 @@ class SparseMembership {
   }
 
  private:
+  // log2 of the seek table's bucket count for a (bits, capacity) roster.
+  static int seek_bucket_bits(int bits, std::uint64_t capacity);
   bool id_occupied(std::uint64_t id) const;
 
   // The order positions that can hold the lower bound of any key in seek

@@ -8,6 +8,8 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/memory.hpp"
+#include "common/strfmt.hpp"
 #include "sim/shard_pool.hpp"
 #include "sparse/flat_sparse.hpp"
 
@@ -573,10 +575,31 @@ void for_each_alive(const SparseMembership& membership, Fn&& fn) {
   }
 }
 
+// Rejects a config whose `worlds` live replicas cannot fit in physical
+// memory, naming the knobs that size a world.
+void check_footprint(SparseChurnGeometry geometry,
+                     const SparseChurnConfig& config, std::uint64_t worlds) {
+  const std::uint64_t per_world =
+      SparseChurnWorld::footprint_bytes(geometry, config);
+  const std::uint64_t total = common::saturating_mul(per_world, worlds);
+  const std::uint64_t physical = common::physical_memory_bytes();
+  DHT_CHECK(total <= physical,
+            strfmt("%llu live sparse churn world(s) need %llu bytes (%llu "
+                   "each) but the host has %llu bytes of physical memory; "
+                   "lower capacity (n0), bits, bucket_k (--k) or shortcuts, "
+                   "or run fewer threads",
+                   static_cast<unsigned long long>(worlds),
+                   static_cast<unsigned long long>(total),
+                   static_cast<unsigned long long>(per_world),
+                   static_cast<unsigned long long>(physical)));
+}
+
 // Validates the config ahead of every allocation (the world's first
 // member initializer runs this) and passes it through.
 const SparseChurnConfig& checked_config(const SparseChurnConfig& config,
                                         SparseChurnGeometry geometry) {
+  DHT_CHECK(config.bits >= 1 && config.bits <= 63,
+            "sparse churn supports 1 <= bits <= 63");
   DHT_CHECK(config.successors >= 0 && config.successors <= 64,
             "successor-list length must be in [0, 64]");
   DHT_CHECK(config.bucket_k >= 1 && config.bucket_k <= 64,
@@ -594,6 +617,7 @@ const SparseChurnConfig& checked_config(const SparseChurnConfig& config,
     DHT_CHECK(config.shortcuts >= 1 && config.shortcuts <= 64,
               "symphony shortcut count must be in [1, 64]");
   }
+  check_footprint(geometry, config, 1);
   return config;
 }
 
@@ -704,6 +728,24 @@ SparseChurnWorld::SparseChurnWorld(SparseChurnGeometry geometry,
           slot, -static_cast<std::int32_t>(table_rng_.uniform_below(interval)));
     }
   });
+}
+
+std::uint64_t SparseChurnWorld::footprint_bytes(
+    SparseChurnGeometry geometry, const SparseChurnConfig& config) {
+  // joined_at_ and load_: one i64 and one u64 per slot.
+  const std::uint64_t world_slot_bytes =
+      common::saturating_mul(config.capacity, 2 * sizeof(std::uint64_t));
+  return common::saturating_add(
+      common::saturating_add(ChurnRows::bytes_for(geometry, config),
+                             SparseMembership::bytes_for(config.bits,
+                                                         config.capacity)),
+      world_slot_bytes);
+}
+
+void SparseChurnWorld::audit() const {
+  membership_.audit();
+  rows_.audit(membership_, round_, params_.refresh_interval,
+              /*due_bound=*/repair_probability_ == 0.0);
 }
 
 bool SparseChurnWorld::entry_valid(NodeSlot entry,
@@ -843,7 +885,6 @@ void SparseChurnWorld::announce_join(NodeSlot slot) {
     int budget = config_.announce;
     const int k = config_.bucket_k;
     const std::uint64_t id = membership_.id_of(slot);
-    const std::uint32_t generation = membership_.generation(slot);
     membership_.bucket_ranges(id, bucket_ranges_);
     for (int level = config_.bits; level >= 1 && budget > 0; --level) {
       const auto [first, last] =
@@ -863,8 +904,8 @@ void SparseChurnWorld::announce_join(NodeSlot slot) {
               bucket_base + static_cast<std::uint64_t>(cell);
           if (!entry_valid(rows_.entry(offset),
                            rows_.entry_generation(offset))) {
-            rows_.install_contact(offset, slot, generation, id,
-                                  static_cast<std::int32_t>(round_));
+            rows_.install(offset, slot, membership_, id,
+                          static_cast<std::int32_t>(round_));
             break;
           }
         }
@@ -1622,6 +1663,10 @@ SparseChurnResult run_sparse_churn_trajectory(
 
   const std::uint64_t shards =
       options.shards != 0 ? options.shards : kDefaultTrajectoryShards;
+  const unsigned threads = sim::resolve_threads(options.threads);
+  // Every worker holds one world at a time (chunk = 1 below).
+  check_footprint(geometry, checked_config(config, geometry),
+                  std::min<std::uint64_t>(threads, shards));
   const int rounds = options.measured_rounds;
   std::vector<std::vector<sparse::SparseEstimate>> shard_rounds(shards);
   std::vector<double> population_sum(shards, 0.0);
@@ -1651,7 +1696,7 @@ SparseChurnResult run_sparse_churn_trajectory(
 
   sim::run_sharded(
       shards,
-      sim::PoolOptions{.threads = sim::resolve_threads(options.threads),
+      sim::PoolOptions{.threads = threads,
                        // Replica worlds are heavy; claim one at a time so
                        // the tail load-balances.
                        .chunk = 1,

@@ -87,10 +87,20 @@ class SparseChurnWorld {
   /// Starts at the stationary membership (each slot present w.p. a) with
   /// fresh tables and refresh phases staggered uniformly.  `max_hops` of 0
   /// selects the default cap C; hits land in the hop_limit_hits canary.
+  /// Throws std::invalid_argument before allocating anything when the
+  /// config is out of range or its footprint_bytes exceed the host's
+  /// physical memory.
   SparseChurnWorld(SparseChurnGeometry geometry,
                    const SparseChurnConfig& config, const ChurnParams& params,
                    double repair_probability, std::uint64_t max_hops,
                    const math::Rng& rng);
+
+  /// Bytes one world of (geometry, config) allocates up front: its routing
+  /// rows (ChurnRows::bytes_for), its membership
+  /// (SparseMembership::bytes_for), and its per-slot join rounds and load
+  /// counters.  Saturates at UINT64_MAX.
+  static std::uint64_t footprint_bytes(SparseChurnGeometry geometry,
+                                       const SparseChurnConfig& config);
 
   /// Advances one round: lifecycle flips (leaves + joins with fresh ids),
   /// order-index commit, joiner bootstraps + join announcements,
@@ -141,6 +151,14 @@ class SparseChurnWorld {
   std::uint64_t capacity() const noexcept { return membership_.capacity(); }
   /// Population over capacity (tracks availability a at stationarity).
   double alive_fraction() const noexcept;
+
+  /// Checks the world's invariants between rounds (after step() or
+  /// measure_inflight()), throwing PreconditionError on the first
+  /// violation: the membership's order index (SparseMembership::audit)
+  /// and the routing rows (ChurnRows::audit; the due-round bound only on
+  /// rho = 0 worlds, the only ones that maintain it).
+  /// O(capacity x row width); for tests.
+  void audit() const;
   /// Cumulative membership turnover (diagnostics).
   std::uint64_t total_joins() const noexcept { return total_joins_; }
   std::uint64_t total_leaves() const noexcept { return total_leaves_; }
@@ -303,6 +321,9 @@ struct SparseChurnResult {
 /// Runs the sharded sparse churn trajectory; reuses TrajectoryOptions
 /// (warmup/measured rounds, pairs per round, shards, threads, max hops,
 /// rho).  `rng` is only fork()ed.  Bit-identical at any thread count.
+/// Throws std::invalid_argument before allocating anything when
+/// min(threads, shards) live worlds of footprint_bytes exceed the host's
+/// physical memory.
 SparseChurnResult run_sparse_churn_trajectory(SparseChurnGeometry geometry,
                                               const SparseChurnConfig& config,
                                               const ChurnParams& params,

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,8 +54,8 @@ TEST(SparseMembership, OrderIndexStaysConsistentUnderChurn) {
                          math::Rng(61));
   for (int round = 0; round < 40; ++round) {
     world.step();
+    world.audit();
     const SparseMembership& membership = world.membership();
-    membership.audit();
     // The order index covers exactly the present slots, in strictly
     // ascending id order (ids distinct), each mapping back to a present
     // slot with the matching identifier.
@@ -228,6 +229,98 @@ TEST(SparseChurn, KBucketCountersPinnedAcrossMeasurementModes) {
   }
 }
 
+TEST(SparseChurn, WidthBoundaryCountersPinned) {
+  // The routing rows cache target ids as u32 at bits <= 32 and as u64
+  // above, with one kernel instantiation per width.  These counters were
+  // captured before the narrowing, on the all-u64 engine; bits 32 and 33
+  // straddle the switch, so both instantiations stay pinned to it, across
+  // the ring, the k-bucket Kademlia stack (k 4, Pareto sessions, announce
+  // 8, rho 0.3: the LRU eviction path) and Symphony, measured
+  // round-synchronously and in flight.  The world is audited after every
+  // step: a truncated cached id fails audit() even where routing would
+  // not notice.
+  const ChurnParams params{.death_per_round = 0.1,
+                           .rebirth_per_round = 0.1,
+                           .refresh_interval = 10};
+  struct Golden {
+    SparseChurnGeometry geometry;
+    int bits;
+    bool inflight;
+    std::uint64_t attempts, delivered, hop_sum, fail_dead_entry;
+    double mean_population;
+  };
+  const Golden goldens[] = {
+      {SparseChurnGeometry::kChord, 31, false, 600, 599, 3188, 1, 473},
+      {SparseChurnGeometry::kChord, 31, true, 600, 588, 3151, 4, 473},
+      {SparseChurnGeometry::kChord, 32, false, 600, 598, 3143, 2, 473},
+      {SparseChurnGeometry::kChord, 32, true, 600, 589, 3077, 6, 473},
+      {SparseChurnGeometry::kChord, 33, false, 600, 594, 3184, 6, 473},
+      {SparseChurnGeometry::kChord, 33, true, 600, 588, 3204, 8, 473},
+      {SparseChurnGeometry::kChord, 63, false, 600, 599, 3144, 1, 473},
+      {SparseChurnGeometry::kChord, 63, true, 600, 588, 3147, 4, 473},
+      {SparseChurnGeometry::kKademlia, 31, false, 600, 599, 2672, 1, 516.33333333333337},
+      {SparseChurnGeometry::kKademlia, 31, true, 600, 598, 2613, 2, 516.33333333333337},
+      {SparseChurnGeometry::kKademlia, 32, false, 600, 600, 2584, 0, 516.33333333333337},
+      {SparseChurnGeometry::kKademlia, 32, true, 600, 598, 2664, 1, 516.33333333333337},
+      {SparseChurnGeometry::kKademlia, 33, false, 600, 600, 2692, 0, 516.33333333333337},
+      {SparseChurnGeometry::kKademlia, 33, true, 600, 599, 2656, 1, 516.33333333333337},
+      {SparseChurnGeometry::kKademlia, 63, false, 600, 600, 2637, 0, 516.33333333333337},
+      {SparseChurnGeometry::kKademlia, 63, true, 600, 596, 2689, 4, 516.33333333333337},
+      {SparseChurnGeometry::kSymphony, 31, false, 600, 596, 11862, 4, 473},
+      {SparseChurnGeometry::kSymphony, 31, true, 600, 544, 11862, 9, 473},
+      {SparseChurnGeometry::kSymphony, 32, false, 600, 591, 10935, 9, 473},
+      {SparseChurnGeometry::kSymphony, 32, true, 600, 465, 8217, 13, 473},
+      {SparseChurnGeometry::kSymphony, 33, false, 600, 593, 12424, 7, 473},
+      {SparseChurnGeometry::kSymphony, 33, true, 600, 481, 9193, 5, 473},
+      {SparseChurnGeometry::kSymphony, 63, false, 600, 593, 17480, 7, 473},
+      {SparseChurnGeometry::kSymphony, 63, true, 600, 532, 14486, 5, 473},
+  };
+  for (const Golden& golden : goldens) {
+    SparseChurnConfig config{.bits = golden.bits,
+                             .capacity = 1024,
+                             .successors = 2,
+                             .shortcuts = 4};
+    double rho = 0.0;
+    if (golden.geometry == SparseChurnGeometry::kKademlia) {
+      config.bucket_k = 4;
+      config.announce = 8;
+      config.session = SessionModel{.kind = SessionKind::kPareto,
+                                    .pareto_alpha = 2.0};
+      rho = 0.3;
+    }
+    const std::string what = std::string(to_string(golden.geometry)) +
+                             " bits=" + std::to_string(golden.bits) +
+                             (golden.inflight ? " inflight" : " sync");
+    SparseChurnWorld world(golden.geometry, config, params, rho, 0,
+                           math::Rng(113));
+    world.audit();
+    for (int round = 0; round < 6; ++round) {
+      world.step();
+      world.audit();
+    }
+    sparse::SparseEstimate total;
+    double population = 0.0;
+    for (int round = 0; round < 3; ++round) {
+      if (golden.inflight) {
+        total.merge(world.measure_inflight(200));
+      } else {
+        world.step();
+        world.audit();
+        total.merge(world.measure(200));
+      }
+      world.audit();
+      population += static_cast<double>(world.population());
+    }
+    EXPECT_EQ(total.attempts, golden.attempts) << what;
+    EXPECT_EQ(total.hops.count(), golden.delivered) << what;
+    EXPECT_EQ(total.hops.sum(), golden.hop_sum) << what;
+    EXPECT_EQ(total.failures[obs::RouteFailure::kDeadEntry],
+              golden.fail_dead_entry)
+        << what;
+    EXPECT_DOUBLE_EQ(population / 3.0, golden.mean_population) << what;
+  }
+}
+
 TEST(SparseChurn, InflightBitIdenticalAcrossThreadCounts) {
   // In-flight measurement interleaves lifecycle, repair, and routing
   // inside each shard's private world, so the replica-sharding determinism
@@ -299,8 +392,8 @@ TEST(SparseChurn, InflightWorldKeepsRoundAndOrderInvariants) {
     const int before = world.round();
     (void)world.measure_inflight(50);
     ASSERT_EQ(world.round(), before + 1);
+    world.audit();
     const SparseMembership& membership = world.membership();
-    membership.audit();
     std::uint64_t present = 0;
     for (NodeSlot slot = 0; slot < membership.capacity(); ++slot) {
       present += membership.present(slot) ? 1 : 0;
@@ -1108,6 +1201,42 @@ TEST(SparseChurn, RejectsDegenerateInputs) {
   SparseChurnSweepSpec empty;
   empty.successors.clear();
   EXPECT_THROW(run_sparse_churn_sweep(empty), PreconditionError);
+}
+
+TEST(SparseChurn, FootprintMatchesRowLayoutAndRejectsImpossibleConfigs) {
+  // Row bytes per slot: table cells of 16 B (u32 ids) at bits <= 32 and
+  // 20 B (u64 ids) above, successor cells of 12 / 16 B, plus the row's due
+  // round and the list's refresh stamp.
+  const SparseChurnConfig narrow{
+      .bits = 32, .capacity = 1024, .successors = 4, .shortcuts = 4};
+  const SparseChurnConfig wide{
+      .bits = 33, .capacity = 1024, .successors = 4, .shortcuts = 4};
+  EXPECT_EQ(ChurnRows::bytes_for(SparseChurnGeometry::kChord, narrow),
+            1024u * (32 * 16 + 4 * 12 + 8));
+  EXPECT_EQ(ChurnRows::bytes_for(SparseChurnGeometry::kChord, wide),
+            1024u * (33 * 20 + 4 * 16 + 8));
+  EXPECT_EQ(ChurnRows::bytes_for(SparseChurnGeometry::kSymphony, narrow),
+            1024u * (4 * 16 + 4 * 12 + 8));
+  SparseChurnConfig kbuckets = wide;
+  kbuckets.bucket_k = 4;
+  EXPECT_EQ(ChurnRows::bytes_for(SparseChurnGeometry::kKademlia, kbuckets),
+            1024u * (33 * 4 * 20 + 4 * 16 + 8));
+  EXPECT_GT(SparseChurnWorld::footprint_bytes(SparseChurnGeometry::kChord,
+                                              narrow),
+            ChurnRows::bytes_for(SparseChurnGeometry::kChord, narrow));
+  // 2^26 slots x 63 x 64 Kademlia cells is terabytes: both entry points
+  // reject it before allocating anything (membership included).
+  SparseChurnConfig huge{.bits = 63, .capacity = std::uint64_t{1} << 26};
+  huge.bucket_k = 64;
+  const ChurnParams params{};
+  EXPECT_THROW(SparseChurnWorld(SparseChurnGeometry::kKademlia, huge, params,
+                                0.0, 0, math::Rng(3)),
+               std::invalid_argument);
+  EXPECT_THROW(run_sparse_churn_trajectory(SparseChurnGeometry::kKademlia,
+                                           huge, params,
+                                           {.shards = 1, .threads = 1},
+                                           math::Rng(3)),
+               std::invalid_argument);
 }
 
 TEST(SparseChurn, GeometryNamesRoundTrip) {
