@@ -5,7 +5,8 @@ Each BENCH_prN.json (N the issue number) records one change measured with
 `python3 benchmark/run.py` against its parent: per workload, the
 end-to-end medians of both sides ("end_to_end" -> workload -> "summary"
 -> metric -> parent/change median), and the traced per-layer medians
-("per_layer" -> parent/change -> metric -> median_of_3).  This script
+("per_layer" -> parent/change -> metric -> median_of_N, N the number of
+traced runs per side).  This script
 lines those snapshots up so a metric can be followed from PR to PR: one
 row per metric, one column per snapshot, each cell the change-side
 median and, for end-to-end metrics, its change against that snapshot's
@@ -53,7 +54,9 @@ def metric_rows(snapshot):
             rows[(0, f"{workload}.{metric}")] = (
                 summary["change"]["median"], summary.get("change_vs_parent"))
     for metric, value in snapshot["per_layer"]["change"].items():
-        rows[(1, metric)] = (value["median_of_3"], None)
+        median = next(v for k, v in value.items()
+                      if k.startswith("median_of_"))
+        rows[(1, metric)] = (median, None)
     return rows
 
 

@@ -23,8 +23,8 @@ def summary(parent, change):
             "change_wins_pairs": "10/10"}
 
 
-def per_layer(values):
-    return {name: {"median_of_3": value, "unit": "ns"}
+def per_layer(values, runs=3):
+    return {name: {f"median_of_{runs}": value, "unit": "ns"}
             for name, value in values.items()}
 
 
@@ -41,9 +41,9 @@ FIXTURE = {
                                        "peak_rss_mib": summary(100.0, 82.0)}},
             "static_dense": {"summary": {"run_s": summary(0.3, 0.3)}},
         },
-        "per_layer": {"parent": per_layer({"churn.route_ns": 80.0}),
+        "per_layer": {"parent": per_layer({"churn.route_ns": 80.0}, 10),
                       "change": per_layer({"churn.route_ns": 70.0,
-                                           "sim.build_ms": 5.0})},
+                                           "sim.build_ms": 5.0}, 10)},
     },
 }
 
@@ -73,6 +73,8 @@ class BenchTrajectoryTest(unittest.TestCase):
             cells["churn_sync.run_s"][1]), "0.2 (-50.0%)")
         self.assertEqual(bench_trajectory.format_cell(
             cells["churn.route_ns"][0]), "80")
+        self.assertEqual(bench_trajectory.format_cell(
+            cells["churn.route_ns"][1]), "70")
         self.assertEqual(bench_trajectory.format_cell(
             cells["sim.build_ms"][0]), "-")
 

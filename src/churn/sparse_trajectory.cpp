@@ -596,8 +596,8 @@ void check_footprint(SparseChurnGeometry geometry,
 
 // Validates the config ahead of every allocation (the world's first
 // member initializer runs this) and passes it through.
-const SparseChurnConfig& checked_config(const SparseChurnConfig& config,
-                                        SparseChurnGeometry geometry) {
+SparseChurnConfig checked_config(const SparseChurnConfig& config,
+                                 SparseChurnGeometry geometry) {
   DHT_CHECK(config.bits >= 1 && config.bits <= 63,
             "sparse churn supports 1 <= bits <= 63");
   DHT_CHECK(config.successors >= 0 && config.successors <= 64,

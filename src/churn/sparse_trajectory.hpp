@@ -55,7 +55,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "churn/churn_rows.hpp"
@@ -159,6 +158,7 @@ class SparseChurnWorld {
   /// rho = 0 worlds, the only ones that maintain it).
   /// O(capacity x row width); for tests.
   void audit() const;
+
   /// Cumulative membership turnover (diagnostics).
   std::uint64_t total_joins() const noexcept { return total_joins_; }
   std::uint64_t total_leaves() const noexcept { return total_leaves_; }
