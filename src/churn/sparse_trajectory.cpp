@@ -594,10 +594,12 @@ void check_footprint(SparseChurnGeometry geometry,
                    static_cast<unsigned long long>(physical)));
 }
 
-// Validates the config ahead of every allocation (the world's first
-// member initializer runs this) and passes it through.
+// Validates the config ahead of every allocation -- value ranges, then the
+// footprint of `live_worlds` worlds -- and passes it through.  The world's
+// first member initializer runs this.
 SparseChurnConfig checked_config(const SparseChurnConfig& config,
-                                 SparseChurnGeometry geometry) {
+                                 SparseChurnGeometry geometry,
+                                 std::uint64_t live_worlds) {
   DHT_CHECK(config.bits >= 1 && config.bits <= 63,
             "sparse churn supports 1 <= bits <= 63");
   DHT_CHECK(config.successors >= 0 && config.successors <= 64,
@@ -617,7 +619,7 @@ SparseChurnConfig checked_config(const SparseChurnConfig& config,
     DHT_CHECK(config.shortcuts >= 1 && config.shortcuts <= 64,
               "symphony shortcut count must be in [1, 64]");
   }
-  check_footprint(geometry, config, 1);
+  check_footprint(geometry, config, live_worlds);
   return config;
 }
 
@@ -671,7 +673,7 @@ SparseChurnWorld::SparseChurnWorld(SparseChurnGeometry geometry,
                                    std::uint64_t max_hops,
                                    const math::Rng& rng)
     : geometry_(geometry),
-      config_(checked_config(config, geometry)),
+      config_(checked_config(config, geometry, /*live_worlds=*/1)),
       params_(params),
       repair_probability_(repair_probability),
       max_hops_(max_hops == 0 ? config.capacity : max_hops),
@@ -1665,8 +1667,8 @@ SparseChurnResult run_sparse_churn_trajectory(
       options.shards != 0 ? options.shards : kDefaultTrajectoryShards;
   const unsigned threads = sim::resolve_threads(options.threads);
   // Every worker holds one world at a time (chunk = 1 below).
-  check_footprint(geometry, checked_config(config, geometry),
-                  std::min<std::uint64_t>(threads, shards));
+  (void)checked_config(config, geometry,
+                       std::min<std::uint64_t>(threads, shards));
   const int rounds = options.measured_rounds;
   std::vector<std::vector<sparse::SparseEstimate>> shard_rounds(shards);
   std::vector<double> population_sum(shards, 0.0);
