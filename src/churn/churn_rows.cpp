@@ -6,46 +6,136 @@
 #include "common/check.hpp"
 #include "common/hugepage.hpp"
 #include "common/memory.hpp"
+#include "common/sanitizer.hpp"
 
 namespace dht::churn {
 
-void IdColumn::allocate(std::uint64_t cells, bool narrow) {
-  narrow_ = narrow;
-  if (narrow) {
-    common::reserve_hugepages(narrow_ids_, cells);
-    narrow_ids_.assign(cells, 0);
-  } else {
-    common::reserve_hugepages(wide_ids_, cells);
-    wide_ids_.assign(cells, 0);
-  }
+namespace {
+
+// Column alignment inside the reservation: one page, so no page holds two
+// columns' rows.
+constexpr std::uint64_t kColumnAlign = 4096;
+
+std::uint64_t column_span(std::uint64_t cells, std::uint64_t cell_bytes) {
+  return (cells * cell_bytes + kColumnAlign - 1) & ~(kColumnAlign - 1);
+}
+
+}  // namespace
+
+ChurnRows::Layout ChurnRows::layout_for(int row_width, int s, bool narrow,
+                                        std::uint64_t capacity) {
+  const std::uint64_t row_cells =
+      capacity * static_cast<std::uint64_t>(row_width);
+  const std::uint64_t succ_cells = capacity * static_cast<std::uint64_t>(s);
+  const std::uint64_t id_bytes = IdColumn::cell_bytes(narrow);
+  Layout layout{};
+  std::uint64_t next = 0;
+  const auto carve = [&](std::uint64_t& offset, std::uint64_t cells,
+                         std::uint64_t cell_bytes) {
+    offset = next;
+    next += column_span(cells, cell_bytes);
+  };
+  carve(layout.table, row_cells, sizeof(NodeSlot));
+  carve(layout.table_gen, row_cells, sizeof(std::uint32_t));
+  carve(layout.table_id, row_cells, id_bytes);
+  carve(layout.refreshed_at, row_cells, sizeof(std::int32_t));
+  carve(layout.successors, succ_cells, sizeof(NodeSlot));
+  carve(layout.successors_gen, succ_cells, sizeof(std::uint32_t));
+  carve(layout.successors_id, succ_cells, id_bytes);
+  layout.bytes = next;
+  return layout;
 }
 
 ChurnRows::ChurnRows(SparseChurnGeometry geometry,
                      const SparseChurnConfig& config)
     : row_width_(row_width_for(geometry, config)),
       bucket_k_(config.bucket_k),
-      s_(config.successors) {
+      s_(config.successors),
+      layout_(layout_for(row_width_, s_, narrow_ids_for(config),
+                         config.capacity)),
+      arena_(layout_.bytes) {
   const std::uint64_t capacity = config.capacity;
-  const std::uint64_t row_cells =
-      capacity * static_cast<std::uint64_t>(row_width_);
-  const std::uint64_t succ_cells = capacity * static_cast<std::uint64_t>(s_);
-  // The row arenas are the kernels' random-access working set; back them
-  // with huge pages (best effort) before first touch so the fill faults
-  // 2MB pages directly -- same rationale as the static engine's tables.
-  common::reserve_hugepages(table_, row_cells);
-  common::reserve_hugepages(table_gen_, row_cells);
-  common::reserve_hugepages(refreshed_at_, row_cells);
-  common::reserve_hugepages(successors_, succ_cells);
-  common::reserve_hugepages(successors_gen_, succ_cells);
-  table_.assign(row_cells, kNoSlot);
-  table_gen_.assign(row_cells, 0);
-  table_id_.allocate(row_cells, narrow_ids_for(config));
-  refreshed_at_.assign(row_cells, 0);
+  row_of_.assign(capacity, kNoRow);
+  free_rows_.reserve(capacity);
   table_due_round_.assign(capacity, std::numeric_limits<std::int32_t>::min());
-  successors_.assign(succ_cells, kNoSlot);
-  successors_gen_.assign(succ_cells, 0);
-  successors_id_.allocate(succ_cells, narrow_ids_for(config));
   successors_refreshed_at_.assign(capacity, 0);
+  char* const base = arena_.as<char>();
+  table_ = reinterpret_cast<NodeSlot*>(base + layout_.table);
+  table_gen_ = reinterpret_cast<std::uint32_t*>(base + layout_.table_gen);
+  table_id_ = IdColumn(base + layout_.table_id, narrow_ids_for(config));
+  refreshed_at_ = reinterpret_cast<std::int32_t*>(base + layout_.refreshed_at);
+  successors_ = reinterpret_cast<NodeSlot*>(base + layout_.successors);
+  successors_gen_ =
+      reinterpret_cast<std::uint32_t*>(base + layout_.successors_gen);
+  successors_id_ =
+      IdColumn(base + layout_.successors_id, narrow_ids_for(config));
+  DHT_ASAN_POISON(base, layout_.bytes);
+}
+
+ChurnRows::~ChurnRows() {
+  // The pages go back to the kernel; clear their poison so a later
+  // mapping at the same addresses starts readable.
+  DHT_ASAN_UNPOISON(arena_.as<char>(), layout_.bytes);
+}
+
+void ChurnRows::acquire(const std::vector<NodeSlot>& slots) {
+  // The rows this cohort takes past the high-water mark have never been
+  // touched.  They are the kernels' random-access working set, so advise
+  // them onto huge pages (best effort) before the caller fills them: the
+  // fill then faults 2MB pages directly -- same rationale as the static
+  // engine's tables.  The advice covers only whole huge pages inside each
+  // column's new span, so the initial cohort lands on huge pages while the
+  // few rows later cohorts add past it take small pages, and resident
+  // memory never runs a partly used huge page ahead of the high-water
+  // mark.
+  const std::uint64_t reused =
+      std::min<std::uint64_t>(free_rows_.size(), slots.size());
+  for_each_segment(rows_used_, slots.size() - reused,
+                   [](char* begin, std::uint64_t bytes) {
+                     common::advise_hugepages(begin, bytes);
+                   });
+  for (const NodeSlot slot : slots) {
+    std::uint32_t row;
+    if (!free_rows_.empty()) {
+      row = free_rows_.back();
+      free_rows_.pop_back();
+    } else {
+      row = rows_used_++;
+    }
+    row_of_[slot] = row;
+    table_due_round_[slot] = std::numeric_limits<std::int32_t>::min();
+    for_each_segment(row, 1, [](char* begin, std::uint64_t bytes) {
+      DHT_ASAN_UNPOISON(begin, bytes);
+    });
+  }
+}
+
+void ChurnRows::release(NodeSlot slot) {
+  const std::uint32_t row = row_of_[slot];
+  for_each_segment(row, 1, [](char* begin, std::uint64_t bytes) {
+    DHT_ASAN_POISON(begin, bytes);
+  });
+  free_rows_.push_back(row);
+  row_of_[slot] = kNoRow;
+}
+
+template <typename Fn>
+void ChurnRows::for_each_segment(std::uint64_t first_row, std::uint64_t rows,
+                                 Fn&& fn) const {
+  char* const base = arena_.as<char>();
+  const auto segment = [&](std::uint64_t column, std::uint64_t row_bytes) {
+    fn(base + column + first_row * row_bytes, rows * row_bytes);
+  };
+  const auto width = static_cast<std::uint64_t>(row_width_);
+  const auto s = static_cast<std::uint64_t>(s_);
+  const std::uint64_t id_bytes = IdColumn::cell_bytes(narrow_ids());
+  segment(layout_.table, width * sizeof(NodeSlot));
+  segment(layout_.table_gen, width * sizeof(std::uint32_t));
+  segment(layout_.table_id, width * id_bytes);
+  segment(layout_.refreshed_at, width * sizeof(std::int32_t));
+  segment(layout_.successors, s * sizeof(NodeSlot));
+  segment(layout_.successors_gen, s * sizeof(std::uint32_t));
+  segment(layout_.successors_id, s * id_bytes);
 }
 
 int ChurnRows::row_width_for(SparseChurnGeometry geometry,
@@ -63,13 +153,15 @@ int ChurnRows::row_width_for(SparseChurnGeometry geometry,
 
 std::uint64_t ChurnRows::bytes_for(SparseChurnGeometry geometry,
                                    const SparseChurnConfig& config) {
-  const std::uint64_t id_bytes = narrow_ids_for(config)
-                                     ? sizeof(std::uint32_t)
-                                     : sizeof(std::uint64_t);
+  const std::uint64_t id_bytes = IdColumn::cell_bytes(narrow_ids_for(config));
   const std::uint64_t cell_bytes = sizeof(NodeSlot) + sizeof(std::uint32_t) +
                                    id_bytes + sizeof(std::int32_t);
   const std::uint64_t successor_bytes =
       sizeof(NodeSlot) + sizeof(std::uint32_t) + id_bytes;
+  // Per slot beside its row: the due round and successor stamp, the slot
+  // -> row map entry, and a free-list entry.
+  constexpr std::uint64_t kSlotScalarBytes =
+      2 * sizeof(std::int32_t) + 2 * sizeof(std::uint32_t);
   const std::uint64_t slot_bytes = common::saturating_add(
       common::saturating_add(
           common::saturating_mul(
@@ -78,7 +170,7 @@ std::uint64_t ChurnRows::bytes_for(SparseChurnGeometry geometry,
           common::saturating_mul(
               static_cast<std::uint64_t>(config.successors),
               successor_bytes)),
-      2 * sizeof(std::int32_t));  // due round + successor stamp
+      kSlotScalarBytes);
   return common::saturating_mul(config.capacity, slot_bytes);
 }
 
@@ -124,6 +216,32 @@ void ChurnRows::evict(std::uint64_t bucket_base, int cell, int k) {
 
 void ChurnRows::audit(const SparseMembership& membership, int round,
                       int refresh_interval, bool due_bound) const {
+  // The slot -> row map: a bijection between the present slots and the
+  // rows in use, which together with the free rows are exactly the rows
+  // handed out so far.
+  DHT_CHECK(rows_used_ <= membership.capacity(),
+            "more rows handed out than the roster has slots");
+  std::vector<std::uint8_t> owned(rows_used_, 0);
+  std::uint64_t in_use = 0;
+  for (NodeSlot slot = 0; slot < membership.capacity(); ++slot) {
+    const std::uint32_t row = row_of_[slot];
+    if (!membership.present(slot)) {
+      DHT_CHECK(row == kNoRow, "absent slot still holds a row");
+      continue;
+    }
+    DHT_CHECK(row < rows_used_, "present slot holds no row");
+    DHT_CHECK(owned[row] == 0, "row held by two slots");
+    owned[row] = 1;
+    ++in_use;
+  }
+  for (const std::uint32_t row : free_rows_) {
+    DHT_CHECK(row < rows_used_ && owned[row] == 0,
+              "free row is out of range, in use, or listed twice");
+    owned[row] = 1;
+  }
+  DHT_CHECK(in_use + free_rows_.size() == rows_used_,
+            "rows in use plus free rows differ from the rows handed out");
+
   const auto check_entry = [&](NodeSlot target, std::uint32_t generation,
                                std::uint64_t cached_id) {
     DHT_CHECK(target < membership.capacity(),
@@ -134,6 +252,7 @@ void ChurnRows::audit(const SparseMembership& membership, int round,
     DHT_CHECK(generation != current || cached_id == membership.id_of(target),
               "valid routing entry caches a stale or truncated target id");
   };
+  const std::uint64_t mask = membership.key_mask();
   for (NodeSlot slot = 0; slot < membership.capacity(); ++slot) {
     if (!membership.present(slot)) {
       continue;
@@ -156,10 +275,22 @@ void ChurnRows::audit(const SparseMembership& membership, int round,
     DHT_CHECK(!due_bound || row_width_ == 0 ||
                   table_due_round_[slot] <= min_stamp + refresh_interval,
               "row due round exceeds its minimum stamp + R");
+    // A list is s consecutive ring members as of its last rebuild, taken
+    // clockwise from a point past the owner; cached ids never change, so
+    // their clockwise distances from the owner keep rising until a tiny
+    // ring wraps the list onto the owner itself.
+    std::uint64_t last_distance = 0;
     for (int t = 0; t < s_; ++t) {
       const std::uint64_t offset = successor_offset(slot, t);
-      check_entry(successors_[offset], successors_gen_[offset],
-                  successors_id_.get(offset));
+      const std::uint64_t cached_id = successors_id_.get(offset);
+      check_entry(successors_[offset], successors_gen_[offset], cached_id);
+      const std::uint64_t distance = (cached_id - owner_id) & mask;
+      if (distance == 0) {
+        break;
+      }
+      DHT_CHECK(distance > last_distance,
+                "successor list does not run clockwise from its owner");
+      last_distance = distance;
     }
     DHT_CHECK(successors_refreshed_at_[slot] <= round,
               "successor list stamped past the current round");

@@ -57,7 +57,7 @@ template <typename Id>
 inline obs::RouteFailure classify_drop(const ChurnKernelCtx<Id>& c,
                                        NodeSlot cur) {
   if (c.s > 0) {
-    const std::uint64_t base = cur * static_cast<std::uint64_t>(c.s);
+    const std::uint64_t base = c.successor_base(cur);
     for (int t = 0; t < c.s; ++t) {
       const std::uint64_t off = base + static_cast<std::uint64_t>(t);
       const NodeSlot e = c.successors[off];
@@ -82,14 +82,14 @@ struct StepResult {
 template <typename Id>
 inline void prefetch_ring_row(const ChurnKernelCtx<Id>& c, NodeSlot slot) {
   constexpr int kIdBytes = sizeof(Id);
-  const auto* row = reinterpret_cast<const char*>(
-      c.table_id + slot * static_cast<std::uint64_t>(c.row_width));
+  const auto* row =
+      reinterpret_cast<const char*>(c.table_id + c.row_base(slot));
   for (int off = 0; off < c.row_width * kIdBytes; off += 64) {
     __builtin_prefetch(row + off);
   }
   if (c.s > 0) {
-    const auto* succ = reinterpret_cast<const char*>(
-        c.successors_id + slot * static_cast<std::uint64_t>(c.s));
+    const auto* succ =
+        reinterpret_cast<const char*>(c.successors_id + c.successor_base(slot));
     for (int off = 0; off < c.s * kIdBytes; off += 64) {
       __builtin_prefetch(succ + off);
     }
@@ -108,7 +108,7 @@ inline void prefetch_xor_bucket(const ChurnKernelCtx<Id>& c, NodeSlot slot,
   }
   const int d = c.row_width / c.bucket_k;
   const std::uint64_t base =
-      slot * static_cast<std::uint64_t>(c.row_width) +
+      c.row_base(slot) +
       static_cast<std::uint64_t>(d - std::bit_width(distance)) *
           static_cast<std::uint64_t>(c.bucket_k);
   constexpr int kIdsPerLine = 64 / static_cast<int>(sizeof(Id));
@@ -140,9 +140,8 @@ inline StepResult step_clockwise(const ChurnKernelCtx<Id>& c, NodeSlot cur,
   const auto mask = static_cast<Id>(c.key_mask);
   const auto cur_key = static_cast<Id>(cur_id);
   const Id distance = (static_cast<Id>(target_id) - cur_key) & mask;
-  const std::uint64_t row_base =
-      cur * static_cast<std::uint64_t>(c.row_width);
-  const std::uint64_t succ_base = cur * static_cast<std::uint64_t>(c.s);
+  const std::uint64_t row_base = c.row_base(cur);
+  const std::uint64_t succ_base = c.successor_base(cur);
   const int m = c.row_width + c.s;
   Id progress[kMaxCandidates];
   for (int j = 0; j < c.row_width; ++j) {
@@ -200,8 +199,7 @@ template <typename Id>
 inline StepResult step_xor(const ChurnKernelCtx<Id>& c, NodeSlot cur,
                            std::uint64_t cur_id, std::uint64_t target_id) {
   const std::uint64_t cur_distance = cur_id ^ target_id;
-  const std::uint64_t row_base =
-      cur * static_cast<std::uint64_t>(c.row_width);
+  const std::uint64_t row_base = c.row_base(cur);
   const int d = c.row_width / c.bucket_k;
   std::uint64_t diff = cur_distance;
   while (diff != 0) {
@@ -220,7 +218,7 @@ inline StepResult step_xor(const ChurnKernelCtx<Id>& c, NodeSlot cur,
     }
     diff &= ~(std::uint64_t{1} << (bw - 1));
   }
-  const std::uint64_t succ_base = cur * static_cast<std::uint64_t>(c.s);
+  const std::uint64_t succ_base = c.successor_base(cur);
   for (int t = 0; t < c.s; ++t) {
     const std::uint64_t j = succ_base + static_cast<std::uint64_t>(t);
     const std::uint64_t eid = c.successors_id[j];
@@ -328,9 +326,8 @@ inline void step_batch_ring(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
     const NodeSlot cur = b.cur[l];
     const auto cur_key = static_cast<Id>(b.dist[l]);
     dist[l] = (static_cast<Id>(b.target_id[l]) - cur_key) & mask;
-    const std::uint64_t row_base =
-        cur * static_cast<std::uint64_t>(c.row_width);
-    const std::uint64_t succ_base = cur * static_cast<std::uint64_t>(c.s);
+    const std::uint64_t row_base = c.row_base(cur);
+    const std::uint64_t succ_base = c.successor_base(cur);
     Id* prog = progress[l];
     for (int j = 0; j < c.row_width; ++j) {
       prog[j] =
@@ -371,9 +368,8 @@ inline void step_batch_ring(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
       continue;
     }
     const NodeSlot cur = b.cur[l];
-    const std::uint64_t row_base =
-        cur * static_cast<std::uint64_t>(c.row_width);
-    const std::uint64_t succ_base = cur * static_cast<std::uint64_t>(c.s);
+    const std::uint64_t row_base = c.row_base(cur);
+    const std::uint64_t succ_base = c.successor_base(cur);
     Id* prog = progress[l];
     int bj = cand[l];
     for (;;) {
@@ -430,8 +426,7 @@ inline void step_batch_xor(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
     }
     const std::uint64_t target = b.target_id[l];
     const std::uint64_t cur_distance = b.dist[l] ^ target;
-    const std::uint64_t row_base =
-        b.cur[l] * static_cast<std::uint64_t>(c.row_width);
+    const std::uint64_t row_base = c.row_base(b.cur[l]);
     const int d = c.row_width / c.bucket_k;
     std::uint64_t diff = cur_distance;
     std::uint64_t found = kNoCand;
@@ -451,8 +446,7 @@ inline void step_batch_xor(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
       diff &= ~(std::uint64_t{1} << (bw - 1));
     }
     if (found == kNoCand) {
-      const std::uint64_t succ_base =
-          b.cur[l] * static_cast<std::uint64_t>(c.s);
+      const std::uint64_t succ_base = c.successor_base(b.cur[l]);
       for (int t = 0; t < c.s; ++t) {
         const std::uint64_t j = succ_base + static_cast<std::uint64_t>(t);
         if ((c.successors_id[j] ^ target) < cur_distance) {
@@ -713,6 +707,7 @@ SparseChurnWorld::SparseChurnWorld(SparseChurnGeometry geometry,
   membership_.join(joiners_, id_rng_);
   membership_.commit();
   total_joins_ += joiners_.size();
+  rows_.acquire(joiners_);
   for_each_alive(membership_, [&](NodeSlot slot) { rebuild_node(slot); });
   // Stagger refresh phases so entry ages start uniform over 0..R-1,
   // matching the q_eff derivation (and the dense world's construction).
@@ -1100,6 +1095,7 @@ void SparseChurnWorld::integrate_joiners(bool commit_always) {
   membership_.join(joiners_, id_rng_);
   membership_.commit(/*refresh_seek=*/commit_always);
   total_joins_ += joiners_.size();
+  rows_.acquire(joiners_);
   for (const NodeSlot slot : joiners_) {
     joined_at_[slot] = round_;
   }
@@ -1124,6 +1120,7 @@ void SparseChurnWorld::lifecycle_and_maintain_slot(NodeSlot slot) {
             session_.hazard(static_cast<std::int64_t>(round_) -
                             joined_at_[slot]))) {
       membership_.leave(slot);
+      rows_.release(slot);
       ++total_leaves_;
       return;
     }
@@ -1163,6 +1160,7 @@ void SparseChurnWorld::step() {
               session_.hazard(static_cast<std::int64_t>(round_) -
                               joined_at_[slot]))) {
         membership_.leave(slot);
+        rows_.release(slot);
         ++total_leaves_;
       }
     } else if (lifecycle_rng_.bernoulli(params_.rebirth_per_round)) {
@@ -1310,8 +1308,7 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx<Id>& ctx,
     // table row (rank = cell index) or its successor list (rank = -1);
     // match on slot + cached id so a recycled slot in another cell can't
     // alias the pick.
-    const std::uint64_t row_base =
-        from * static_cast<std::uint64_t>(ctx.row_width);
+    const std::uint64_t row_base = ctx.row_base(from);
     for (int j = 0; j < ctx.row_width; ++j) {
       const std::uint64_t off = row_base + static_cast<std::uint64_t>(j);
       if (ctx.table[off] == next.next && ctx.table_id[off] == next.next_id &&
@@ -1322,8 +1319,7 @@ void SparseChurnWorld::trace_route(const ChurnKernelCtx<Id>& ctx,
       }
     }
     if (hop.rank < 0) {
-      const std::uint64_t succ_base =
-          from * static_cast<std::uint64_t>(ctx.s);
+      const std::uint64_t succ_base = ctx.successor_base(from);
       for (int t = 0; t < ctx.s; ++t) {
         const std::uint64_t off = succ_base + static_cast<std::uint64_t>(t);
         if (ctx.successors[off] == next.next &&
@@ -1539,8 +1535,9 @@ sparse::SparseEstimate SparseChurnWorld::inflight_round(
   }
   sparse::SparseEstimate estimate;
   // The ctx pointers stay valid while the world moves: the per-slot
-  // arrays never resize, and membership mutations (leave / join) update
-  // the packed epoch structure in place.  Ids can change only on rejoin,
+  // arrays never resize, rows never move (a leave or join only rewrites
+  // the slot's entry in the slot -> row map), and membership mutations
+  // (leave / join) update the packed epoch structure in place.  Ids can change only on rejoin,
   // which happens at lookup boundaries -- never mid-route -- so the
   // cached-id kernels' carried identifiers cannot go stale in flight.
   const ChurnKernelCtx<Id> ctx = rows_.kernel_view<Id>(membership_);

@@ -94,8 +94,8 @@ class SparseChurnWorld {
                    double repair_probability, std::uint64_t max_hops,
                    const math::Rng& rng);
 
-  /// Bytes one world of (geometry, config) allocates up front: its routing
-  /// rows (ChurnRows::bytes_for), its membership
+  /// Bytes one world of (geometry, config) can occupy: its routing rows
+  /// with every slot present (ChurnRows::bytes_for), its membership
   /// (SparseMembership::bytes_for), and its per-slot join rounds and load
   /// counters.  Saturates at UINT64_MAX.
   static std::uint64_t footprint_bytes(SparseChurnGeometry geometry,
@@ -156,7 +156,7 @@ class SparseChurnWorld {
   /// violation: the membership's order index (SparseMembership::audit)
   /// and the routing rows (ChurnRows::audit; the due-round bound only on
   /// rho = 0 worlds, the only ones that maintain it).
-  /// O(capacity x row width); for tests.
+  /// O(capacity + population x row width); for tests.
   void audit() const;
 
   /// Cumulative membership turnover (diagnostics).
