@@ -126,16 +126,21 @@
 //        A/B measurement of the instrumentation overhead itself)
 //        All flags are validated here at the parse boundary -- a bad value
 //        gets a one-line diagnostic instead of a deep engine abort.
+//        Numbers parse strictly (common/flags.hpp): "--bits 20x",
+//        "--q 0.1abc" or "--refresh 30.5" exit 1, as does any --pin or
+//        --obs value but 0 or 1.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/flags.hpp"
 #include "churn/sparse_trajectory.hpp"
 #include "churn/trajectory.hpp"
 #include "math/rng.hpp"
@@ -215,21 +220,18 @@ std::vector<unsigned> parse_thread_list(const char* arg) {
   return out;
 }
 
-// Strict non-negative integer parse for u64-valued flags.  strtoull alone
-// would silently wrap "-1" to 2^64-1 and accept trailing garbage; both used
-// to sail through here and abort much later inside an engine DHT_CHECK.
-std::uint64_t parse_u64_flag(const char* flag, const char* value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (value[0] == '-' || end == value || *end != '\0') {
-    std::fprintf(stderr, "%s needs a non-negative integer, got %s\n", flag,
-                 value);
+// Exits with status 1 when a flag's value did not parse; the parser has
+// already said why on stderr.
+void require(bool parsed) {
+  if (!parsed) {
     std::exit(1);
   }
-  return v;
 }
 
 Config parse_args(int argc, char** argv) {
+  constexpr const char* kCommand = "perf_simulator";
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
   Config cfg;
   for (int i = 1; i < argc; i += 2) {
     const std::string flag = argv[i];
@@ -237,27 +239,22 @@ Config parse_args(int argc, char** argv) {
       std::fprintf(stderr, "flag %s requires a value\n", flag.c_str());
       std::exit(1);
     }
+    const char* name = argv[i];
     const char* value = argv[i + 1];
     if (flag == "--bits") {
-      cfg.bits = std::atoi(value);
-      if (cfg.bits < 1 || cfg.bits > 26) {
-        std::fprintf(stderr, "--bits must be in [1, 26], got %s\n", value);
-        std::exit(1);
-      }
+      require(common::parse_int_flag(kCommand, name, value, 1, 26, cfg.bits));
     } else if (flag == "--q") {
-      cfg.q = std::atof(value);
+      require(common::parse_double_flag(kCommand, name, value, cfg.q));
       if (!(cfg.q >= 0.0 && cfg.q < 1.0)) {
         std::fprintf(stderr, "--q must be in [0, 1), got %s\n", value);
         std::exit(1);
       }
     } else if (flag == "--pairs") {
-      cfg.pairs = parse_u64_flag("--pairs", value);
-      if (cfg.pairs == 0) {
-        std::fprintf(stderr, "--pairs must be >= 1, got %s\n", value);
-        std::exit(1);
-      }
+      require(
+          common::parse_u64_flag(kCommand, name, value, 1, kU64Max, cfg.pairs));
     } else if (flag == "--seed") {
-      cfg.seed = parse_u64_flag("--seed", value);
+      require(
+          common::parse_u64_flag(kCommand, name, value, 0, kU64Max, cfg.seed));
     } else if (flag == "--threads") {
       cfg.threads = parse_thread_list(value);
       if (cfg.threads.empty()) {
@@ -266,95 +263,66 @@ Config parse_args(int argc, char** argv) {
         std::exit(1);
       }
     } else if (flag == "--churn-bits") {
-      cfg.churn_bits = std::atoi(value);
-      if (cfg.churn_bits < 1 || cfg.churn_bits > 26) {
-        std::fprintf(stderr, "--churn-bits must be in [1, 26], got %s\n",
-                     value);
-        std::exit(1);
-      }
+      require(common::parse_int_flag(kCommand, name, value, 1, 26,
+                                     cfg.churn_bits));
     } else if (flag == "--churn-rounds") {
-      cfg.churn_rounds = std::atoi(value);
-      if (cfg.churn_rounds < 0) {
-        std::fprintf(stderr,
-                     "--churn-rounds must be >= 0 (0 disables), got %s\n",
-                     value);
-        std::exit(1);
-      }
+      // 0 disables the section.
+      require(common::parse_int_flag(kCommand, name, value, 0, kIntMax,
+                                     cfg.churn_rounds));
     } else if (flag == "--sparse-bits") {
-      cfg.sparse_bits = std::atoi(value);
-      if (cfg.sparse_bits < 1 || cfg.sparse_bits > 63) {
-        std::fprintf(stderr, "--sparse-bits must be in [1, 63], got %s\n",
-                     value);
-        std::exit(1);
-      }
+      require(common::parse_int_flag(kCommand, name, value, 1, 63,
+                                     cfg.sparse_bits));
     } else if (flag == "--sparse-n-max") {
-      cfg.sparse_n_max = parse_u64_flag("--sparse-n-max", value);
+      require(common::parse_u64_flag(kCommand, name, value, 0, kU64Max,
+                                     cfg.sparse_n_max));
     } else if (flag == "--sparse-churn-n") {
-      cfg.sparse_churn_n = parse_u64_flag("--sparse-churn-n", value);
-      if (cfg.sparse_churn_n > (std::uint64_t{1} << 24)) {
-        std::fprintf(stderr,
-                     "--sparse-churn-n must be <= 2^24 (the slot roster "
-                     "needs capacity headroom under 2^26), got %s\n",
-                     value);
-        std::exit(1);
-      }
+      // At most 2^24: the slot roster needs capacity headroom under 2^26.
+      require(common::parse_u64_flag(kCommand, name, value, 0,
+                                     std::uint64_t{1} << 24,
+                                     cfg.sparse_churn_n));
     } else if (flag == "--sparse-churn-rounds") {
-      cfg.sparse_churn_rounds = std::atoi(value);
-      if (cfg.sparse_churn_rounds < 0) {
-        std::fprintf(
-            stderr, "--sparse-churn-rounds must be >= 0 (0 disables), got %s\n",
-            value);
-        std::exit(1);
-      }
+      // 0 disables the section.
+      require(common::parse_int_flag(kCommand, name, value, 0, kIntMax,
+                                     cfg.sparse_churn_rounds));
     } else if (flag == "--zipf") {
-      cfg.zipf = std::atof(value);
-      if (!(std::isfinite(cfg.zipf) && cfg.zipf >= 0.0)) {
+      require(common::parse_double_flag(kCommand, name, value, cfg.zipf));
+      if (!(cfg.zipf >= 0.0)) {
         std::fprintf(stderr, "--zipf must be a finite skew >= 0, got %s\n",
                      value);
         std::exit(1);
       }
     } else if (flag == "--workload-objects") {
-      cfg.workload_objects = parse_u64_flag("--workload-objects", value);
-      if (cfg.workload_objects > (std::uint64_t{1} << 26)) {
-        std::fprintf(stderr, "--workload-objects must be <= 2^26, got %s\n",
-                     value);
-        std::exit(1);
-      }
+      require(common::parse_u64_flag(kCommand, name, value, 0,
+                                     std::uint64_t{1} << 26,
+                                     cfg.workload_objects));
     } else if (flag == "--cache-entries") {
-      const std::uint64_t entries = parse_u64_flag("--cache-entries", value);
-      if (entries > sparse::SparseWorkloadOptions::kMaxCacheEntries) {
-        std::fprintf(stderr, "--cache-entries must be in [0, 1024], got %s\n",
-                     value);
-        std::exit(1);
-      }
-      cfg.cache_entries = static_cast<int>(entries);
+      require(common::parse_int_flag(
+          kCommand, name, value, 0,
+          sparse::SparseWorkloadOptions::kMaxCacheEntries, cfg.cache_entries));
     } else if (flag == "--replicas") {
-      cfg.replicas = std::atoi(value);
-      if (cfg.replicas < 1 || cfg.replicas > 64) {
-        std::fprintf(stderr, "--replicas must be in [1, 64], got %s\n",
-                     value);
-        std::exit(1);
-      }
+      require(
+          common::parse_int_flag(kCommand, name, value, 1, 64, cfg.replicas));
     } else if (flag == "--pd") {
-      cfg.pd = std::atof(value);
+      require(common::parse_double_flag(kCommand, name, value, cfg.pd));
       if (!(cfg.pd > 0.0 && cfg.pd < 1.0)) {
         std::fprintf(stderr, "--pd must be in (0, 1), got %s\n", value);
         std::exit(1);
       }
     } else if (flag == "--pr") {
-      cfg.pr = std::atof(value);
+      require(common::parse_double_flag(kCommand, name, value, cfg.pr));
       if (!(cfg.pr > 0.0 && cfg.pr < 1.0)) {
         std::fprintf(stderr, "--pr must be in (0, 1), got %s\n", value);
         std::exit(1);
       }
     } else if (flag == "--refresh") {
-      cfg.refresh = std::atoi(value);
-      if (cfg.refresh < 1) {
-        std::fprintf(stderr, "--refresh must be >= 1, got %s\n", value);
+      require(common::parse_int_flag(kCommand, name, value, 1, kIntMax,
+                                     cfg.refresh));
+    } else if (flag == "--pin") {
+      if (std::strcmp(value, "0") != 0 && std::strcmp(value, "1") != 0) {
+        std::fprintf(stderr, "--pin must be 0 or 1, got %s\n", value);
         std::exit(1);
       }
-    } else if (flag == "--pin") {
-      cfg.pin = std::atoi(value) != 0;
+      cfg.pin = std::strcmp(value, "1") == 0;
     } else if (flag == "--trace-out") {
       cfg.trace_out = value;
     } else if (flag == "--obs") {

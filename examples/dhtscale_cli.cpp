@@ -47,8 +47,6 @@
 //   latency <geometry> <d> <q>        chain-predicted hops of survivors
 //
 // Geometries: tree | hypercube | xor | ring | symphony.
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -62,6 +60,7 @@
 
 #include "churn/sparse_trajectory.hpp"
 #include "churn/trajectory.hpp"
+#include "common/flags.hpp"
 #include "common/strfmt.hpp"
 #include "sparse/density_analysis.hpp"
 #include "sparse/flat_sparse.hpp"
@@ -84,6 +83,9 @@
 namespace {
 
 using namespace dht;
+using common::parse_double_flag;
+using common::parse_int_flag;
+using common::parse_u64_flag;
 
 int usage() {
   std::cerr <<
@@ -136,59 +138,6 @@ bool validate_lifecycle_args(const char* command, double pd, double pr,
               << "\n";
     return false;
   }
-  return true;
-}
-
-// Strict integer flag parsing: the whole of `text` must be a base-10
-// integer in [lo, hi] (atoi would read "abc" as 0 and "5x" as 5).
-bool parse_int_flag(const char* command, const char* flag, const char* text,
-                    int lo, int hi, int& out) {
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
-      value > hi) {
-    std::cerr << command << ": " << flag << " must be an integer in [" << lo
-              << ", " << hi << "], got " << text << "\n";
-    return false;
-  }
-  out = static_cast<int>(value);
-  return true;
-}
-
-// Strict unsigned flag parsing: the whole of `text` must be base-10 digits
-// with a value in [lo, hi] (strtoull alone accepts "5x" as 5 and wraps
-// "-1" to 2^64 - 1).
-bool parse_u64_flag(const char* command, const char* flag, const char* text,
-                    std::uint64_t lo, std::uint64_t hi, std::uint64_t& out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
-      errno == ERANGE || value < lo || value > hi) {
-    std::cerr << command << ": " << flag << " must be an integer in [" << lo
-              << ", " << hi << "], got " << text << "\n";
-    return false;
-  }
-  out = value;
-  return true;
-}
-
-// Strict real flag parsing: the whole of `text` must be one finite number
-// (atof would read "abc" as 0 and "0.5x" as 0.5).  Domain checks stay with
-// the command.
-bool parse_double_flag(const char* command, const char* flag,
-                       const char* text, double& out) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(value)) {
-    std::cerr << command << ": " << flag << " must be a finite number, got "
-              << text << "\n";
-    return false;
-  }
-  out = value;
   return true;
 }
 
