@@ -140,9 +140,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/flags.hpp"
 #include "churn/sparse_trajectory.hpp"
 #include "churn/trajectory.hpp"
+#include "common/flags.hpp"
 #include "math/rng.hpp"
 #include "obs/failure.hpp"
 #include "obs/phase_timer.hpp"

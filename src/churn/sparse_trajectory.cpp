@@ -384,6 +384,9 @@ inline void step_batch_ring(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
       const NodeSlot entry = in_row ? c.table[off] : c.successors[off];
       const std::uint32_t gen =
           in_row ? c.table_gen[off] : c.successors_gen[off];
+      // Overlap the next hop's row-map load with this validity probe
+      // (admissible candidates are never empty cells, so entry is a slot).
+      __builtin_prefetch(&c.row_of[entry]);
       if (ctx_entry_valid(c, entry, gen)) {
         b.cur[l] = entry;
         b.dist[l] = in_row ? c.table_id[off] : c.successors_id[off];
@@ -476,6 +479,10 @@ inline void step_batch_xor(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
     const NodeSlot entry = in_succ ? c.successors[j] : c.table[j];
     const std::uint32_t gen =
         in_succ ? c.successors_gen[j] : c.table_gen[j];
+    // Overlap the next hop's row-map load with this validity probe (a
+    // strictly closer cached id is never an empty cell's, so entry is a
+    // slot).
+    __builtin_prefetch(&c.row_of[entry]);
     StepResult hop;
     if (ctx_entry_valid(c, entry, gen)) {
       hop = {entry, in_succ ? c.successors_id[j] : c.table_id[j]};
