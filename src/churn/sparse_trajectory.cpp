@@ -88,8 +88,8 @@ inline void prefetch_ring_row(const ChurnKernelCtx<Id>& c, NodeSlot slot) {
     __builtin_prefetch(row + off);
   }
   if (c.s > 0) {
-    const auto* succ =
-        reinterpret_cast<const char*>(c.successors_id + c.successor_base(slot));
+    const auto* succ = reinterpret_cast<const char*>(
+        c.successors_id + c.successor_base(slot));
     for (int off = 0; off < c.s * kIdBytes; off += 64) {
       __builtin_prefetch(succ + off);
     }
@@ -1544,9 +1544,10 @@ sparse::SparseEstimate SparseChurnWorld::inflight_round(
   // The ctx pointers stay valid while the world moves: the per-slot
   // arrays never resize, rows never move (a leave or join only rewrites
   // the slot's entry in the slot -> row map), and membership mutations
-  // (leave / join) update the packed epoch structure in place.  Ids can change only on rejoin,
-  // which happens at lookup boundaries -- never mid-route -- so the
-  // cached-id kernels' carried identifiers cannot go stale in flight.
+  // (leave / join) update the packed epoch structure in place.  Ids can
+  // change only on rejoin, which happens at lookup boundaries -- never
+  // mid-route -- so the cached-id kernels' carried identifiers cannot go
+  // stale in flight.
   const ChurnKernelCtx<Id> ctx = rows_.kernel_view<Id>(membership_);
   const StepFn<Id> kernel = step_kernel<Id>(geometry_);
   // In-flight route through the shared single-route core: the holder's
