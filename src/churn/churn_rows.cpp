@@ -12,9 +12,14 @@ namespace dht::churn {
 
 namespace {
 
-// Column alignment inside the reservation: one page, so no page holds two
-// columns' rows.
-constexpr std::uint64_t kColumnAlign = 4096;
+// Column alignment inside the reservation, which itself starts on a huge
+// page: one huge page.  No page then holds two columns' rows, and which of
+// a cohort's rows land on whole huge pages follows from the layout alone,
+// the same in every process; at page alignment it would move with the
+// mapping's address, and the share of the kernels' working set on small
+// pages with it.  The padding is address space only: its pages are never
+// touched.
+constexpr std::uint64_t kColumnAlign = common::kHugePageBytes;
 
 std::uint64_t column_span(std::uint64_t cells, std::uint64_t cell_bytes) {
   return (cells * cell_bytes + kColumnAlign - 1) & ~(kColumnAlign - 1);
@@ -53,7 +58,7 @@ ChurnRows::ChurnRows(SparseChurnGeometry geometry,
       s_(config.successors),
       layout_(layout_for(row_width_, s_, narrow_ids_for(config),
                          config.capacity)),
-      arena_(layout_.bytes) {
+      arena_(layout_.bytes, common::kHugePageBytes) {
   const std::uint64_t capacity = config.capacity;
   row_of_.assign(capacity, kNoRow);
   free_rows_.reserve(capacity);

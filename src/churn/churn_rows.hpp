@@ -19,7 +19,9 @@
 // availability a), not the roster.  The rows a cohort takes past the
 // high-water mark are advised onto huge pages before they are filled --
 // whole huge pages only, so the initial cohort's rows get them and the few
-// rows later growth adds take small ones.  Rows never move: pointers into
+// rows later growth adds take small ones.  The reservation and each of its
+// columns start on a huge page, so which rows those are follows from the
+// layout alone, the same in every process.  Rows never move: pointers into
 // them stay valid while the world steps.  The footprint check
 // (bytes_for) still charges every row of the reservation: all slots
 // present is the worst case.  Row placement feeds no decision, so
@@ -291,7 +293,7 @@ class ChurnRows {
 
  private:
   // Byte offsets of the seven columns inside the reservation (each column
-  // page-aligned, so a column's pages hold only its own rows) and its
+  // huge-page-aligned, so a column's pages hold only its own rows) and its
   // total size.
   struct Layout {
     std::uint64_t table, table_gen, table_id, refreshed_at;

@@ -25,10 +25,13 @@
 
 namespace dht::common {
 
+/// The transparent huge page size the advice below aims at.
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
 /// Advises the 2MB-aligned interior of [p, p + bytes) onto huge pages.
 inline void advise_hugepages(void* p, std::size_t bytes) {
 #if defined(__linux__) && defined(MADV_HUGEPAGE)
-  constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
+  constexpr std::uintptr_t kHugePage = kHugePageBytes;
   const std::uintptr_t begin = reinterpret_cast<std::uintptr_t>(p);
   const std::uintptr_t lo = (begin + kHugePage - 1) & ~(kHugePage - 1);
   const std::uintptr_t hi = (begin + bytes) & ~(kHugePage - 1);

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -25,37 +26,46 @@ namespace dht::common {
 
 class PageBuffer {
  public:
-  /// Maps `bytes` zero-filled bytes; throws std::bad_alloc on failure.
-  explicit PageBuffer(std::size_t bytes) : bytes_(bytes) {
+  /// Maps `bytes` zero-filled bytes starting at a multiple of `align` (a
+  /// power of two; 0 takes what the mapping gives, at least page-aligned);
+  /// throws std::bad_alloc on failure.  Alignment costs `align` bytes of
+  /// address space, never touched.
+  explicit PageBuffer(std::size_t bytes, std::size_t align = 0)
+      : mapped_bytes_(bytes == 0 ? 0 : bytes + align) {
     if (bytes == 0) {
       return;
     }
 #if defined(__linux__)
-    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+    void* p = ::mmap(nullptr, mapped_bytes_, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (p == MAP_FAILED) {
       throw std::bad_alloc();
     }
-    data_ = p;
+    mapped_ = p;
 #else
-    data_ = std::calloc(bytes, 1);
-    if (data_ == nullptr) {
+    mapped_ = std::calloc(mapped_bytes_, 1);
+    if (mapped_ == nullptr) {
       throw std::bad_alloc();
     }
 #endif
+    std::uintptr_t begin = reinterpret_cast<std::uintptr_t>(mapped_);
+    if (align != 0) {
+      begin = (begin + align - 1) & ~(std::uintptr_t{align} - 1);
+    }
+    data_ = reinterpret_cast<void*>(begin);
   }
 
   PageBuffer(const PageBuffer&) = delete;
   PageBuffer& operator=(const PageBuffer&) = delete;
 
   ~PageBuffer() {
-    if (data_ == nullptr) {
+    if (mapped_ == nullptr) {
       return;
     }
 #if defined(__linux__)
-    (void)::munmap(data_, bytes_);
+    (void)::munmap(mapped_, mapped_bytes_);
 #else
-    std::free(data_);
+    std::free(mapped_);
 #endif
   }
 
@@ -66,8 +76,10 @@ class PageBuffer {
   }
 
  private:
+  // The whole mapping, and the aligned start inside it that as() returns.
+  void* mapped_ = nullptr;
+  std::size_t mapped_bytes_ = 0;
   void* data_ = nullptr;
-  std::size_t bytes_ = 0;
 };
 
 }  // namespace dht::common

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -20,6 +21,8 @@
 #include "churn/sparse_trajectory.hpp"
 #include "churn/trajectory.hpp"
 #include "common/check.hpp"
+#include "common/hugepage.hpp"
+#include "common/page_buffer.hpp"
 #include "core/registry.hpp"
 #include "math/rng.hpp"
 #include "sim/parallel_monte_carlo.hpp"
@@ -1319,6 +1322,28 @@ TEST(SparseChurn, FootprintMatchesRowLayoutAndRejectsImpossibleConfigs) {
                                            {.shards = 1, .threads = 1},
                                            math::Rng(3)),
                std::invalid_argument);
+}
+
+TEST(SparseChurn, RowColumnsStartOnHugePages) {
+  // Which rows land on whole huge pages follows from the layout alone only
+  // when the reservation and every column start on a huge page boundary,
+  // wherever the kernel places the mapping.  Row 0 of a column is the
+  // column's first byte.
+  const common::PageBuffer buffer(5000, common::kHugePageBytes);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buffer.as<char>()) %
+                common::kHugePageBytes,
+            0u);
+  buffer.as<char>()[4999] = 1;
+  const SparseChurnConfig config{
+      .bits = 32, .capacity = 1000, .successors = 4, .shortcuts = 4};
+  for (const SparseChurnGeometry geometry :
+       {SparseChurnGeometry::kChord, SparseChurnGeometry::kSymphony}) {
+    ChurnRows rows(geometry, config);
+    rows.acquire({0});
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(rows.row_stamps(0)) %
+                  common::kHugePageBytes,
+              0u);
+  }
 }
 
 TEST(SparseChurn, GeometryNamesRoundTrip) {
