@@ -103,9 +103,9 @@
 //
 // Flags: --bits D (16)  --q Q (0.1)  --pairs P (200000)  --seed S (1)
 //        --threads a,b,c (1,2,4,8)  --geometry NAME|all (ring,xor,hypercube)
-//        --pin 0|1 (0: pin workers round-robin across NUMA nodes and
-//        replicate read-only sparse tables per socket; a best-effort no-op
-//        on machines without pinning support, and never affects results)
+//        --pin 0|1 (0: pin workers round-robin across NUMA nodes; a
+//        best-effort no-op on machines without pinning support, and never
+//        affects results)
 //        --churn-bits D (12)  --churn-rounds R (4, 0 disables the section)
 //        --sparse-bits D (32)  --sparse-n-max N (1048576, 0 disables the
 //        sparse AND sparse_workload sections; the grid is 2^14, 2^17, 2^20
@@ -127,8 +127,9 @@
 //        All flags are validated here at the parse boundary -- a bad value
 //        gets a one-line diagnostic instead of a deep engine abort.
 //        Numbers parse strictly (common/flags.hpp): "--bits 20x",
-//        "--q 0.1abc" or "--refresh 30.5" exit 1, as does any --pin or
-//        --obs value but 0 or 1.
+//        "--q 0.1abc" or "--refresh 30.5" exit 1, as does a --threads
+//        element that is not an integer >= 1 ("1x", "0,2") and any --pin
+//        or --obs value but 0 or 1.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -189,8 +190,7 @@ struct Config {
   std::uint64_t workload_objects = 0;  // 0 = one object per alive node
   int cache_entries = 8;
   int replicas = 3;
-  // Topology-aware scheduling: pin workers round-robin across NUMA nodes
-  // and give each socket its own read-only copy of the sparse tables.
+  // Topology-aware scheduling: pin workers round-robin across NUMA nodes.
   // Scheduling only -- estimates are bit-identical either way.
   bool pin = false;
   // Chrome trace_event JSON output of the engine phase spans ("" = off).
@@ -203,21 +203,28 @@ struct Config {
   bool obs = true;
 };
 
-std::vector<unsigned> parse_thread_list(const char* arg) {
-  std::vector<unsigned> out;
-  const char* p = arg;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(p, &end, 10);
-    if (end == p) {
-      break;
+// The --threads list: comma-separated, every element a whole integer >= 1
+// ("1x", "1,abc" and "0,2" are rejected, not read as a shorter list).
+bool parse_thread_list(const char* command, const char* flag,
+                       const char* arg, std::vector<unsigned>& out) {
+  out.clear();
+  const std::string list = arg;
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t comma = list.find(',', begin);
+    const std::string item = list.substr(begin, comma - begin);
+    std::uint64_t threads = 0;
+    if (!common::parse_u64_flag(command, flag, item.c_str(), 1,
+                                std::numeric_limits<unsigned>::max(),
+                                threads)) {
+      return false;
     }
-    if (v > 0) {
-      out.push_back(static_cast<unsigned>(v));
+    out.push_back(static_cast<unsigned>(threads));
+    if (comma == std::string::npos) {
+      return true;
     }
-    p = (*end == ',') ? end + 1 : end;
+    begin = comma + 1;
   }
-  return out;
 }
 
 // Exits with status 1 when a flag's value did not parse; the parser has
@@ -256,12 +263,7 @@ Config parse_args(int argc, char** argv) {
       require(
           common::parse_u64_flag(kCommand, name, value, 0, kU64Max, cfg.seed));
     } else if (flag == "--threads") {
-      cfg.threads = parse_thread_list(value);
-      if (cfg.threads.empty()) {
-        std::fprintf(stderr, "--threads needs a comma-separated list of "
-                             "positive counts, e.g. 1,2,4,8\n");
-        std::exit(1);
-      }
+      require(parse_thread_list(kCommand, name, value, cfg.threads));
     } else if (flag == "--churn-bits") {
       require(common::parse_int_flag(kCommand, name, value, 1, 26,
                                      cfg.churn_bits));
@@ -496,8 +498,7 @@ bool run_sparse_section(const Config& cfg, obs::Trace* trace) {
         sparse::SparseParallelOptions options{
             .pairs = cfg.pairs,
             .threads = threads,
-            .pin_workers = cfg.pin,
-            .numa_replicate_tables = cfg.pin};
+            .pin_workers = cfg.pin};
         options.profile = cfg.obs ? &profile : nullptr;
         options.trace = cfg.obs ? trace : nullptr;
         const auto start = std::chrono::steady_clock::now();
@@ -585,8 +586,7 @@ bool run_sparse_workload_section(const Config& cfg, obs::Trace* trace) {
             // Fixed shard count: results are a function of (seed, shards),
             // and per-shard caches warm with the shard's draw stream.
             .shards = 64,
-            .pin_workers = cfg.pin,
-            .numa_replicate_tables = cfg.pin};
+            .pin_workers = cfg.pin};
         options.workload.zipf_s = cfg.zipf;
         options.workload.objects = cfg.workload_objects;
         options.workload.cache_entries = cache_entries;

@@ -87,6 +87,20 @@ using common::parse_double_flag;
 using common::parse_int_flag;
 using common::parse_u64_flag;
 
+constexpr std::uint64_t kAnyU64 = std::numeric_limits<std::uint64_t>::max();
+
+// Every subcommand's --threads: a whole integer in [0, UINT_MAX], 0 meaning
+// hardware concurrency.
+bool parse_threads(const char* command, const char* text, unsigned& out) {
+  std::uint64_t value = 0;
+  if (!parse_u64_flag(command, "--threads", text, 0,
+                      std::numeric_limits<unsigned>::max(), value)) {
+    return false;
+  }
+  out = static_cast<unsigned>(value);
+  return true;
+}
+
 int usage() {
   std::cerr <<
       "usage: dhtscale_cli <command> [...]\n"
@@ -683,7 +697,9 @@ int main(int argc, char** argv) {
       std::vector<std::string> positional;
       for (int i = 5; i < argc; ++i) {
         if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
-          threads = static_cast<unsigned>(std::atoi(argv[i + 1]));
+          if (!parse_threads("simulate", argv[i + 1], threads)) {
+            return 1;
+          }
           ++i;
         } else {
           positional.emplace_back(argv[i]);
@@ -712,10 +728,15 @@ int main(int argc, char** argv) {
       for (int i = 6; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--threads" && i + 1 < argc) {
-          threads = static_cast<unsigned>(std::atoi(argv[i + 1]));
+          if (!parse_threads("sparse", argv[i + 1], threads)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--shards" && i + 1 < argc) {
-          shards = std::strtoull(argv[i + 1], nullptr, 10);
+          if (!parse_u64_flag("sparse", "--shards", argv[i + 1], 0, kAnyU64,
+                              shards)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--zipf" && i + 1 < argc) {
           zipf_s = std::atof(argv[i + 1]);
@@ -761,10 +782,15 @@ int main(int argc, char** argv) {
       for (int i = 7; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--threads" && i + 1 < argc) {
-          threads = static_cast<unsigned>(std::atoi(argv[i + 1]));
+          if (!parse_threads("churn", argv[i + 1], threads)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--shards" && i + 1 < argc) {
-          shards = std::strtoull(argv[i + 1], nullptr, 10);
+          if (!parse_u64_flag("churn", "--shards", argv[i + 1], 0, kAnyU64,
+                              shards)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--rho" && i + 1 < argc) {
           rho = std::atof(argv[i + 1]);
@@ -806,17 +832,12 @@ int main(int argc, char** argv) {
       std::uint64_t trace_routes = 0;
       std::string trace_out;
       std::vector<std::string> positional;
-      constexpr std::uint64_t kAnyU64 =
-          std::numeric_limits<std::uint64_t>::max();
       for (int i = 8; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--threads" && i + 1 < argc) {
-          std::uint64_t value = 0;
-          if (!parse_u64_flag("sparse-churn", "--threads", argv[i + 1], 0,
-                              std::numeric_limits<unsigned>::max(), value)) {
+          if (!parse_threads("sparse-churn", argv[i + 1], threads)) {
             return 1;
           }
-          threads = static_cast<unsigned>(value);
           ++i;
         } else if (arg == "--shards" && i + 1 < argc) {
           if (!parse_u64_flag("sparse-churn", "--shards", argv[i + 1], 0,

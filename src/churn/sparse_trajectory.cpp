@@ -10,6 +10,7 @@
 #include "common/check.hpp"
 #include "common/memory.hpp"
 #include "common/strfmt.hpp"
+#include "sim/lanes.hpp"
 #include "sim/shard_pool.hpp"
 #include "sparse/flat_sparse.hpp"
 
@@ -18,8 +19,8 @@ namespace dht::churn {
 namespace {
 
 namespace flat = sparse::flat;
-using flat::RouteBatch;
-using flat::SparseRouteStatus;
+using flat::Lanes;
+using sim::RouteStatus;
 
 // Upper bound on a greedy-ring candidate set: the table row (<= 63
 // entries; bits <= 63, shortcuts capped at 64) plus the successor list
@@ -132,18 +133,20 @@ inline void prefetch_xor_bucket(const ChurnKernelCtx<Id>& c, NodeSlot slot,
 // Progress runs at the id columns' width: with Id = u32 (bits <= 32) every
 // id and the key mask fit, and (a - b) mod 2^bits depends only on a and b
 // mod 2^bits, so the narrow lattice orders candidates exactly like the
-// 64-bit one.
+// 64-bit one.  The scalar and batch kernels share the lattice helpers
+// below.
+
+// Fills cur's progress lattice -- cells 0 .. row_width-1 are the table
+// row, the next s the successor list -- and returns the distance to the
+// target.
 template <typename Id>
-inline StepResult step_clockwise(const ChurnKernelCtx<Id>& c, NodeSlot cur,
-                                 std::uint64_t cur_id,
-                                 std::uint64_t target_id) {
+inline Id fill_progress(const ChurnKernelCtx<Id>& c, NodeSlot cur,
+                        std::uint64_t cur_id, std::uint64_t target_id,
+                        Id* progress) {
   const auto mask = static_cast<Id>(c.key_mask);
   const auto cur_key = static_cast<Id>(cur_id);
-  const Id distance = (static_cast<Id>(target_id) - cur_key) & mask;
   const std::uint64_t row_base = c.row_base(cur);
   const std::uint64_t succ_base = c.successor_base(cur);
-  const int m = c.row_width + c.s;
-  Id progress[kMaxCandidates];
   for (int j = 0; j < c.row_width; ++j) {
     progress[j] =
         (c.table_id[row_base + static_cast<std::uint64_t>(j)] - cur_key) &
@@ -155,33 +158,78 @@ inline StepResult step_clockwise(const ChurnKernelCtx<Id>& c, NodeSlot cur,
          cur_key) &
         mask;
   }
-  for (;;) {
-    // Admissible: 1 <= p <= distance, as the single wrap-around compare
-    // p - 1 < distance (p = 0 wraps past every distance <= the mask).
-    Id best = 0;
-    int bj = -1;
-    for (int j = 0; j < m; ++j) {
-      const Id p = progress[j];
-      if (p - 1 < distance && p > best) {
-        best = p;
-        bj = j;
-      }
+  return (static_cast<Id>(target_id) - cur_key) & mask;
+}
+
+// The max-progress admissible lattice cell, or -1.  Admissible:
+// 1 <= p <= distance, as the single wrap-around compare p - 1 < distance
+// (p = 0 wraps past every distance <= the mask).
+template <typename Id>
+inline int best_admissible(const ChurnKernelCtx<Id>& c, const Id* progress,
+                           Id distance) {
+  const int m = c.row_width + c.s;
+  Id best = 0;
+  int bj = -1;
+  for (int j = 0; j < m; ++j) {
+    const Id p = progress[j];
+    if (p - 1 < distance && p > best) {
+      best = p;
+      bj = j;
     }
-    if (bj < 0) {
-      return {};
-    }
-    const bool in_row = bj < c.row_width;
-    const std::uint64_t off =
-        in_row ? row_base + static_cast<std::uint64_t>(bj)
-               : succ_base + static_cast<std::uint64_t>(bj - c.row_width);
-    const NodeSlot entry = in_row ? c.table[off] : c.successors[off];
+  }
+  return bj;
+}
+
+// Where lattice cell j of cur lives: its offset in the table columns (a
+// row cell) or the successor columns.
+struct LatticeCell {
+  std::uint64_t off = 0;
+  bool in_row = true;
+};
+
+template <typename Id>
+inline LatticeCell lattice_cell(const ChurnKernelCtx<Id>& c, NodeSlot cur,
+                                int j) {
+  if (j < c.row_width) {
+    return {c.row_base(cur) + static_cast<std::uint64_t>(j), true};
+  }
+  return {c.successor_base(cur) + static_cast<std::uint64_t>(j - c.row_width),
+          false};
+}
+
+// Probes admissible cells in decreasing-progress order, starting at `bj`
+// (best_admissible's pick): the first valid entry is the hop; a failed
+// probe excludes its cell and rescans.  No hop once none is left.
+template <typename Id>
+inline StepResult resolve_clockwise(const ChurnKernelCtx<Id>& c,
+                                    NodeSlot cur, Id* progress, Id distance,
+                                    int bj) {
+  for (; bj >= 0; bj = best_admissible(c, progress, distance)) {
+    const LatticeCell cell = lattice_cell(c, cur, bj);
+    const NodeSlot entry =
+        cell.in_row ? c.table[cell.off] : c.successors[cell.off];
     const std::uint32_t gen =
-        in_row ? c.table_gen[off] : c.successors_gen[off];
+        cell.in_row ? c.table_gen[cell.off] : c.successors_gen[cell.off];
+    // Overlap the next hop's row-map load with this validity probe
+    // (admissible candidates are never empty cells, so entry is a slot).
+    __builtin_prefetch(&c.row_of[entry]);
     if (ctx_entry_valid(c, entry, gen)) {
-      return {entry, in_row ? c.table_id[off] : c.successors_id[off]};
+      return {entry,
+              cell.in_row ? c.table_id[cell.off] : c.successors_id[cell.off]};
     }
     progress[bj] = 0;  // dead candidate: exclude and rescan
   }
+  return {};
+}
+
+template <typename Id>
+inline StepResult step_clockwise(const ChurnKernelCtx<Id>& c, NodeSlot cur,
+                                 std::uint64_t cur_id,
+                                 std::uint64_t target_id) {
+  Id progress[kMaxCandidates];
+  const Id distance = fill_progress(c, cur, cur_id, target_id, progress);
+  return resolve_clockwise(c, cur, progress, distance,
+                           best_admissible(c, progress, distance));
 }
 
 // Kademlia: walk the differing levels highest order first; within a
@@ -256,7 +304,7 @@ struct NoHop {
 // matching the historical accounting; outcomes are recorded into `rec`
 // when non-null.
 template <bool kInflight, typename Id, typename OnHop>
-SparseRouteStatus route_one(const ChurnKernelCtx<Id>& c, StepFn<Id> step,
+RouteStatus route_one(const ChurnKernelCtx<Id>& c, StepFn<Id> step,
                             NodeSlot source, std::uint64_t source_id,
                             NodeSlot target, std::uint64_t target_id,
                             std::uint64_t max_hops, std::uint64_t* load,
@@ -272,20 +320,20 @@ SparseRouteStatus route_one(const ChurnKernelCtx<Id>& c, StepFn<Id> step,
         if (rec != nullptr) {
           rec->record_drop(obs::RouteFailure::kHolderDeparted);
         }
-        return SparseRouteStatus::kDropped;
+        return RouteStatus::kDropped;
       }
     }
     if (cur == target) {
       if (rec != nullptr) {
         rec->record_arrival(hops);
       }
-      return SparseRouteStatus::kArrived;
+      return RouteStatus::kArrived;
     }
     if (hops >= max_hops) {
       if (rec != nullptr) {
         rec->record_hop_limit();
       }
-      return SparseRouteStatus::kHopLimit;
+      return RouteStatus::kHopLimit;
     }
     if (load != nullptr) {
       ++load[cur];
@@ -295,7 +343,7 @@ SparseRouteStatus route_one(const ChurnKernelCtx<Id>& c, StepFn<Id> step,
       if (rec != nullptr) {
         rec->record_drop(classify_drop(c, cur));
       }
-      return SparseRouteStatus::kDropped;
+      return RouteStatus::kDropped;
     }
     on_hop(cur, next);
     cur = next.next;
@@ -305,107 +353,49 @@ SparseRouteStatus route_one(const ChurnKernelCtx<Id>& c, StepFn<Id> step,
 }
 
 // One greedy-ring hop for every active lane, phased like the static
-// engine's batch kernels: (A) scan each lane's cached-id row (prefetched
-// a batch turn ahead) into a progress lattice and pick the max-progress
-// admissible candidate, (B) probe candidates against the packed epoch
-// structure, excluding failures and rescanning -- ~2 expected probes per
-// hop under churn vs the historical kernel's row_width + s pointer
-// chases.  b.dist carries the lane's current-hop id.
+// engine's batch kernels: (A) fill each lane's progress lattice from its
+// cached-id row (prefetched a batch turn ahead), pick the max-progress
+// admissible candidate and warm its entry, (B) probe candidates against
+// the packed epoch structure, excluding failures and rescanning -- ~2
+// expected probes per hop under churn vs the historical kernel's
+// row_width + s pointer chases.  b.dist carries the lane's current-hop id.
 template <typename Id>
-inline void step_batch_ring(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
-  constexpr int kLanes = RouteBatch::kLanes;
+inline void step_batch_ring(const ChurnKernelCtx<Id>& c, Lanes& b) {
+  constexpr int kLanes = Lanes::kLanes;
   Id progress[kLanes][kMaxCandidates];
   Id dist[kLanes];
   int cand[kLanes];
-  const int m = c.row_width + c.s;
-  const auto mask = static_cast<Id>(c.key_mask);
   for (int l = 0; l < kLanes; ++l) {
     if (b.active[l] == 0) {
       continue;
     }
-    const NodeSlot cur = b.cur[l];
-    const auto cur_key = static_cast<Id>(b.dist[l]);
-    dist[l] = (static_cast<Id>(b.target_id[l]) - cur_key) & mask;
-    const std::uint64_t row_base = c.row_base(cur);
-    const std::uint64_t succ_base = c.successor_base(cur);
-    Id* prog = progress[l];
-    for (int j = 0; j < c.row_width; ++j) {
-      prog[j] =
-          (c.table_id[row_base + static_cast<std::uint64_t>(j)] - cur_key) &
-          mask;
-    }
-    for (int t = 0; t < c.s; ++t) {
-      prog[c.row_width + t] =
-          (c.successors_id[succ_base + static_cast<std::uint64_t>(t)] -
-           cur_key) &
-          mask;
-    }
-    Id best = 0;
-    int bj = -1;
-    for (int j = 0; j < m; ++j) {
-      const Id p = prog[j];
-      if (p - 1 < dist[l] && p > best) {
-        best = p;
-        bj = j;
-      }
-    }
-    cand[l] = bj;
-    if (bj >= 0) {
+    dist[l] = fill_progress(c, b.cur[l], b.dist[l], b.target_id[l],
+                            progress[l]);
+    cand[l] = best_admissible(c, progress[l], dist[l]);
+    if (cand[l] >= 0) {
       // Warm the candidate's entry + stamp for phase B while the other
       // lanes' scans provide latency cover.
-      const std::uint64_t off =
-          bj < c.row_width
-              ? row_base + static_cast<std::uint64_t>(bj)
-              : succ_base + static_cast<std::uint64_t>(bj - c.row_width);
-      __builtin_prefetch(bj < c.row_width ? &c.table[off]
-                                          : &c.successors[off]);
-      __builtin_prefetch(bj < c.row_width ? &c.table_gen[off]
-                                          : &c.successors_gen[off]);
+      const LatticeCell cell = lattice_cell(c, b.cur[l], cand[l]);
+      __builtin_prefetch(cell.in_row ? &c.table[cell.off]
+                                     : &c.successors[cell.off]);
+      __builtin_prefetch(cell.in_row ? &c.table_gen[cell.off]
+                                     : &c.successors_gen[cell.off]);
     }
   }
   for (int l = 0; l < kLanes; ++l) {
     if (b.active[l] == 0) {
       continue;
     }
-    const NodeSlot cur = b.cur[l];
-    const std::uint64_t row_base = c.row_base(cur);
-    const std::uint64_t succ_base = c.successor_base(cur);
-    Id* prog = progress[l];
-    int bj = cand[l];
-    for (;;) {
-      if (bj < 0) {
-        b.cur[l] = kNoSlot;  // dead end: the drop sentinel
-        break;
-      }
-      const bool in_row = bj < c.row_width;
-      const std::uint64_t off =
-          in_row ? row_base + static_cast<std::uint64_t>(bj)
-                 : succ_base + static_cast<std::uint64_t>(bj - c.row_width);
-      const NodeSlot entry = in_row ? c.table[off] : c.successors[off];
-      const std::uint32_t gen =
-          in_row ? c.table_gen[off] : c.successors_gen[off];
-      // Overlap the next hop's row-map load with this validity probe
-      // (admissible candidates are never empty cells, so entry is a slot).
-      __builtin_prefetch(&c.row_of[entry]);
-      if (ctx_entry_valid(c, entry, gen)) {
-        b.cur[l] = entry;
-        b.dist[l] = in_row ? c.table_id[off] : c.successors_id[off];
-        ++b.hops[l];
-        if (entry != b.target[l]) {
-          prefetch_ring_row(c, entry);
-        }
-        break;
-      }
-      prog[bj] = 0;
-      Id best = 0;
-      bj = -1;
-      for (int j = 0; j < m; ++j) {
-        const Id p = prog[j];
-        if (p - 1 < dist[l] && p > best) {
-          best = p;
-          bj = j;
-        }
-      }
+    const StepResult hop =
+        resolve_clockwise(c, b.cur[l], progress[l], dist[l], cand[l]);
+    b.cur[l] = hop.next;  // kNoSlot on a dead end: the drop sentinel
+    if (hop.next == kNoSlot) {
+      continue;
+    }
+    b.dist[l] = hop.next_id;
+    ++b.hops[l];
+    if (hop.next != b.target[l]) {
+      prefetch_ring_row(c, hop.next);
     }
   }
 }
@@ -419,8 +409,8 @@ inline void step_batch_ring(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
 // all (valid entries' cached ids are current) and drops without a single
 // random load.
 template <typename Id>
-inline void step_batch_xor(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
-  constexpr int kLanes = RouteBatch::kLanes;
+inline void step_batch_xor(const ChurnKernelCtx<Id>& c, Lanes& b) {
+  constexpr int kLanes = Lanes::kLanes;
   constexpr std::uint64_t kNoCand = ~std::uint64_t{0};
   std::uint64_t cand[kLanes];  // (offset << 1) | is_successor
   for (int l = 0; l < kLanes; ++l) {
@@ -504,50 +494,29 @@ inline void step_batch_xor(const ChurnKernelCtx<Id>& c, RouteBatch& b) {
   }
 }
 
-// The lane driver of the batched sync path (the drive_lanes shape of the
-// static engine): retire every terminal lane -- drop sentinel, arrival,
-// hop cap -- refill it from the pair source, then charge each active
-// lane's holder one forward and advance all lanes one hop.  Identical
-// accounting to route_one: a lane is charged before the step that drops
-// it and not for the turn it retires on.  `retire` additionally receives
-// the lane's pre-step slot -- the node that had no admissible hop -- so a
-// drop can be classified (the batch kernels overwrite cur with the kNoSlot
-// sentinel, erasing the dropping slot).
+// The sync churn engine's lane policy over the shared driver
+// (sim/lanes.hpp); `refill` and `retire` are the caller's GET worklist.
+// `step` charges each active lane's holder one forward -- a plain add: a
+// world is single-threaded -- and records the lane's pre-step slot, so a
+// retired drop can be classified at the node that had no admissible hop
+// (the batch kernels overwrite cur with the kNoSlot sentinel, erasing
+// it).  Identical accounting to route_one: a lane is charged before the
+// step that drops it and not for the turn it retires on.
 template <typename Id, typename StepBatch, typename Refill, typename Retire>
-void drive_churn_lanes(const ChurnKernelCtx<Id>& c, std::uint64_t max_hops,
-                       std::uint64_t* load, StepBatch&& step_batch,
-                       Refill&& refill, Retire&& retire) {
-  RouteBatch b;
-  NodeSlot last_cur[RouteBatch::kLanes] = {};
-  int active = 0;
-  for (int l = 0; l < RouteBatch::kLanes; ++l) {
-    b.active[l] = refill(b, l) ? 1 : 0;
-    active += b.active[l];
+struct ChurnLanes : sim::NoShortcut {
+  const ChurnKernelCtx<Id>& c;
+  std::uint64_t* load;
+  StepBatch step_batch;
+  Refill refill;
+  Retire on_retire;
+  NodeSlot last_cur[Lanes::kLanes] = {};
+
+  void retire(const Lanes& b, int l, RouteStatus status) {
+    on_retire(b, l, status, last_cur[l]);
   }
-  while (active > 0) {
-    for (int l = 0; l < RouteBatch::kLanes; ++l) {
-      while (b.active[l] != 0) {
-        SparseRouteStatus status;
-        if (b.cur[l] == kNoSlot) {
-          status = SparseRouteStatus::kDropped;
-        } else if (b.cur[l] == b.target[l]) {
-          status = SparseRouteStatus::kArrived;
-        } else if (b.hops[l] >= max_hops) {
-          status = SparseRouteStatus::kHopLimit;
-        } else {
-          break;
-        }
-        retire(b, l, status, last_cur[l]);
-        if (!refill(b, l)) {
-          b.active[l] = 0;
-          --active;
-        }
-      }
-    }
-    if (active == 0) {
-      break;
-    }
-    for (int l = 0; l < RouteBatch::kLanes; ++l) {
+
+  void step(Lanes& b) {
+    for (int l = 0; l < Lanes::kLanes; ++l) {
       if (b.active[l] != 0) {
         ++load[b.cur[l]];
         last_cur[l] = b.cur[l];
@@ -555,7 +524,7 @@ void drive_churn_lanes(const ChurnKernelCtx<Id>& c, std::uint64_t max_hops,
     }
     step_batch(c, b);
   }
-}
+};
 
 // Visits present slots in ascending order by scanning the packed alive
 // bitmap one u64 word at a time (countr_zero per member) -- the flattened
@@ -1192,6 +1161,55 @@ void SparseChurnWorld::step() {
   });
 }
 
+NodeSlot SparseChurnWorld::sample_present(math::Rng& rng) const {
+  const std::uint64_t capacity = membership_.capacity();
+  auto slot = static_cast<NodeSlot>(rng.uniform_below(capacity));
+  while (!membership_.present(slot)) {
+    slot = static_cast<NodeSlot>(rng.uniform_below(capacity));
+  }
+  return slot;
+}
+
+SparseChurnWorld::GetDraw SparseChurnWorld::draw_lookup(math::Rng& rng) {
+  GetDraw draw;
+  if (!workload_enabled()) {
+    draw.source = sample_present(rng);
+    do {
+      draw.target = sample_present(rng);
+    } while (draw.target == draw.source);
+    return draw;
+  }
+  // Replicated GET: the object's key places it on its successor (the
+  // primary, attempt 0 -- what the routing estimate records) and the next
+  // r - 1 clockwise present nodes hold the replicas.  Sources colliding
+  // with the primary redraw both draws, like the uniform target rejection.
+  do {
+    draw.source = sample_present(rng);
+    const std::uint64_t object = zipf_->sample(rng);
+    draw.position = membership_.successor_position(
+        flat::object_key(membership_.key_mask(), object));
+    draw.target = membership_.ring_successor(draw.position, 0);
+  } while (draw.target == draw.source);
+  return draw;
+}
+
+template <typename RouteTo>
+bool SparseChurnWorld::replica_reachable(const GetDraw& draw, int attempts,
+                                         RouteTo&& route_to) const {
+  for (int a = 1; a < attempts; ++a) {
+    const NodeSlot holder = membership_.ring_successor(
+        draw.position, static_cast<std::uint64_t>(a));
+    if (!membership_.present(holder)) {
+      continue;  // the replica departed with its holder
+    }
+    // The source may hold the replica itself.
+    if (holder == draw.source || route_to(holder)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 template <typename Id>
 sparse::SparseEstimate SparseChurnWorld::measure_sync(std::uint64_t pairs,
                                                       bool batched) {
@@ -1202,7 +1220,6 @@ sparse::SparseEstimate SparseChurnWorld::measure_sync(std::uint64_t pairs,
     return estimate;  // nothing to sample: the empty-estimate contract
   }
   const ChurnKernelCtx<Id> ctx = rows_.kernel_view<Id>(membership_);
-  const std::uint64_t capacity = membership_.capacity();
   const bool workload = workload_enabled();
   // Replica attempts are capped by the population once for the whole
   // call: the world is frozen in sync mode, so the historical per-pair
@@ -1223,43 +1240,7 @@ sparse::SparseEstimate SparseChurnWorld::measure_sync(std::uint64_t pairs,
     draws_.clear();
     draws_.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-      GetDraw draw;
-      if (!workload) {
-        NodeSlot source =
-            static_cast<NodeSlot>(rng.uniform_below(capacity));
-        while (!membership_.present(source)) {
-          source = static_cast<NodeSlot>(rng.uniform_below(capacity));
-        }
-        NodeSlot target =
-            static_cast<NodeSlot>(rng.uniform_below(capacity));
-        while (!membership_.present(target) || target == source) {
-          target = static_cast<NodeSlot>(rng.uniform_below(capacity));
-        }
-        draw.source = source;
-        draw.target = target;
-      } else {
-        // Replicated GET: the object's key places it on its successor
-        // (the primary, attempt 0 -- what the routing estimate records)
-        // and the next r - 1 clockwise present nodes hold the replicas.
-        // Sources colliding with the primary redraw both draws, like the
-        // uniform path's target rejection.
-        for (;;) {
-          draw.source =
-              static_cast<NodeSlot>(rng.uniform_below(capacity));
-          while (!membership_.present(draw.source)) {
-            draw.source =
-                static_cast<NodeSlot>(rng.uniform_below(capacity));
-          }
-          const std::uint64_t object = zipf_->sample(rng);
-          draw.position = membership_.successor_position(
-              flat::object_key(ctx.key_mask, object));
-          draw.target = membership_.ring_successor(draw.position, 0);
-          if (draw.target != draw.source) {
-            break;
-          }
-        }
-      }
-      draws_.push_back(draw);
+      draws_.push_back(draw_lookup(rng));
     }
     // Forensics: the sink's stride selects pairs by their index within
     // this measurement call -- a pure function of (shard, round, pair
@@ -1294,10 +1275,10 @@ template <typename Id>
 void SparseChurnWorld::trace_route(const ChurnKernelCtx<Id>& ctx,
                                    NodeSlot source, NodeSlot target,
                                    std::uint64_t pair_index) {
-  static_assert(static_cast<int>(SparseRouteStatus::kArrived) == 0 &&
-                    static_cast<int>(SparseRouteStatus::kDropped) == 1 &&
-                    static_cast<int>(SparseRouteStatus::kHopLimit) == 2,
-                "RouteTrace::status codes are SparseRouteStatus values");
+  static_assert(static_cast<int>(RouteStatus::kArrived) == 0 &&
+                    static_cast<int>(RouteStatus::kDropped) == 1 &&
+                    static_cast<int>(RouteStatus::kHopLimit) == 2,
+                "RouteTrace::status codes are RouteStatus values");
   obs::RouteTrace trace;
   trace.shard = trace_shard_;
   trace.round = round_;
@@ -1358,28 +1339,19 @@ void SparseChurnWorld::measure_scalar_routes(
   const bool workload = workload_enabled();
   for (const GetDraw& draw : draws_) {
     const std::uint64_t source_id = ctx.ids[draw.source];
-    bool available =
-        route_one<false>(ctx, kernel, draw.source, source_id, draw.target,
-                         ctx.ids[draw.target], max_hops_, load_.data(),
-                         &estimate, NoHop{}) == SparseRouteStatus::kArrived;
+    const auto route_to = [&](NodeSlot target, sparse::SparseEstimate* rec) {
+      return route_one<false>(ctx, kernel, draw.source, source_id, target,
+                              ctx.ids[target], max_hops_, load_.data(), rec,
+                              NoHop{}) == RouteStatus::kArrived;
+    };
+    const bool arrived = route_to(draw.target, &estimate);
     if (!workload) {
       continue;
     }
     ++estimate.gets;
-    for (int a = 1; a < attempts && !available; ++a) {
-      const NodeSlot holder = membership_.ring_successor(
-          draw.position, static_cast<std::uint64_t>(a));
-      if (!membership_.present(holder)) {
-        continue;  // the replica departed with its holder
-      }
-      // The source may hold the replica itself.
-      available =
-          holder == draw.source ||
-          route_one<false>(ctx, kernel, draw.source, source_id, holder,
-                           ctx.ids[holder], max_hops_, load_.data(), nullptr,
-                           NoHop{}) == SparseRouteStatus::kArrived;
-    }
-    if (available) {
+    if (arrived || replica_reachable(draw, attempts, [&](NodeSlot holder) {
+          return route_to(holder, nullptr);
+        })) {
       ++estimate.gets_available;
     }
   }
@@ -1403,8 +1375,8 @@ void SparseChurnWorld::measure_batched_routes(
   get_available_.assign(n, 0);
   retry_.clear();
   std::uint32_t next = 0;
-  int lane_attempt[RouteBatch::kLanes] = {};
-  const auto launch = [&](RouteBatch& b, int l, std::uint32_t pair,
+  int lane_attempt[Lanes::kLanes] = {};
+  const auto launch = [&](Lanes& b, int l, std::uint32_t pair,
                           int attempt, NodeSlot target) {
     const GetDraw& draw = draws_[pair];
     b.rank[l] = pair;  // the lane's GET tag
@@ -1420,7 +1392,7 @@ void SparseChurnWorld::measure_batched_routes(
       prefetch_ring_row(ctx, draw.source);
     }
   };
-  const auto refill = [&](RouteBatch& b, int l) -> bool {
+  const auto refill = [&](Lanes& b, int l) -> bool {
     for (;;) {
       std::uint32_t pair;
       int attempt;
@@ -1457,7 +1429,7 @@ void SparseChurnWorld::measure_batched_routes(
       return true;
     }
   };
-  const auto retire = [&](RouteBatch& b, int l, SparseRouteStatus status,
+  const auto retire = [&](const Lanes& b, int l, RouteStatus status,
                           NodeSlot drop_slot) {
     if (lane_attempt[l] == 0) {
       // Attempt 0 is what the routing estimate records (the historical
@@ -1466,25 +1438,30 @@ void SparseChurnWorld::measure_batched_routes(
       // is exactly the `cur` the scalar path classifies at.
       flat::record_route(estimate, status,
                          static_cast<std::uint64_t>(b.hops[l]),
-                         status == SparseRouteStatus::kDropped
+                         status == RouteStatus::kDropped
                              ? classify_drop(ctx, drop_slot)
                              : obs::RouteFailure::kDeadEntry);
     }
     if (!workload) {
       return;
     }
-    if (status == SparseRouteStatus::kArrived) {
+    if (status == RouteStatus::kArrived) {
       get_available_[b.rank[l]] = 1;
     } else if (lane_attempt[l] + 1 < attempts) {
       retry_.emplace_back(b.rank[l], lane_attempt[l] + 1);
     }
   };
+  const auto drive = [&](auto step_batch) {
+    sim::drive_lanes<NodeSlot>(
+        max_hops_,
+        ChurnLanes<Id, decltype(step_batch), decltype(refill),
+                   decltype(retire)>{
+            {}, ctx, load_.data(), step_batch, refill, retire});
+  };
   if (xor_geometry) {
-    drive_churn_lanes(ctx, max_hops_, load_.data(), step_batch_xor<Id>,
-                      refill, retire);
+    drive([](const ChurnKernelCtx<Id>& c, Lanes& b) { step_batch_xor(c, b); });
   } else {
-    drive_churn_lanes(ctx, max_hops_, load_.data(), step_batch_ring<Id>,
-                      refill, retire);
+    drive([](const ChurnKernelCtx<Id>& c, Lanes& b) { step_batch_ring(c, b); });
   }
   if (workload) {
     estimate.gets += n;
@@ -1563,7 +1540,7 @@ sparse::SparseEstimate SparseChurnWorld::inflight_round(
                             sparse::SparseEstimate* rec) -> bool {
     return route_one<true>(ctx, kernel, source, ctx.ids[source], target,
                            ctx.ids[target], max_hops_, load_.data(), rec,
-                           sweep) == SparseRouteStatus::kArrived;
+                           sweep) == RouteStatus::kArrived;
   };
   const bool workload = workload_enabled();
   for (std::uint64_t i = 0; i < pairs; ++i) {
@@ -1576,50 +1553,18 @@ sparse::SparseEstimate SparseChurnWorld::inflight_round(
     if (membership_.population() < 2) {
       continue;  // nothing to sample this instant; the sweep still flushes
     }
+    const GetDraw draw = draw_lookup(rng);
+    const bool arrived = route_to(draw.source, draw.target, &estimate);
     if (!workload) {
-      NodeSlot source = static_cast<NodeSlot>(rng.uniform_below(capacity));
-      while (!membership_.present(source)) {
-        source = static_cast<NodeSlot>(rng.uniform_below(capacity));
-      }
-      NodeSlot target = static_cast<NodeSlot>(rng.uniform_below(capacity));
-      while (!membership_.present(target) || target == source) {
-        target = static_cast<NodeSlot>(rng.uniform_below(capacity));
-      }
-      route_to(source, target, &estimate);
       continue;
     }
-    NodeSlot source;
-    NodeSlot primary;
-    std::uint64_t position;
-    for (;;) {
-      source = static_cast<NodeSlot>(rng.uniform_below(capacity));
-      while (!membership_.present(source)) {
-        source = static_cast<NodeSlot>(rng.uniform_below(capacity));
-      }
-      const std::uint64_t object = zipf_->sample(rng);
-      position = membership_.successor_position(
-          flat::object_key(ctx.key_mask, object));
-      primary = membership_.ring_successor(position, 0);
-      if (primary != source) {
-        break;
-      }
-    }
     ++estimate.gets;
-    bool available = route_to(source, primary, &estimate);
     const auto attempts = static_cast<int>(std::min<std::uint64_t>(
         static_cast<std::uint64_t>(config_.replicas),
         membership_.order_size()));
-    for (int a = 1; a < attempts && !available; ++a) {
-      const NodeSlot holder =
-          membership_.ring_successor(position, static_cast<std::uint64_t>(a));
-      if (!membership_.present(holder)) {
-        continue;  // the replica departed with its holder
-      }
-      available = holder == source  // the source holds the replica itself
-                      ? true
-                      : route_to(source, holder, nullptr);
-    }
-    if (available) {
+    if (arrived || replica_reachable(draw, attempts, [&](NodeSlot holder) {
+          return route_to(draw.source, holder, nullptr);
+        })) {
       ++estimate.gets_available;
     }
   }

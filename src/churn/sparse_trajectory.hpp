@@ -115,7 +115,7 @@ class SparseChurnWorld {
   /// front in pair order from the world's measurement sub-stream; routing
   /// itself is rng-free, so the stream is byte-for-byte the historical
   /// interleaved one.  The routes then run through the 8-lane SoA batch
-  /// driver.
+  /// kernels on the shared lane driver (sim/lanes.hpp).
   sparse::SparseEstimate measure(std::uint64_t pairs);
 
   /// measure()'s scalar reference: the same draws, routed pair by pair
@@ -206,6 +206,23 @@ class SparseChurnWorld {
     return config_.objects != 0 ? config_.objects : membership_.capacity();
   }
   bool entry_valid(NodeSlot entry, std::uint32_t generation) const;
+  // One lookup's draws from the measurement stream.
+  struct GetDraw {
+    NodeSlot source = kNoSlot;
+    NodeSlot target = kNoSlot;      // attempt-0 holder (the primary)
+    std::uint64_t position = 0;     // ring position of the primary
+  };
+  // A uniformly drawn present slot (rejection over the roster).
+  NodeSlot sample_present(math::Rng& rng) const;
+  // A uniform present pair (target != source), or with the workload model
+  // a Zipf-popular GET whose target is the object's primary holder.
+  GetDraw draw_lookup(math::Rng& rng);
+  // Replica attempts 1 .. attempts-1 of a GET, in attempt order until one
+  // answers: a departed holder is skipped, the source holding the replica
+  // answers at once, any other holder is tried with route_to(holder).
+  template <typename RouteTo>
+  bool replica_reachable(const GetDraw& draw, int attempts,
+                         RouteTo&& route_to) const;
   // The measurement bodies run over ChurnKernelCtx<Id>, Id the rows'
   // cached-id column type; the public measure calls pick the instantiation
   // once per call from rows_.narrow_ids().
@@ -269,11 +286,6 @@ class SparseChurnWorld {
   // Sync-mode measurement scratch, reused across rounds: the up-front
   // per-pair draws, the per-GET availability flags, and the batch
   // driver's failed-attempt worklist.
-  struct GetDraw {
-    NodeSlot source = kNoSlot;
-    NodeSlot target = kNoSlot;      // attempt-0 holder (the primary)
-    std::uint64_t position = 0;     // ring position of the primary
-  };
   std::vector<GetDraw> draws_;
   std::vector<std::uint8_t> get_available_;
   std::vector<std::pair<std::uint32_t, int>> retry_;  // (pair, attempt)

@@ -69,11 +69,11 @@ inline RouteResult finish(RouteStatus status, int hops, NodeId last) {
 /// all-ones value can never name a real node.
 inline constexpr NodeId kNoHop = ~NodeId{0};
 
-/// The shared whole-route driver: iterates a per-hop step function until
-/// arrival, drop (step returns kNoHop), or the hop cap -- the same
-/// accounting as the sparse engines' lane drivers.  The batched estimator
+/// One whole route: iterates a per-hop step function until arrival, drop
+/// (step returns kNoHop), or the hop cap.  The batched estimator
 /// (parallel_monte_carlo.cpp) applies the identical accounting to
-/// interleaved routes via the same step functions.
+/// interleaved routes through the lane driver every batched engine shares
+/// (sim/lanes.hpp), with the same step functions.
 template <typename Step>
 RouteResult route_stepped(const FlatCtx& c, NodeId source, NodeId target,
                           Step step) {

@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "sim/flat_route.hpp"
+#include "sim/lanes.hpp"
 #include "sim/shard_pool.hpp"
 
 namespace dht::sim {
@@ -32,102 +33,71 @@ inline RouteResult route_one(const flat::FlatCtx& c, const Router& router,
   return router.route(source, target, rng);
 }
 
-constexpr int kLanes = 8;
+constexpr int kLanes = LaneBatch<NodeId>::kLanes;
+static_assert(LaneBatch<NodeId>::kDropped == flat::kNoHop,
+              "step functions drop a route with kNoHop");
 
-// Interleaved shard loop: kLanes independent routes advance one hop per
-// turn (struct-of-arrays state), so their table and liveness loads overlap
-// in the memory pipeline instead of serializing on cache misses.  Each lane
-// samples its pairs from its own counter-based stream
-// (shard_rng.counter_stream(lane)), so lane draws are a pure function of
-// (seed, shard, lane, draw index); the shared budget decides only how many
-// pairs a lane gets, and that is deterministic too (the loop is
-// single-threaded per shard, lanes serviced in lane order).  `step_lane`
-// advances one route one hop and returns flat::kNoHop on a drop; the
-// accounting below matches flat::route_stepped hop for hop, so estimates
-// equal those of routing the same pairs one at a time.
+// The dense engine's lane policy: each lane samples its pairs from its own
+// counter-based stream (shard_rng.counter_stream(lane)), so lane draws are
+// a pure function of (seed, shard, lane, draw index); the shared budget
+// decides only how many pairs a lane gets, and that is deterministic too
+// (drive_lanes is single-threaded per shard).  `step_lane` advances one
+// route one hop and returns flat::kNoHop on a drop; the driver's
+// accounting matches flat::route_stepped hop for hop, so estimates equal
+// those of routing the same pairs one at a time.
 template <typename StepLane>
-void run_dense_lanes(const flat::FlatCtx& c, const FailureScenario& failures,
-                     std::uint64_t pairs, const math::Rng& shard_rng,
-                     RoutabilityEstimate& estimate, StepLane step_lane) {
-  math::CounterRng pair_streams[kLanes];
-  for (int l = 0; l < kLanes; ++l) {
-    pair_streams[l] = shard_rng.counter_stream(static_cast<std::uint64_t>(l));
-  }
-  NodeId cur[kLanes];
-  NodeId target[kLanes];
-  std::uint32_t hops[kLanes];
-  std::uint8_t active[kLanes];
-  std::uint64_t remaining = pairs;
-  int live = 0;
-  const auto retire = [&](RouteStatus status, int l) {
-    estimate.record(
-        flat::finish(status, static_cast<int>(hops[l]), target[l]));
-    if (remaining == 0) {
-      active[l] = 0;
-      --live;
-      return;
-    }
-    --remaining;
-    math::CounterRng& rng = pair_streams[l];
-    const NodeId source = failures.sample_alive(rng);
-    NodeId t = failures.sample_alive(rng);
-    while (t == source) {
-      t = failures.sample_alive(rng);
-    }
-    cur[l] = source;
-    target[l] = t;
-    hops[l] = 0;
-  };
-  for (int l = 0; l < kLanes; ++l) {
-    active[l] = 0;
-    if (remaining == 0) {
-      continue;
-    }
-    --remaining;
-    math::CounterRng& rng = pair_streams[l];
-    const NodeId source = failures.sample_alive(rng);
-    NodeId t = failures.sample_alive(rng);
-    while (t == source) {
-      t = failures.sample_alive(rng);
-    }
-    cur[l] = source;
-    target[l] = t;
-    hops[l] = 0;
-    active[l] = 1;
-    ++live;
-  }
-  while (live > 0) {
+struct DenseLanes : NoShortcut {
+  DenseLanes(const FailureScenario& failures, std::uint64_t pairs,
+             const math::Rng& shard_rng, RoutabilityEstimate& estimate,
+             StepLane step_lane)
+      : failures_(failures), remaining_(pairs), estimate_(estimate),
+        step_lane_(step_lane) {
     for (int l = 0; l < kLanes; ++l) {
-      if (!active[l]) {
+      pair_streams_[l] =
+          shard_rng.counter_stream(static_cast<std::uint64_t>(l));
+    }
+  }
+
+  bool refill(LaneBatch<NodeId>& b, int l) {
+    if (remaining_ == 0) {
+      return false;
+    }
+    --remaining_;
+    math::CounterRng& rng = pair_streams_[l];
+    const NodeId source = failures_.sample_alive(rng);
+    NodeId target = failures_.sample_alive(rng);
+    while (target == source) {
+      target = failures_.sample_alive(rng);
+    }
+    b.cur[l] = source;
+    b.target[l] = target;
+    b.hops[l] = 0;
+    return true;
+  }
+
+  void retire(const LaneBatch<NodeId>& b, int l, RouteStatus status) {
+    estimate_.record(
+        flat::finish(status, static_cast<int>(b.hops[l]), b.target[l]));
+  }
+
+  void step(LaneBatch<NodeId>& b) {
+    for (int l = 0; l < kLanes; ++l) {
+      if (b.active[l] == 0) {
         continue;
       }
-      // A refilled pair is never terminal (source != target, 0 hops), so
-      // one retire check per turn suffices and lanes never idle.
-      if (cur[l] == flat::kNoHop) {
-        retire(RouteStatus::kDropped, l);
-      } else if (cur[l] == target[l]) {
-        retire(RouteStatus::kArrived, l);
-      } else if (hops[l] >= c.max_hops) {
-        retire(RouteStatus::kHopLimit, l);
-      }
-    }
-    if (live == 0) {
-      break;
-    }
-    for (int l = 0; l < kLanes; ++l) {
-      if (!active[l]) {
-        continue;
-      }
-      const NodeId next = step_lane(l, cur[l], target[l]);
-      if (next == flat::kNoHop) {
-        cur[l] = flat::kNoHop;
-      } else {
-        cur[l] = next;
-        ++hops[l];
+      b.cur[l] = step_lane_(l, b.cur[l], b.target[l]);
+      if (b.cur[l] != flat::kNoHop) {
+        ++b.hops[l];
       }
     }
   }
-}
+
+  const FailureScenario& failures_;
+  math::CounterRng pair_streams_[kLanes];
+  std::uint64_t remaining_;
+  RoutabilityEstimate& estimate_;
+  StepLane step_lane_;
+};
 
 // One shard of the sampled estimator: dispatch to the kernel (or the
 // virtual path) through the shared lane driver.  Hypercube hop draws come
@@ -139,18 +109,20 @@ void run_dense_shard(const flat::FlatCtx& c, const Overlay& overlay,
                      const FailureScenario& failures, std::uint64_t pairs,
                      const math::Rng& shard_rng,
                      RoutabilityEstimate& estimate) {
+  const auto drive = [&](auto step_lane) {
+    drive_lanes<NodeId>(c.max_hops, DenseLanes(failures, pairs, shard_rng,
+                                               estimate, step_lane));
+  };
   switch (c.kind) {
     case flat::KernelKind::kTree:
-      run_dense_lanes(c, failures, pairs, shard_rng, estimate,
-                      [&c](int, NodeId cur, NodeId target) {
-                        return flat::step_tree(c, cur, target);
-                      });
+      drive([&c](int, NodeId cur, NodeId target) {
+        return flat::step_tree(c, cur, target);
+      });
       return;
     case flat::KernelKind::kXor:
-      run_dense_lanes(c, failures, pairs, shard_rng, estimate,
-                      [&c](int, NodeId cur, NodeId target) {
-                        return flat::step_xor(c, cur, target);
-                      });
+      drive([&c](int, NodeId cur, NodeId target) {
+        return flat::step_xor(c, cur, target);
+      });
       return;
     case flat::KernelKind::kHypercube: {
       math::CounterRng hop_streams[kLanes];
@@ -158,43 +130,37 @@ void run_dense_shard(const flat::FlatCtx& c, const Overlay& overlay,
         hop_streams[l] =
             shard_rng.counter_stream(static_cast<std::uint64_t>(kLanes + l));
       }
-      run_dense_lanes(c, failures, pairs, shard_rng, estimate,
-                      [&c, &hop_streams](int l, NodeId cur, NodeId target) {
-                        return flat::step_hypercube(c, cur, target,
-                                                    hop_streams[l]);
-                      });
+      drive([&c, &hop_streams](int l, NodeId cur, NodeId target) {
+        return flat::step_hypercube(c, cur, target, hop_streams[l]);
+      });
       return;
     }
     case flat::KernelKind::kChordDeterministic:
-      run_dense_lanes(c, failures, pairs, shard_rng, estimate,
-                      [&c](int, NodeId cur, NodeId target) {
-                        return flat::step_chord_deterministic(c, cur, target);
-                      });
+      drive([&c](int, NodeId cur, NodeId target) {
+        return flat::step_chord_deterministic(c, cur, target);
+      });
       return;
     case flat::KernelKind::kChordRandomized:
-      run_dense_lanes(c, failures, pairs, shard_rng, estimate,
-                      [&c](int, NodeId cur, NodeId target) {
-                        return flat::step_chord_randomized(c, cur, target);
-                      });
+      drive([&c](int, NodeId cur, NodeId target) {
+        return flat::step_chord_randomized(c, cur, target);
+      });
       return;
     case flat::KernelKind::kSymphony:
-      run_dense_lanes(c, failures, pairs, shard_rng, estimate,
-                      [&c](int, NodeId cur, NodeId target) {
-                        return flat::step_symphony(c, cur, target);
-                      });
+      drive([&c](int, NodeId cur, NodeId target) {
+        return flat::step_symphony(c, cur, target);
+      });
       return;
     case flat::KernelKind::kGeneric: {
       math::Rng lane_rngs[kLanes] = {
           shard_rng.fork(0), shard_rng.fork(1), shard_rng.fork(2),
           shard_rng.fork(3), shard_rng.fork(4), shard_rng.fork(5),
           shard_rng.fork(6), shard_rng.fork(7)};
-      run_dense_lanes(
-          c, failures, pairs, shard_rng, estimate,
-          [&overlay, &failures, &lane_rngs](int l, NodeId cur, NodeId target) {
-            const auto next =
-                overlay.next_hop(cur, target, failures, lane_rngs[l]);
-            return next.has_value() ? *next : flat::kNoHop;
-          });
+      drive([&overlay, &failures, &lane_rngs](int l, NodeId cur,
+                                              NodeId target) {
+        const auto next =
+            overlay.next_hop(cur, target, failures, lane_rngs[l]);
+        return next.has_value() ? *next : flat::kNoHop;
+      });
       return;
     }
   }

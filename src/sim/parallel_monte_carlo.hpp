@@ -45,9 +45,9 @@ struct ParallelOptions {
   std::uint64_t shards = 0;
   /// When false, routes through the generic virtual next_hop path instead
   /// of the flattened kernels.  Both paths run on the same interleaved lane
-  /// driver with the same per-lane pair streams, so for the rng-free
-  /// forwarding rules (tree, XOR, ring, Symphony) the kernels replicate
-  /// next_hop exactly and results are bit-identical either way; the
+  /// driver (sim/lanes.hpp) with the same per-lane pair streams, so for the
+  /// rng-free forwarding rules (tree, XOR, ring, Symphony) the kernels
+  /// replicate next_hop exactly and results are bit-identical either way; the
   /// hypercube kernel spends one counter-stream draw per hop instead of
   /// next_hop's one-per-candidate reservoir, so its routes differ
   /// individually while the estimate stays identically distributed.

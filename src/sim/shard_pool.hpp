@@ -13,9 +13,10 @@
 //
 // Workers can optionally be pinned round-robin across NUMA nodes
 // (sim/topology.hpp).  Shard-private state allocated inside work() -- churn
-// replica worlds, per-shard scratch -- is then first-touched on the
-// worker's socket and stays there; on machines without pinning support the
-// option is a silent no-op.  Pinning moves work, never changes it.
+// replica worlds, per-shard scratch and path caches -- is then
+// first-touched on the worker's socket and stays there; read-only shared
+// tables are not copied per socket.  On machines without pinning support
+// the option is a silent no-op.  Pinning moves work, never changes it.
 #pragma once
 
 #include <algorithm>
@@ -115,13 +116,6 @@ void run_sharded(std::uint64_t shards, const PoolOptions& options,
   if (error) {
     std::rethrow_exception(error);
   }
-}
-
-/// Back-compatible entry point: threads only, default chunking, no pinning.
-template <typename Work>
-void run_sharded(std::uint64_t shards, unsigned threads, Work&& work) {
-  run_sharded(shards, PoolOptions{.threads = threads},
-              std::forward<Work>(work));
 }
 
 /// Resolves a requested worker count (0 = hardware concurrency, at least 1).

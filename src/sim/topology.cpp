@@ -98,21 +98,4 @@ bool pin_current_thread(int cpu) {
 #endif
 }
 
-int current_numa_node() {
-#if defined(__linux__)
-  const int cpu = sched_getcpu();
-  if (cpu >= 0) {
-    const Topology& topo = topology();
-    for (std::size_t node = 0; node < topo.node_cpus.size(); ++node) {
-      for (const int node_cpu : topo.node_cpus[node]) {
-        if (node_cpu == cpu) {
-          return static_cast<int>(node);
-        }
-      }
-    }
-  }
-#endif
-  return 0;
-}
-
 }  // namespace dht::sim

@@ -2,8 +2,7 @@
 //
 // The shard pool (shard_pool.hpp) optionally pins its workers so that
 // shard-private state -- churn replica worlds, per-shard estimates --
-// stays on the socket that first touched it, and so read-only table
-// replicas (flat_sparse.cpp) can be placed per socket.  Detection reads
+// stays on the socket that first touched it.  Detection reads
 // the Linux sysfs NUMA layout; on other platforms (or a stripped /sys)
 // everything degrades to a single node spanning all CPUs and pinning
 // becomes a silent no-op.  Nothing here ever affects results: pinning
@@ -41,9 +40,6 @@ struct Topology {
     const auto& node = node_cpus[worker % node_cpus.size()];
     return node[(worker / node_cpus.size()) % node.size()];
   }
-  int node_for_worker(unsigned worker) const noexcept {
-    return static_cast<int>(worker % node_cpus.size());
-  }
 };
 
 /// The detected topology, computed once per process (thread-safe).
@@ -53,10 +49,5 @@ const Topology& topology();
 /// leaves the thread's affinity untouched -- where pinning is unsupported
 /// (non-Linux) or rejected by the OS; callers treat that as a no-op.
 bool pin_current_thread(int cpu);
-
-/// The NUMA node of the CPU the calling thread is currently on, or 0 when
-/// that cannot be determined.  After pin_current_thread this identifies the
-/// socket whose memory first-touch allocations will land on.
-int current_numa_node();
 
 }  // namespace dht::sim

@@ -6,16 +6,13 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/hugepage.hpp"
 #include "common/page_buffer.hpp"
 #include "math/zipf.hpp"
 #include "sim/shard_pool.hpp"
-#include "sim/topology.hpp"
 #include "sparse/sparse_chord.hpp"
 #include "sparse/sparse_kademlia.hpp"
 #include "sparse/sparse_symphony.hpp"
@@ -216,133 +213,6 @@ class PathCachePool {
   std::vector<std::unique_ptr<PathCache>> free_;
 };
 
-inline void record(SparseEstimate& estimate, SparseRouteStatus status,
-                   int hops) {
-  record_route(estimate, status, static_cast<std::uint64_t>(hops));
-}
-
-// The shared struct-of-arrays lane driver.  Retires every terminal lane
-// (drop sentinel / arrival / hop cap), refills it from the pair source,
-// then advances all still-active lanes one hop with the batch step; repeat
-// until the pair source runs dry and every lane retires.  Lanes are
-// serviced in lane order, so the whole schedule -- which lane routes which
-// pair -- is a deterministic function of the pair source and the (rng-free)
-// route outcomes, identically for the flat kernels and the virtual path.
-//
-// A freshly refilled pair is never terminal (source != target, 0 hops <
-// max_hops >= 1), so one settle pass per turn suffices and a refilled lane
-// steps in the same turn -- lanes never idle while pairs remain.
-//
-// Workload hooks, both no-ops in the default configuration: with a path
-// cache (c.cache != null), each settled lane probes its current node's
-// cache row before stepping -- a hit forwards straight to the cached
-// owner in one hop, a miss installs the mapping (the lookup's answer IS
-// the owner, so caching on the miss models response-path caching exactly;
-// PathCache::install logs first fills for the shard-end reset).
-// With load recording (c.load != null), every forward -- one per active
-// lane per step, plus the cache-hit forward -- bumps the forwarding node's
-// counter.  Both hooks are rng-free, so the pair handout schedule (and
-// hence the draw streams) is untouched; with the hooks off the loop
-// retires, refills, and steps in byte-for-byte the historical order.
-template <typename PairSource, typename StepBatch>
-void drive_lanes(const FlatSparseCtx& c, PairSource& pair_source,
-                 SparseEstimate& estimate, StepBatch step_batch) {
-  RouteBatch b;
-  int active = 0;
-  const auto refill = [&](int l) {
-    NodeIndex source;
-    NodeIndex target;
-    std::uint32_t rank;
-    if (!pair_source(l, source, target, rank)) {
-      if (b.active[l]) {
-        b.active[l] = 0;
-        --active;
-      }
-      return;
-    }
-    b.cur[l] = source;
-    b.target[l] = target;
-    b.target_id[l] = c.ids[target];
-    b.dist[l] = (b.target_id[l] - c.ids[source]) & c.key_mask;
-    b.hops[l] = 0;
-    b.rank[l] = rank;
-    if (!b.active[l]) {
-      b.active[l] = 1;
-      ++active;
-    }
-  };
-  // Probes lane l's object in its current node's cache row.  True on a
-  // hit: the holder forwards straight to the cached owner (one hop, load
-  // accounted), and the settle loop re-checks the lane -- which then
-  // records the arrival.  The cached value always equals the object's
-  // owner (the lane's target), so a hit can never misroute.
-  const auto probe = [&](int l) -> bool {
-    if (c.cache == nullptr || b.rank[l] == kNoRank) {
-      return false;
-    }
-    PathCache& cache = *c.cache;
-    const std::uint64_t at =
-        b.cur[l] * cache.entries + b.rank[l] % cache.entries;
-    const std::uint64_t held = cache.slots[at];
-    ++estimate.cache_probes;
-    if (static_cast<std::uint32_t>(held >> 32) == b.rank[l]) {
-      ++estimate.cache_hits;
-      if (c.load != nullptr) {
-        c.load[b.cur[l]].fetch_add(1, std::memory_order_relaxed);
-      }
-      b.cur[l] = static_cast<NodeIndex>(held);
-      b.hops[l] += 1;
-      return true;
-    }
-    cache.install(at, held,
-                  (static_cast<std::uint64_t>(b.rank[l]) << 32) | b.target[l]);
-    return false;
-  };
-  // Retires and refills lane l until it is steppable (mid-route with a
-  // cache miss) or the pair source runs dry.  The batch kernels require
-  // every active lane to be strictly mid-route, so a cache-hit jump to the
-  // target must be resolved here, never handed to a kernel.
-  const auto settle = [&](int l) {
-    while (b.active[l]) {
-      if (b.cur[l] == kNoNode) {
-        record(estimate, SparseRouteStatus::kDropped,
-               static_cast<int>(b.hops[l]));
-        refill(l);
-      } else if (b.cur[l] == b.target[l]) {
-        record(estimate, SparseRouteStatus::kArrived,
-               static_cast<int>(b.hops[l]));
-        refill(l);
-      } else if (b.hops[l] >= c.max_hops) {
-        record(estimate, SparseRouteStatus::kHopLimit,
-               static_cast<int>(b.hops[l]));
-        refill(l);
-      } else if (!probe(l)) {
-        break;
-      }
-    }
-  };
-  for (int l = 0; l < RouteBatch::kLanes; ++l) {
-    b.active[l] = 0;
-    refill(l);
-    settle(l);
-  }
-  while (active > 0) {
-    if (c.load != nullptr) {
-      for (int l = 0; l < RouteBatch::kLanes; ++l) {
-        if (b.active[l]) {
-          c.load[b.cur[l]].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    step_batch(c, b);
-    for (int l = 0; l < RouteBatch::kLanes; ++l) {
-      if (b.active[l]) {
-        settle(l);
-      }
-    }
-  }
-}
-
 // Production pair source: a shared budget of `pairs` draws, each lane
 // sampling from its own counter-based stream.  Lane l's j-th pair is a
 // pure function of (caller seed, shard, l, j) -- no sequential state is
@@ -377,7 +247,7 @@ struct LanePairSource {
                  const WorkloadTables* workload = nullptr)
       : ctx_(c), failures_(failures), workload_(workload),
         remaining_(pairs) {
-    for (int l = 0; l < RouteBatch::kLanes; ++l) {
+    for (int l = 0; l < Lanes::kLanes; ++l) {
       streams_[l] = shard_rng.counter_stream(static_cast<std::uint64_t>(l));
       front_[l] = draw(l);
       warm(front_[l]);
@@ -443,9 +313,94 @@ struct LanePairSource {
   const FlatSparseCtx& ctx_;
   const SparseFailure& failures_;
   const WorkloadTables* workload_;
-  math::CounterRng streams_[RouteBatch::kLanes];
-  Pair front_[RouteBatch::kLanes];
+  math::CounterRng streams_[Lanes::kLanes];
+  Pair front_[Lanes::kLanes];
   std::uint64_t remaining_;
+};
+
+// The static engine's lane policy over the shared driver (sim/lanes.hpp):
+// pairs come from the pair source, retirements go to the estimate, and
+// `step_batch` is a batch kernel or the virtual-oracle step.  Lanes are
+// serviced in lane order, so the whole schedule -- which lane routes which
+// pair -- is a deterministic function of the pair source and the
+// (rng-free) route outcomes, identically for the flat kernels and the
+// virtual path.
+//
+// Workload hooks, both no-ops in the default configuration: with a path
+// cache (c.cache != null), each settled lane probes its current node's
+// cache row before stepping -- a hit forwards straight to the cached
+// owner in one hop, a miss installs the mapping (the lookup's answer IS
+// the owner, so caching on the miss models response-path caching exactly;
+// PathCache::install logs first fills for the shard-end reset).
+// With load recording (c.load != null), every forward -- one per active
+// lane per step, plus the cache-hit forward -- bumps the forwarding node's
+// counter.  Both hooks are rng-free, so the pair handout schedule (and
+// hence the draw streams) is untouched.
+template <typename StepBatch>
+struct StaticLanes {
+  const FlatSparseCtx& c;
+  LanePairSource& pairs;
+  SparseEstimate& estimate;
+  StepBatch step_batch;
+
+  bool refill(Lanes& b, int l) {
+    NodeIndex source;
+    NodeIndex target;
+    std::uint32_t rank;
+    if (!pairs(l, source, target, rank)) {
+      return false;
+    }
+    b.cur[l] = source;
+    b.target[l] = target;
+    b.target_id[l] = c.ids[target];
+    b.dist[l] = (b.target_id[l] - c.ids[source]) & c.key_mask;
+    b.hops[l] = 0;
+    b.rank[l] = rank;
+    return true;
+  }
+
+  void retire(const Lanes& b, int l, sim::RouteStatus status) {
+    record_route(estimate, status, b.hops[l]);
+  }
+
+  // Probes lane l's object in its current node's cache row.  True on a
+  // hit: the holder forwards straight to the cached owner (one hop, load
+  // accounted), and the driver re-checks the lane -- which then records
+  // the arrival.  The cached value always equals the object's owner (the
+  // lane's target), so a hit can never misroute.
+  bool shortcut(Lanes& b, int l) {
+    if (c.cache == nullptr || b.rank[l] == kNoRank) {
+      return false;
+    }
+    PathCache& cache = *c.cache;
+    const std::uint64_t at =
+        b.cur[l] * cache.entries + b.rank[l] % cache.entries;
+    const std::uint64_t held = cache.slots[at];
+    ++estimate.cache_probes;
+    if (static_cast<std::uint32_t>(held >> 32) == b.rank[l]) {
+      ++estimate.cache_hits;
+      if (c.load != nullptr) {
+        c.load[b.cur[l]].fetch_add(1, std::memory_order_relaxed);
+      }
+      b.cur[l] = static_cast<NodeIndex>(held);
+      b.hops[l] += 1;
+      return true;
+    }
+    cache.install(at, held,
+                  (static_cast<std::uint64_t>(b.rank[l]) << 32) | b.target[l]);
+    return false;
+  }
+
+  void step(Lanes& b) {
+    if (c.load != nullptr) {
+      for (int l = 0; l < Lanes::kLanes; ++l) {
+        if (b.active[l]) {
+          c.load[b.cur[l]].fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+    step_batch(c, b);
+  }
 };
 
 // Virtual-dispatch batch step on the shared driver, so generic and flat
@@ -454,8 +409,8 @@ struct GenericStepBatch {
   const SparseOverlay& overlay;
   const SparseFailure& failures;
 
-  void operator()(const FlatSparseCtx&, RouteBatch& b) const {
-    for (int l = 0; l < RouteBatch::kLanes; ++l) {
+  void operator()(const FlatSparseCtx&, Lanes& b) const {
+    for (int l = 0; l < Lanes::kLanes; ++l) {
       if (!b.active[l]) {
         continue;
       }
@@ -470,109 +425,34 @@ struct GenericStepBatch {
   }
 };
 
-template <typename PairSource>
 void run_lanes(const FlatSparseCtx& c, const SparseOverlay& overlay,
-               const SparseFailure& failures, PairSource& pair_source,
+               const SparseFailure& failures, LanePairSource& pairs,
                SparseEstimate& estimate) {
+  const auto drive = [&](auto step_batch) {
+    sim::drive_lanes<NodeIndex>(
+        c.max_hops,
+        StaticLanes<decltype(step_batch)>{c, pairs, estimate, step_batch});
+  };
   switch (c.kind) {
     case SparseKernelKind::kChord:
-      drive_lanes(c, pair_source, estimate,
-                  [](const FlatSparseCtx& ctx, RouteBatch& b) {
-                    step_batch_chord(ctx, b);
-                  });
+      drive([](const FlatSparseCtx& ctx, Lanes& b) {
+        step_batch_chord(ctx, b);
+      });
       return;
     case SparseKernelKind::kKademlia:
-      drive_lanes(c, pair_source, estimate,
-                  [](const FlatSparseCtx& ctx, RouteBatch& b) {
-                    step_batch_kademlia(ctx, b);
-                  });
+      drive([](const FlatSparseCtx& ctx, Lanes& b) {
+        step_batch_kademlia(ctx, b);
+      });
       return;
     case SparseKernelKind::kSymphony:
-      drive_lanes(c, pair_source, estimate,
-                  [](const FlatSparseCtx& ctx, RouteBatch& b) {
-                    step_batch_symphony(ctx, b);
-                  });
+      drive([](const FlatSparseCtx& ctx, Lanes& b) {
+        step_batch_symphony(ctx, b);
+      });
       return;
     case SparseKernelKind::kGeneric:
-      drive_lanes(c, pair_source, estimate,
-                  GenericStepBatch{overlay, failures});
+      drive(GenericStepBatch{overlay, failures});
       return;
   }
-}
-
-// Per-NUMA-node replica of the read-only routing state.  The owning
-// vectors are first-touched by a thread pinned to the replica's node, so
-// every worker's hot loads resolve in local memory.
-struct CtxReplica {
-  std::vector<std::uint64_t> ids;
-  std::vector<std::uint8_t> alive;
-  std::vector<std::uint64_t> alive_bits;
-  std::vector<NodeIndex> table;
-  std::vector<std::uint64_t> packed;
-  std::vector<std::uint64_t> progress;
-  std::vector<std::uint8_t> row_len;
-  FlatSparseCtx ctx;
-
-  void copy_from(const FlatSparseCtx& c) {
-    ctx = c;
-    const std::uint64_t table_len =
-        c.n * static_cast<std::uint64_t>(c.row_width);
-    common::reserve_hugepages(ids, c.n);
-    common::reserve_hugepages(table, table_len);
-    if (c.packed != nullptr) {
-      common::reserve_hugepages(packed, table_len);
-    }
-    if (c.progress != nullptr) {
-      common::reserve_hugepages(progress, table_len);
-    }
-    ids.assign(c.ids, c.ids + c.n);
-    ctx.ids = ids.data();
-    alive.assign(c.alive, c.alive + c.n);
-    ctx.alive = alive.data();
-    if (c.alive_bits != nullptr) {
-      alive_bits.assign(c.alive_bits, c.alive_bits + c.n / 64 + 1);
-      ctx.alive_bits = alive_bits.data();
-      ctx.alive_bits_owner = nullptr;
-    }
-    if (c.packed != nullptr) {
-      packed.assign(c.packed, c.packed + table_len);
-      ctx.packed = packed.data();
-    }
-    if (c.progress != nullptr) {
-      progress.assign(c.progress, c.progress + table_len);
-      ctx.progress = progress.data();
-    }
-    if (c.row_len != nullptr) {
-      row_len.assign(c.row_len, c.row_len + c.n);
-      ctx.row_len = row_len.data();
-    }
-    if (c.table != nullptr && table_len > 0) {
-      table.assign(c.table, c.table + table_len);
-      ctx.table = table.data();
-    }
-  }
-};
-
-// Builds one replica per NUMA node, each copied by a thread pinned to that
-// node (first-touch places the pages locally).  The copies hold the same
-// bytes as the original context, so routing through any of them is
-// bit-identical; node 0's replica is built too, keeping the code path
-// uniform (and exercised) on single-socket machines.
-std::vector<CtxReplica> build_replicas(const FlatSparseCtx& c) {
-  const sim::Topology& topo = sim::topology();
-  std::vector<CtxReplica> replicas(topo.nodes());
-  std::vector<std::thread> builders;
-  builders.reserve(replicas.size());
-  for (std::size_t node = 0; node < replicas.size(); ++node) {
-    builders.emplace_back([&, node] {
-      (void)sim::pin_current_thread(topo.node_cpus[node].front());
-      replicas[node].copy_from(c);
-    });
-  }
-  for (std::thread& t : builders) {
-    t.join();
-  }
-  return replicas;
 }
 
 }  // namespace
@@ -637,14 +517,6 @@ SparseWorkloadReport estimate_workload_parallel(
     ctx.load = loads.data();
   }
 
-  // Optional per-socket copies of the read-only routing state; workers pick
-  // the replica local to wherever they run.  Bit-identical either way.
-  std::vector<flat::CtxReplica> replicas;
-  if (options.numa_replicate_tables &&
-      ctx.kind != flat::SparseKernelKind::kGeneric) {
-    replicas = flat::build_replicas(ctx);
-  }
-
   build_timer.stop();
 
   const std::uint64_t shards =
@@ -672,12 +544,7 @@ SparseWorkloadReport estimate_workload_parallel(
         // of the pair budget.
         const math::Rng shard_rng = rng.fork(s);
         const std::uint64_t pairs = base + (s < extra ? 1 : 0);
-        flat::FlatSparseCtx local =
-            replicas.empty()
-                ? ctx
-                : replicas[static_cast<std::size_t>(sim::current_numa_node()) %
-                           replicas.size()]
-                      .ctx;
+        flat::FlatSparseCtx local = ctx;
         // Shard-private path cache, all-empty on acquire: hits are a pure
         // function of the shard's lane schedule, so the estimate stays
         // bit-identical at any thread count.  The pool holds one cache per

@@ -26,6 +26,7 @@
 
 #include "math/rng.hpp"
 #include "obs/phase_timer.hpp"
+#include "sim/lanes.hpp"
 #include "sim/load_stats.hpp"
 #include "sparse/sparse_overlay.hpp"
 
@@ -39,31 +40,29 @@ enum class SparseKernelKind {
   kSymphony,
 };
 
-enum class SparseRouteStatus {
-  kArrived,   // message reached the target
-  kDropped,   // no admissible alive neighbor (failed path)
-  kHopLimit,  // safety cap exceeded -- indicates a protocol bug
-};
+/// Lanes of the static sparse and sparse churn batch kernels.
+using Lanes = sim::LaneBatch<NodeIndex>;
+static_assert(Lanes::kDropped == kNoNode, "kernels drop a lane with kNoNode");
 
 /// Folds one retired route into the estimate counters.  Shared by the
-/// static lane driver and the churn engine's batch driver: every counter
-/// is a commutative sum, which is exactly why retirement order (and hence
+/// static and churn lane policies (sim/lanes.hpp): every counter is a
+/// commutative sum, which is exactly why retirement order (and hence
 /// batch scheduling) can never change a merged estimate.  `drop_cause`
 /// classifies a kDropped retirement for the failure taxonomy
 /// (obs/failure.hpp); the static kernels only ever stall on dead entries,
-/// so the default covers them, while the churn drivers pass the cause
-/// they diagnosed at the drop site.
+/// so the default covers them, while the churn policy passes the cause it
+/// diagnosed at the drop site.
 inline void record_route(
-    SparseEstimate& estimate, SparseRouteStatus status, std::uint64_t hops,
+    SparseEstimate& estimate, sim::RouteStatus status, std::uint64_t hops,
     obs::RouteFailure drop_cause = obs::RouteFailure::kDeadEntry) {
   switch (status) {
-    case SparseRouteStatus::kArrived:
+    case sim::RouteStatus::kArrived:
       estimate.record_arrival(hops);
       break;
-    case SparseRouteStatus::kDropped:
+    case sim::RouteStatus::kDropped:
       estimate.record_drop(drop_cause);
       break;
-    case SparseRouteStatus::kHopLimit:
+    case sim::RouteStatus::kHopLimit:
       estimate.record_hop_limit();
       break;
   }
@@ -197,48 +196,14 @@ inline NodeIndex step_sparse_symphony(const FlatSparseCtx& c, NodeIndex cur,
   return best;
 }
 
-// ---------------------------------------------------------------------------
-// Struct-of-arrays route batches.
-//
-// The estimator advances kLanes independent routes one hop per turn so
-// their table/id/liveness loads overlap in the memory pipeline.  Keeping
-// the in-flight routes as parallel arrays (rather than an array of lane
-// structs) lets the per-hop kernels below run each micro-phase -- distance
-// computation, lock-step binary search, liveness probes -- as a short
-// branch-light loop over lanes, where every iteration is independent and
-// its loads issue together.  Plain scalar code, no intrinsics: the shape
-// alone buys the memory-level parallelism (and the compiler is free to
-// vectorize the arithmetic phases).
-// ---------------------------------------------------------------------------
-
-/// In-flight routes of one shard, one array element per lane.  Invariant
-/// between kernel steps: an active lane is mid-route (cur != target, cur !=
-/// kNoNode, hops < max_hops) -- the driver retires terminal lanes and
-/// refills before every step.  A kernel signals a drop by writing kNoNode
-/// into cur (leaving hops at the count already taken: a dropped route
-/// counts the hops it completed).
-struct RouteBatch {
-  static constexpr int kLanes = 8;
-  NodeIndex cur[kLanes];
-  NodeIndex target[kLanes];
-  std::uint64_t target_id[kLanes];
-  // Per-lane geometry register.  The static ring kernels keep the
-  // remaining clockwise distance (target_id - id(cur)) mod 2^d here,
-  // updated incrementally: each hop subtracts the chosen entry's
-  // precomputed progress -- exact integer arithmetic, so it equals the
-  // recomputed value bit for bit, and removes the only per-hop load
-  // outside the row itself.  The churn engine's batch kernels
-  // (churn/sparse_trajectory.cpp) reuse the same lanes and carry the
-  // current hop's identifier instead (their rows cache install-time
-  // target ids, so cur's id is the one value a hop must thread through).
-  std::uint64_t dist[kLanes];
-  std::uint32_t hops[kLanes];
-  std::uint8_t active[kLanes];
-  // Workload object rank the lane is fetching (kNoRank for uniform
-  // pairs); read only by the driver's cache probes, never by the step
-  // kernels.  The churn driver reuses it as the lane's GET (pair) index.
-  std::uint32_t rank[kLanes];
-};
+// Batch kernels.  Each advances every active lane of a sim::LaneBatch one
+// hop (sim/lanes.hpp: lanes as parallel arrays, a drop written as kNoNode
+// into cur), running each micro-phase -- distance computation, lock-step
+// row scans, liveness probes -- as a short branch-light loop over lanes,
+// where every iteration is independent and its loads issue together.
+// Plain scalar code, no intrinsics: the shape alone buys the memory-level
+// parallelism (and the compiler is free to vectorize the arithmetic
+// phases).
 
 /// One Chord hop for every active lane: greedy clockwise without
 /// overshoot, over the node's row of *distinct* fingers sorted by strictly
@@ -255,8 +220,8 @@ struct RouteBatch {
 /// falling back to the in-row scan for the rare dead-candidate lane.  The writeback prefetches the *next*
 /// hop's whole row, so phase B of the following turn runs against lines
 /// that have had a full batch turn of latency cover.
-inline void step_batch_chord_packed(const FlatSparseCtx& c, RouteBatch& b) {
-  constexpr int kLanes = RouteBatch::kLanes;
+inline void step_batch_chord_packed(const FlatSparseCtx& c, Lanes& b) {
+  constexpr int kLanes = Lanes::kLanes;
   const std::uint64_t stride = static_cast<std::uint64_t>(c.row_width);
   std::uint64_t key[kLanes];
   std::uint64_t base[kLanes];
@@ -319,8 +284,8 @@ inline void step_batch_chord_packed(const FlatSparseCtx& c, RouteBatch& b) {
   }
 }
 
-inline void step_batch_chord_wide(const FlatSparseCtx& c, RouteBatch& b) {
-  constexpr int kLanes = RouteBatch::kLanes;
+inline void step_batch_chord_wide(const FlatSparseCtx& c, Lanes& b) {
+  constexpr int kLanes = Lanes::kLanes;
   const std::uint64_t stride = static_cast<std::uint64_t>(c.row_width);
   std::uint64_t distance[kLanes];
   std::uint64_t base[kLanes];
@@ -392,7 +357,7 @@ inline void step_batch_chord_wide(const FlatSparseCtx& c, RouteBatch& b) {
   }
 }
 
-inline void step_batch_chord(const FlatSparseCtx& c, RouteBatch& b) {
+inline void step_batch_chord(const FlatSparseCtx& c, Lanes& b) {
   if (c.packed != nullptr) {
     step_batch_chord_packed(c, b);
   } else {
@@ -405,8 +370,8 @@ inline void step_batch_chord(const FlatSparseCtx& c, RouteBatch& b) {
 /// the highest differing bucket and prefetch its liveness word, (B)
 /// resolve -- the head is the hop in the common case (head present and
 /// alive); lanes that miss fall back to the full scalar bucket walk.
-inline void step_batch_kademlia(const FlatSparseCtx& c, RouteBatch& b) {
-  constexpr int kLanes = RouteBatch::kLanes;
+inline void step_batch_kademlia(const FlatSparseCtx& c, Lanes& b) {
+  constexpr int kLanes = Lanes::kLanes;
   const int d = c.row_width / c.bucket_k;
   NodeIndex head[kLanes];
   for (int l = 0; l < kLanes; ++l) {
@@ -453,8 +418,8 @@ inline void step_batch_kademlia(const FlatSparseCtx& c, RouteBatch& b) {
 /// shortcuts + kn successors, all usually cache-resident), so per-lane
 /// scalar steps suffice; the batch shape still overlaps the shortcut-id
 /// gathers of different lanes.
-inline void step_batch_symphony(const FlatSparseCtx& c, RouteBatch& b) {
-  for (int l = 0; l < RouteBatch::kLanes; ++l) {
+inline void step_batch_symphony(const FlatSparseCtx& c, Lanes& b) {
+  for (int l = 0; l < Lanes::kLanes; ++l) {
     if (!b.active[l]) {
       continue;
     }
@@ -545,13 +510,6 @@ struct SparseParallelOptions {
   /// Pin worker threads round-robin across NUMA nodes (sim/topology.hpp);
   /// best effort, a silent no-op where unsupported.  Never affects results.
   bool pin_workers = false;
-  /// Replicate the read-only routing state (ids, liveness mask, neighbor
-  /// tables) once per NUMA node -- each copy first-touched by a thread
-  /// pinned to that node -- and point every worker at its local replica.
-  /// Flat-kernel path only; results are bit-identical either way (the
-  /// copies hold the same bytes), so this is purely a locality knob.  Off
-  /// by default: the copies cost memory and only pay off multi-socket.
-  bool numa_replicate_tables = false;
   /// Heavy-traffic workload model (defaults fully off: the uniform-pair
   /// engine below is byte-for-byte the historical one).
   SparseWorkloadOptions workload{};

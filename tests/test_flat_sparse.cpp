@@ -211,7 +211,7 @@ TEST(FlatSparse, KBucketCellsAreDistinctAndKOneIsTheSingleContactLayout) {
 
 // One route's outcome: status and the hops it completed.
 struct RouteOutcome {
-  flat::SparseRouteStatus status = flat::SparseRouteStatus::kDropped;
+  sim::RouteStatus status = sim::RouteStatus::kDropped;
   int hops = 0;
 };
 
@@ -221,8 +221,8 @@ struct RouteOutcome {
 RouteOutcome route_one_batched(const flat::FlatSparseCtx& c,
                                NodeIndex source, NodeIndex target,
                                std::uint64_t max_hops) {
-  flat::RouteBatch b{};
-  for (int l = 0; l < flat::RouteBatch::kLanes; ++l) {
+  flat::Lanes b{};
+  for (int l = 0; l < flat::Lanes::kLanes; ++l) {
     b.active[l] = 0;
   }
   b.cur[0] = source;
@@ -245,13 +245,13 @@ RouteOutcome route_one_batched(const flat::FlatSparseCtx& c,
     }
     const int hops = static_cast<int>(b.hops[0]);
     if (b.cur[0] == kNoNode) {
-      return {flat::SparseRouteStatus::kDropped, hops};
+      return {sim::RouteStatus::kDropped, hops};
     }
     if (b.cur[0] == b.target[0]) {
-      return {flat::SparseRouteStatus::kArrived, hops};
+      return {sim::RouteStatus::kArrived, hops};
     }
     if (b.hops[0] >= max_hops) {
-      return {flat::SparseRouteStatus::kHopLimit, hops};
+      return {sim::RouteStatus::kHopLimit, hops};
     }
   }
 }
@@ -307,12 +307,12 @@ TEST(FlatSparse, BatchKernelsMatchVirtualOraclePerPair) {
         const auto batched = route_one_batched(ctx, source, target, max_hops);
         const auto oracle = route(*inst.overlay, failures, source, target);
         if (oracle.has_value()) {
-          ASSERT_EQ(batched.status, flat::SparseRouteStatus::kArrived)
+          ASSERT_EQ(batched.status, sim::RouteStatus::kArrived)
               << what << " source=" << source << " target=" << target;
           EXPECT_EQ(batched.hops, *oracle)
               << what << " source=" << source << " target=" << target;
         } else {
-          ASSERT_EQ(batched.status, flat::SparseRouteStatus::kDropped)
+          ASSERT_EQ(batched.status, sim::RouteStatus::kDropped)
               << what << " source=" << source << " target=" << target;
         }
       }

@@ -1,16 +1,20 @@
 // Determinism and correctness of the parallel Monte-Carlo routing engine
 // (parallel_monte_carlo.hpp): bit-identical results across thread counts,
 // merge() associativity, and agreement with the sequential reference
-// implementations.
+// implementations; plus the contract of the lane driver every batched
+// engine runs on (sim/lanes.hpp).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "math/rng.hpp"
 #include "sim/chord_overlay.hpp"
 #include "sim/hypercube_overlay.hpp"
+#include "sim/lanes.hpp"
 #include "sim/parallel_monte_carlo.hpp"
 #include "sim/symphony_overlay.hpp"
 #include "sim/tree_overlay.hpp"
@@ -292,6 +296,229 @@ TEST(ParallelMonteCarlo, RejectsDegenerateInputs) {
       PreconditionError);
   EXPECT_THROW(exact_routability_parallel(overlay, one_alive, {}, rng),
                PreconditionError);
+}
+
+
+// --- The shared lane driver's contract (sim/lanes.hpp), against a
+// scripted fake engine: every pair's fate is fixed up front, and the
+// engine logs what the driver asks of it.
+
+// One scripted route: after `hops` successful hops it arrives, or its
+// next step drops it, or it runs on until the hop cap.  A pair with
+// shortcut_at >= 0 jumps to its target from the shortcut hook once it
+// has taken that many hops.
+struct ScriptedPair {
+  RouteStatus outcome = RouteStatus::kArrived;
+  std::uint32_t hops = 0;
+  int shortcut_at = -1;
+};
+
+struct LaneEvent {
+  enum Kind { kRefill, kRetire, kStep } kind;
+  int lane;
+  std::uint32_t pair;
+};
+
+struct ScriptedLanes {
+  using Batch = LaneBatch<std::uint32_t>;
+  static constexpr std::uint32_t kMaxHops = 6;
+
+  explicit ScriptedLanes(std::vector<ScriptedPair> script)
+      : pairs(std::move(script)), steps_taken(pairs.size(), 0),
+        retired(pairs.size(), 0), status(pairs.size()),
+        hops(pairs.size(), 0) {}
+
+  bool refill(Batch& b, int l) {
+    if (next == pairs.size()) {
+      return false;
+    }
+    const auto pair = static_cast<std::uint32_t>(next++);
+    b.cur[l] = 1000 + pair;
+    b.target[l] = 5000 + pair;
+    b.hops[l] = 0;
+    b.rank[l] = pair;
+    events.push_back({LaneEvent::kRefill, l, pair});
+    return true;
+  }
+
+  void retire(const Batch& b, int l, RouteStatus s) {
+    const std::uint32_t pair = b.rank[l];
+    ++retired[pair];
+    status[pair] = s;
+    hops[pair] = b.hops[l];
+    events.push_back({LaneEvent::kRetire, l, pair});
+  }
+
+  bool shortcut(Batch& b, int l) {
+    const ScriptedPair& p = pairs[b.rank[l]];
+    if (p.shortcut_at < 0 ||
+        b.hops[l] != static_cast<std::uint32_t>(p.shortcut_at)) {
+      return false;
+    }
+    b.cur[l] = b.target[l];
+    b.hops[l] += 1;
+    ++shortcuts;
+    return true;
+  }
+
+  void step(Batch& b) {
+    ++step_calls;
+    for (int l = 0; l < Batch::kLanes; ++l) {
+      if (b.active[l] == 0) {
+        continue;
+      }
+      const std::uint32_t pair = b.rank[l];
+      // The driver hands a step only mid-route lanes.
+      EXPECT_NE(b.cur[l], Batch::kDropped);
+      EXPECT_NE(b.cur[l], b.target[l]);
+      EXPECT_LT(b.hops[l], kMaxHops);
+      ++steps_taken[pair];  // the lane's one charge for this step
+      events.push_back({LaneEvent::kStep, l, pair});
+      const ScriptedPair& p = pairs[pair];
+      if (p.outcome == RouteStatus::kDropped && b.hops[l] == p.hops) {
+        b.cur[l] = Batch::kDropped;
+        continue;
+      }
+      b.hops[l] += 1;
+      b.cur[l] = p.outcome == RouteStatus::kArrived && b.hops[l] == p.hops
+                     ? b.target[l]
+                     : 2000 + pair * 16 + b.hops[l];
+    }
+  }
+
+  std::vector<ScriptedPair> pairs;
+  std::size_t next = 0;
+  std::vector<std::uint32_t> steps_taken;
+  std::vector<int> retired;
+  std::vector<RouteStatus> status;
+  std::vector<std::uint32_t> hops;
+  std::vector<LaneEvent> events;
+  int step_calls = 0;
+  int shortcuts = 0;
+};
+
+TEST(LaneDriver, RetiresEveryPairOnceWithItsStatusAndHops) {
+  std::vector<ScriptedPair> script;
+  for (std::uint32_t i = 0; i < 21; ++i) {
+    switch (i % 3) {
+      case 0:
+        script.push_back({RouteStatus::kArrived, 1 + i % 5});
+        break;
+      case 1:
+        script.push_back({RouteStatus::kDropped, i % 4});
+        break;
+      default:
+        script.push_back({RouteStatus::kHopLimit, 0});
+        break;
+    }
+  }
+  script[5] = {RouteStatus::kArrived, 5, /*shortcut_at=*/2};
+  const ScriptedLanes lanes = drive_lanes<std::uint32_t>(
+      ScriptedLanes::kMaxHops, ScriptedLanes(script));
+
+  EXPECT_EQ(lanes.shortcuts, 1);
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    const ScriptedPair& p = script[i];
+    ASSERT_EQ(lanes.retired[i], 1) << "pair " << i;
+    EXPECT_EQ(lanes.status[i], p.outcome) << "pair " << i;
+    // Charged once per step it was handed: the hops it took, plus the
+    // step that dropped it; never on its retire turn.
+    if (p.shortcut_at >= 0) {
+      EXPECT_EQ(lanes.hops[i], static_cast<std::uint32_t>(p.shortcut_at) + 1);
+      EXPECT_EQ(lanes.steps_taken[i],
+                static_cast<std::uint32_t>(p.shortcut_at));
+    } else if (p.outcome == RouteStatus::kArrived) {
+      EXPECT_EQ(lanes.hops[i], p.hops);
+      EXPECT_EQ(lanes.steps_taken[i], p.hops);
+    } else if (p.outcome == RouteStatus::kDropped) {
+      EXPECT_EQ(lanes.hops[i], p.hops);
+      EXPECT_EQ(lanes.steps_taken[i], p.hops + 1);
+    } else {
+      EXPECT_EQ(lanes.hops[i], ScriptedLanes::kMaxHops);
+      EXPECT_EQ(lanes.steps_taken[i], ScriptedLanes::kMaxHops);
+    }
+  }
+}
+
+TEST(LaneDriver, ServesLanesInLaneOrderAndRefillsOnRetire) {
+  std::vector<ScriptedPair> script;
+  for (std::uint32_t i = 0; i < 30; ++i) {
+    script.push_back({i % 2 == 0 ? RouteStatus::kArrived
+                                 : RouteStatus::kDropped,
+                      1 + (i * 7) % 4});
+  }
+  script[9].shortcut_at = 1;
+  const ScriptedLanes lanes = drive_lanes<std::uint32_t>(
+      ScriptedLanes::kMaxHops, ScriptedLanes(script));
+
+  const auto& ev = lanes.events;
+  constexpr int kLanes = ScriptedLanes::Batch::kLanes;
+  // Start-up: lanes 0..7 refilled in lane order before any step.
+  ASSERT_GE(ev.size(), static_cast<std::size_t>(kLanes));
+  for (int l = 0; l < kLanes; ++l) {
+    EXPECT_EQ(ev[l].kind, LaneEvent::kRefill);
+    EXPECT_EQ(ev[l].lane, l);
+    EXPECT_EQ(ev[l].pair, static_cast<std::uint32_t>(l));
+  }
+  // Between two steps, retirements run in rising lane order, each is
+  // followed at once by its lane's refill while pairs remain, and a
+  // retired pair is never stepped again.
+  std::vector<bool> done(script.size(), false);
+  std::size_t handed_out = kLanes;
+  int last_lane = -1;
+  for (std::size_t i = kLanes; i < ev.size(); ++i) {
+    const LaneEvent& e = ev[i];
+    if (e.kind == LaneEvent::kStep) {
+      EXPECT_FALSE(done[e.pair]) << "event " << i;
+      last_lane = -1;
+    } else if (e.kind == LaneEvent::kRefill) {
+      ++handed_out;
+    } else {
+      EXPECT_GT(e.lane, last_lane) << "event " << i;
+      last_lane = e.lane;
+      done[e.pair] = true;
+      if (handed_out < script.size()) {
+        ASSERT_LT(i + 1, ev.size());
+        EXPECT_EQ(ev[i + 1].kind, LaneEvent::kRefill) << "event " << i;
+        EXPECT_EQ(ev[i + 1].lane, e.lane) << "event " << i;
+      }
+    }
+  }
+  // Refills hand pairs out in order; every pair was handed out.
+  std::uint32_t expected = 0;
+  for (const LaneEvent& e : ev) {
+    if (e.kind == LaneEvent::kRefill) {
+      EXPECT_EQ(e.pair, expected++);
+    }
+  }
+  EXPECT_EQ(expected, script.size());
+}
+
+TEST(LaneDriver, ShortcutToTargetRetiresBeforeTheNextStep) {
+  // One lane's worth of work: pair 0 shortcuts to its target after one
+  // hop, so it retires as an arrival with two hops and is stepped once.
+  const ScriptedLanes lanes = drive_lanes<std::uint32_t>(
+      ScriptedLanes::kMaxHops,
+      ScriptedLanes({{RouteStatus::kArrived, 4, /*shortcut_at=*/1}}));
+  EXPECT_EQ(lanes.shortcuts, 1);
+  EXPECT_EQ(lanes.status[0], RouteStatus::kArrived);
+  EXPECT_EQ(lanes.hops[0], 2u);
+  EXPECT_EQ(lanes.steps_taken[0], 1u);
+  EXPECT_EQ(lanes.step_calls, 1);
+  // A pair that shortcuts before its first hop never reaches a step.
+  const ScriptedLanes at_start = drive_lanes<std::uint32_t>(
+      ScriptedLanes::kMaxHops,
+      ScriptedLanes({{RouteStatus::kArrived, 4, /*shortcut_at=*/0}}));
+  EXPECT_EQ(at_start.status[0], RouteStatus::kArrived);
+  EXPECT_EQ(at_start.hops[0], 1u);
+  EXPECT_EQ(at_start.step_calls, 0);
+}
+
+TEST(LaneDriver, ZeroPairsNeverStep) {
+  const ScriptedLanes lanes = drive_lanes<std::uint32_t>(
+      ScriptedLanes::kMaxHops, ScriptedLanes(std::vector<ScriptedPair>{}));
+  EXPECT_EQ(lanes.step_calls, 0);
+  EXPECT_TRUE(lanes.events.empty());
 }
 
 }  // namespace
