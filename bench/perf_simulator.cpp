@@ -8,8 +8,13 @@
 //
 //   {"bench":"perf_simulator","geometry":"ring","path":"parallel",
 //    "threads":8,"n":65536,"q":0.100000,"pairs":200000,"seed":1,
-//    "seconds":0.123,"routes_per_sec":1626016.3,"speedup_vs_seed":5.81,
-//    "routability":0.986535,"identical_across_threads":true}
+//    "table_bytes":0,"seconds":0.123,"routes_per_sec":1626016.3,
+//    "speedup_vs_seed":5.81,"routability":0.986535,
+//    "identical_across_threads":true}
+//
+// table_bytes is the overlay's routing-table storage (Overlay::table_bytes:
+// 4 d 2^d for tree/xor, 4 ks 2^d for symphony, 0 for the closed-form ring
+// and hypercube), an exact integer the thread-count diffs compare.
 //
 // A second JSONL section ("section":"churn") drives the sharded churn
 // trajectory engine (churn/trajectory.hpp) on the XOR geometry across the
@@ -393,21 +398,23 @@ std::string obs_columns(const obs::PhaseProfile& profile,
   return buf;
 }
 
-void emit(const Config& cfg, const std::string& geometry, const char* path,
-          unsigned threads, double seconds, double routability,
-          double speedup, bool identical, const obs::PhaseProfile& profile,
+void emit(const Config& cfg, const std::string& geometry,
+          std::uint64_t table_bytes, const char* path, unsigned threads,
+          double seconds, double routability, double speedup, bool identical,
+          const obs::PhaseProfile& profile,
           const obs::FailureTaxonomy& failures) {
   std::printf(
       "{\"bench\":\"perf_simulator\",\"geometry\":\"%s\",\"path\":\"%s\","
       "\"threads\":%u,\"sockets\":%u,\"pinned\":%s,\"n\":%llu,\"q\":%.6f,"
-      "\"pairs\":%llu,\"seed\":%llu,"
+      "\"pairs\":%llu,\"seed\":%llu,\"table_bytes\":%llu,"
       "\"seconds\":%.6f,\"routes_per_sec\":%.1f,\"speedup_vs_seed\":%.3f,"
       "\"routability\":%.6f,%s,\"identical_across_threads\":%s}\n",
       geometry.c_str(), path, threads, sim::topology().nodes(),
       cfg.pin ? "true" : "false",
       static_cast<unsigned long long>(std::uint64_t{1} << cfg.bits), cfg.q,
       static_cast<unsigned long long>(cfg.pairs),
-      static_cast<unsigned long long>(cfg.seed), seconds,
+      static_cast<unsigned long long>(cfg.seed),
+      static_cast<unsigned long long>(table_bytes), seconds,
       static_cast<double>(cfg.pairs) / seconds, speedup, routability,
       obs_columns(profile, failures).c_str(), identical ? "true" : "false");
 }
@@ -646,8 +653,9 @@ int main(int argc, char** argv) {
     const double seed_seconds = seconds_since(start);
     // The seed path predates the phase hooks: zero phase columns, but the
     // taxonomy comes from the same estimate struct as every other path.
-    emit(cfg, geometry, "seed", 1, seed_seconds, seed_estimate.routability(),
-         1.0, true, obs::PhaseProfile{}, seed_estimate.failures);
+    emit(cfg, geometry, overlay->table_bytes(), "seed", 1, seed_seconds,
+         seed_estimate.routability(), 1.0, true, obs::PhaseProfile{},
+         seed_estimate.failures);
 
     // Parallel engine across the thread sweep; estimates must agree
     // bit-for-bit at every thread count.
@@ -672,9 +680,9 @@ int main(int argc, char** argv) {
         have_reference = true;
       }
       all_identical = all_identical && identical;
-      emit(cfg, geometry, "parallel", threads, seconds,
-           estimate.routability(), seed_seconds / seconds, identical,
-           profile, estimate.failures);
+      emit(cfg, geometry, overlay->table_bytes(), "parallel", threads,
+           seconds, estimate.routability(), seed_seconds / seconds,
+           identical, profile, estimate.failures);
     }
   }
 

@@ -88,6 +88,7 @@ using common::parse_int_flag;
 using common::parse_u64_flag;
 
 constexpr std::uint64_t kAnyU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr int kAnyInt = std::numeric_limits<int>::max();
 
 // Every subcommand's --threads: a whole integer in [0, UINT_MAX], 0 meaning
 // hardware concurrency.
@@ -99,6 +100,20 @@ bool parse_threads(const char* command, const char* text, unsigned& out) {
   }
   out = static_cast<unsigned>(value);
   return true;
+}
+
+// The optional trailing [pairs] [seed] positionals, at positional[first]
+// and positional[first + 1]; absent ones keep the caller's defaults.
+bool parse_pairs_seed(const char* command,
+                      const std::vector<std::string>& positional,
+                      std::size_t first, std::uint64_t& pairs,
+                      std::uint64_t& seed) {
+  return (positional.size() <= first ||
+          parse_u64_flag(command, "pairs", positional[first].c_str(), 0,
+                         kAnyU64, pairs)) &&
+         (positional.size() <= first + 1 ||
+          parse_u64_flag(command, "seed", positional[first + 1].c_str(), 0,
+                         kAnyU64, seed));
 }
 
 int usage() {
@@ -255,10 +270,6 @@ std::unique_ptr<sim::Overlay> make_overlay(const std::string& name,
 
 int cmd_simulate(const std::string& name, int d, double q,
                  std::uint64_t pairs, std::uint64_t seed, unsigned threads) {
-  if (d > 20) {
-    std::cerr << "simulate: d capped at 20 (table memory)\n";
-    return 1;
-  }
   const sim::IdSpace space(d);
   math::Rng rng(seed);
   const auto overlay = make_overlay(name, space, rng);
@@ -400,10 +411,6 @@ int cmd_churn(const std::string& name, int d, double pd, double pr,
   }
   if (!validate_lifecycle_args("churn", pd, pr, refresh) ||
       !validate_rho("churn", rho)) {
-    return 1;
-  }
-  if (d > 16) {
-    std::cerr << "churn: d capped at 16 (each shard evolves a full replica)\n";
     return 1;
   }
   const sim::IdSpace space(d);
@@ -679,17 +686,37 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   try {
+    // Every number parses strictly (common/flags.hpp): "8x" or "0.1abc"
+    // fails with exit 1 instead of silently running a different config.
     if (command == "analyze" && argc == 5) {
-      return cmd_analyze(argv[2], std::atoi(argv[3]), std::atof(argv[4]));
+      int d = 0;
+      double q = 0.0;
+      if (!parse_int_flag("analyze", "<d>", argv[3], 1, kAnyInt, d) ||
+          !parse_double_flag("analyze", "<q>", argv[4], q)) {
+        return 1;
+      }
+      return cmd_analyze(argv[2], d, q);
     }
     if (command == "sweep-q" && argc == 4) {
-      return cmd_sweep_q(argv[2], std::atoi(argv[3]));
+      int d = 0;
+      if (!parse_int_flag("sweep-q", "<d>", argv[3], 1, kAnyInt, d)) {
+        return 1;
+      }
+      return cmd_sweep_q(argv[2], d);
     }
     if (command == "sweep-n" && argc == 4) {
-      return cmd_sweep_n(argv[2], std::atof(argv[3]));
+      double q = 0.0;
+      if (!parse_double_flag("sweep-n", "<q>", argv[3], q)) {
+        return 1;
+      }
+      return cmd_sweep_n(argv[2], q);
     }
     if (command == "scalability") {
-      return cmd_scalability(argc >= 3 ? std::atof(argv[2]) : 0.1);
+      double q = 0.1;
+      if (argc >= 3 && !parse_double_flag("scalability", "[q]", argv[2], q)) {
+        return 1;
+      }
+      return cmd_scalability(q);
     }
     if (command == "simulate" && argc >= 5) {
       // Positional [pairs] [seed], then an optional trailing --threads N.
@@ -705,15 +732,17 @@ int main(int argc, char** argv) {
           positional.emplace_back(argv[i]);
         }
       }
-      const std::uint64_t pairs =
-          !positional.empty() ? std::strtoull(positional[0].c_str(), nullptr, 10)
-                              : 20000;
-      const std::uint64_t seed =
-          positional.size() >= 2
-              ? std::strtoull(positional[1].c_str(), nullptr, 10)
-              : 1;
-      return cmd_simulate(argv[2], std::atoi(argv[3]), std::atof(argv[4]),
-                          pairs, seed, threads);
+      int d = 0;
+      double q = 0.0;
+      std::uint64_t pairs = 20000;
+      std::uint64_t seed = 1;
+      // d is capped at 20 by the tree/xor tables' memory.
+      if (!parse_int_flag("simulate", "<d>", argv[3], 1, 20, d) ||
+          !parse_double_flag("simulate", "<q>", argv[4], q) ||
+          !parse_pairs_seed("simulate", positional, 0, pairs, seed)) {
+        return 1;
+      }
+      return cmd_simulate(argv[2], d, q, pairs, seed, threads);
     }
     if (command == "sparse" && argc >= 6) {
       // Positional [pairs] [seed], then optional --threads / --shards /
@@ -739,10 +768,15 @@ int main(int argc, char** argv) {
           }
           ++i;
         } else if (arg == "--zipf" && i + 1 < argc) {
-          zipf_s = std::atof(argv[i + 1]);
+          if (!parse_double_flag("sparse", "--zipf", argv[i + 1], zipf_s)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--objects" && i + 1 < argc) {
-          objects = std::strtoull(argv[i + 1], nullptr, 10);
+          if (!parse_u64_flag("sparse", "--objects", argv[i + 1], 0,
+                              std::uint64_t{1} << 26, objects)) {
+            return 1;
+          }
           ++i;
         } else if (arg == "--cache" && i + 1 < argc) {
           if (!parse_int_flag("sparse", "--cache", argv[i + 1], 0,
@@ -760,17 +794,20 @@ int main(int argc, char** argv) {
           positional.push_back(arg);
         }
       }
-      const std::uint64_t pairs =
-          !positional.empty() ? std::strtoull(positional[0].c_str(), nullptr, 10)
-                              : 20000;
-      const std::uint64_t seed =
-          positional.size() >= 2
-              ? std::strtoull(positional[1].c_str(), nullptr, 10)
-              : 1;
-      return cmd_sparse(argv[2], std::atoi(argv[3]),
-                        std::strtoull(argv[4], nullptr, 10), std::atof(argv[5]),
-                        pairs, seed, threads, shards, zipf_s, objects,
-                        cache_entries, record_load);
+      int bits = 0;
+      std::uint64_t n = 0;
+      double q = 0.0;
+      std::uint64_t pairs = 20000;
+      std::uint64_t seed = 1;
+      if (!parse_int_flag("sparse", "<bits>", argv[3], 1, 63, bits) ||
+          !parse_u64_flag("sparse", "<n>", argv[4], 1, std::uint64_t{1} << 26,
+                          n) ||
+          !parse_double_flag("sparse", "<q>", argv[5], q) ||
+          !parse_pairs_seed("sparse", positional, 0, pairs, seed)) {
+        return 1;
+      }
+      return cmd_sparse(argv[2], bits, n, q, pairs, seed, threads, shards,
+                        zipf_s, objects, cache_entries, record_load);
     }
     if (command == "churn" && argc >= 7) {
       // Positional [rounds] [pairs] [seed], then optional --threads /
@@ -793,7 +830,9 @@ int main(int argc, char** argv) {
           }
           ++i;
         } else if (arg == "--rho" && i + 1 < argc) {
-          rho = std::atof(argv[i + 1]);
+          if (!parse_double_flag("churn", "--rho", argv[i + 1], rho)) {
+            return 1;
+          }
           ++i;
         } else if (arg.rfind("--", 0) == 0) {
           std::cerr << "churn: unknown flag " << arg << "\n";
@@ -802,19 +841,26 @@ int main(int argc, char** argv) {
           positional.push_back(arg);
         }
       }
-      const int rounds =
-          !positional.empty() ? std::atoi(positional[0].c_str()) : 5;
-      const std::uint64_t pairs =
-          positional.size() >= 2
-              ? std::strtoull(positional[1].c_str(), nullptr, 10)
-              : 1000;
-      const std::uint64_t seed =
-          positional.size() >= 3
-              ? std::strtoull(positional[2].c_str(), nullptr, 10)
-              : 1;
-      return cmd_churn(argv[2], std::atoi(argv[3]), std::atof(argv[4]),
-                       std::atof(argv[5]), std::atoi(argv[6]), rounds, pairs,
-                       seed, threads, shards, rho);
+      int d = 0;
+      double pd = 0.0;
+      double pr = 0.0;
+      int refresh = 0;
+      int rounds = 5;
+      std::uint64_t pairs = 1000;
+      std::uint64_t seed = 1;
+      // d is capped at 16: each shard evolves a full replica.
+      if (!parse_int_flag("churn", "<d>", argv[3], 1, 16, d) ||
+          !parse_double_flag("churn", "<pd>", argv[4], pd) ||
+          !parse_double_flag("churn", "<pr>", argv[5], pr) ||
+          !parse_int_flag("churn", "<R>", argv[6], 1, kAnyInt, refresh) ||
+          (!positional.empty() &&
+           !parse_int_flag("churn", "rounds", positional[0].c_str(), 1,
+                           kAnyInt, rounds)) ||
+          !parse_pairs_seed("churn", positional, 1, pairs, seed)) {
+        return 1;
+      }
+      return cmd_churn(argv[2], d, pd, pr, refresh, rounds, pairs, seed,
+                       threads, shards, rho);
     }
     if (command == "sparse-churn" && argc >= 8) {
       // Positional [rounds] [pairs] [seed], then optional flag pairs.
@@ -858,7 +904,7 @@ int main(int argc, char** argv) {
           ++i;
         } else if (arg == "--announce" && i + 1 < argc) {
           if (!parse_int_flag("sparse-churn", "--announce", argv[i + 1], 0,
-                              std::numeric_limits<int>::max(), announce)) {
+                              kAnyInt, announce)) {
             return 1;
           }
           ++i;
@@ -932,8 +978,8 @@ int main(int argc, char** argv) {
                           std::uint64_t{1} << 26, n0) ||
           !parse_double_flag("sparse-churn", "<pd>", argv[5], pd) ||
           !parse_double_flag("sparse-churn", "<pr>", argv[6], pr) ||
-          !parse_int_flag("sparse-churn", "<R>", argv[7], 1,
-                          std::numeric_limits<int>::max(), refresh)) {
+          !parse_int_flag("sparse-churn", "<R>", argv[7], 1, kAnyInt,
+                          refresh)) {
         return 1;
       }
       int rounds = 4;
@@ -941,13 +987,8 @@ int main(int argc, char** argv) {
       std::uint64_t seed = 1;
       if ((!positional.empty() &&
            !parse_int_flag("sparse-churn", "rounds", positional[0].c_str(), 1,
-                           std::numeric_limits<int>::max(), rounds)) ||
-          (positional.size() >= 2 &&
-           !parse_u64_flag("sparse-churn", "pairs", positional[1].c_str(), 0,
-                           kAnyU64, pairs)) ||
-          (positional.size() >= 3 &&
-           !parse_u64_flag("sparse-churn", "seed", positional[2].c_str(), 0,
-                           kAnyU64, seed))) {
+                           kAnyInt, rounds)) ||
+          !parse_pairs_seed("sparse-churn", positional, 1, pairs, seed)) {
         return 1;
       }
       return cmd_sparse_churn(argv[2], bits, n0, pd, pr, refresh, rounds,
@@ -957,7 +998,13 @@ int main(int argc, char** argv) {
                               trace_out);
     }
     if (command == "latency" && argc == 5) {
-      return cmd_latency(argv[2], std::atoi(argv[3]), std::atof(argv[4]));
+      int d = 0;
+      double q = 0.0;
+      if (!parse_int_flag("latency", "<d>", argv[3], 1, kAnyInt, d) ||
+          !parse_double_flag("latency", "<q>", argv[4], q)) {
+        return 1;
+      }
+      return cmd_latency(argv[2], d, q);
     }
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";

@@ -10,37 +10,26 @@ ChordOverlay::ChordOverlay(const IdSpace& space, math::Rng& rng,
   DHT_CHECK(successor_links >= 0, "successor link count must be >= 0");
   DHT_CHECK(static_cast<std::uint64_t>(successor_links) < space.size(),
             "successor list must be smaller than the ring");
+  if (variant_ == ChordFingers::kDeterministic) {
+    return;  // closed-form fingers: nothing to store
+  }
+  // Randomized finger i: clockwise offset uniform in [2^{d-i}, 2^{d-i+1}).
   const int d = space_.bits();
   const std::uint64_t size = space_.size();
-  if (variant_ == ChordFingers::kDeterministic && d > kFlattenBitsCap) {
-    return;  // table would not fit; finger() computes entries on the fly
-  }
-  // Rows are computed into a local buffer and appended whole: no zero fill
-  // of the table, and the closed-form deterministic row stays a
-  // vectorizable loop.  No huge-page advice here: built after the prefix
-  // tables, this table faulted 2MB pages through direct compaction and
-  // built slower than on 4K pages.
   fingers_.reserve(size * static_cast<std::uint64_t>(d));
-  std::vector<std::uint32_t> row(static_cast<std::size_t>(d));
   for (NodeId v = 0; v < size; ++v) {
     for (int i = 1; i <= d; ++i) {
-      // Finger i: clockwise offset 2^{d-i} exactly (deterministic) or
-      // uniform in [2^{d-i}, 2^{d-i+1}) (randomized).
       const std::uint64_t lo = std::uint64_t{1} << (d - i);
-      const std::uint64_t offset =
-          variant_ == ChordFingers::kDeterministic ? lo
-                                                   : lo + rng.uniform_below(lo);
-      row[static_cast<std::size_t>(i - 1)] =
-          static_cast<std::uint32_t>((v + offset) & (size - 1));
+      fingers_.push_back(static_cast<std::uint32_t>(
+          (v + lo + rng.uniform_below(lo)) & (size - 1)));
     }
-    fingers_.insert(fingers_.end(), row.begin(), row.end());
   }
 }
 
 NodeId ChordOverlay::finger(NodeId node, int index) const {
   DHT_CHECK(space_.contains(node), "node id out of range");
   DHT_CHECK(index >= 1 && index <= space_.bits(), "finger index out of range");
-  if (fingers_.empty()) {
+  if (variant_ == ChordFingers::kDeterministic) {
     const std::uint64_t offset = std::uint64_t{1} << (space_.bits() - index);
     return (node + offset) & (space_.size() - 1);
   }
@@ -92,17 +81,8 @@ std::optional<NodeId> ChordOverlay::next_hop(NodeId current, NodeId target,
 
 void ChordOverlay::links_into(NodeId node, std::vector<NodeId>& out) const {
   out.clear();
-  const int d = space_.bits();
-  if (!fingers_.empty()) {
-    const std::uint32_t* row =
-        fingers_.data() + node * static_cast<std::uint64_t>(d);
-    for (int i = 0; i < d; ++i) {
-      out.push_back(row[i]);
-    }
-  } else {
-    for (int i = 1; i <= d; ++i) {
-      out.push_back(finger(node, i));
-    }
+  for (int i = 1; i <= space_.bits(); ++i) {
+    out.push_back(finger(node, i));
   }
   for (int k = 1; k <= successor_links_; ++k) {
     out.push_back((node + static_cast<std::uint64_t>(k)) &

@@ -21,13 +21,11 @@
 // that do not overshoot the target, take the one covering the most
 // distance; drop when none exists.
 //
-// Both variants materialize their fingers into one contiguous row-major
-// table at construction (the deterministic variant's entries are the
-// closed-form offsets), so the routing hot path and links_into read
-// straight out of cache-friendly rows instead of recomputing per hop.  At
-// very large d the deterministic table would not fit in memory and the
-// overlay falls back to computing fingers on the fly (same values, property
-// tested).
+// The deterministic variant stores nothing: its fingers are the closed
+// form, computed per call by finger(), links_into() and the flat kernel.
+// The randomized variant draws its fingers once, at construction, into one
+// contiguous row-major u32 table (2^d x d entries) that the routing hot
+// path and links_into read straight out of.
 #pragma once
 
 #include <cstdint>
@@ -70,18 +68,17 @@ class ChordOverlay final : public Overlay {
   /// variant).
   NodeId finger(NodeId node, int index) const;
 
-  /// Row-major [node][index-1] materialized finger table; empty only for
-  /// deterministic overlays too large to materialize (bits() > the
-  /// flattening cap), where finger() computes entries on the fly.
+  /// Row-major [node][index-1] finger table of the randomized variant;
+  /// always empty for the deterministic variant.
   const std::vector<std::uint32_t>& finger_table() const noexcept {
     return fingers_;
   }
 
- private:
-  /// Largest d whose full finger table (2^d * d u32 entries) is
-  /// materialized; 2^21 * 21 * 4 B = 168 MiB.
-  static constexpr int kFlattenBitsCap = 21;
+  std::uint64_t table_bytes() const noexcept override {
+    return fingers_.size() * sizeof(std::uint32_t);
+  }
 
+ private:
   IdSpace space_;
   ChordFingers variant_;
   int successor_links_;

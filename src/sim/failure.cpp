@@ -1,13 +1,10 @@
 #include "sim/failure.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace dht::sim {
-
-FailureScenario::FailureScenario(std::uint64_t size)
-    : size_(size), alive_(size, 1), alive_count_(size) {
-  rebuild_alive_index();
-}
 
 FailureScenario::FailureScenario(const IdSpace& space, double q,
                                  math::Rng& rng)
@@ -22,23 +19,17 @@ FailureScenario::FailureScenario(const IdSpace& space, double q,
       alive_count_ += up ? 1 : 0;
     }
   }
-  rebuild_alive_index();
-}
-
-FailureScenario FailureScenario::all_alive(const IdSpace& space) {
-  return FailureScenario(space.size());
-}
-
-void FailureScenario::rebuild_alive_index() {
-  alive_ids_.clear();
   alive_ids_.reserve(alive_count_);
-  alive_pos_.assign(size_, kDeadPos);
   for (std::uint64_t id = 0; id < size_; ++id) {
     if (alive_[id] != 0) {
-      alive_pos_[id] = static_cast<std::uint32_t>(alive_ids_.size());
       alive_ids_.push_back(static_cast<std::uint32_t>(id));
     }
   }
+}
+
+FailureScenario FailureScenario::all_alive(const IdSpace& space) {
+  math::Rng unused(0);  // q = 0 draws nothing
+  return FailureScenario(space, 0.0, unused);
 }
 
 void FailureScenario::kill(NodeId id) {
@@ -46,13 +37,9 @@ void FailureScenario::kill(NodeId id) {
   if (alive_[id] != 0) {
     alive_[id] = 0;
     --alive_count_;
-    // Swap-remove from the alive index, keeping the position map exact.
-    const std::uint32_t pos = alive_pos_[id];
-    const std::uint32_t last = alive_ids_.back();
-    alive_ids_[pos] = last;
-    alive_pos_[last] = pos;
+    // Swap-remove from the alive index.
+    *std::find(alive_ids_.begin(), alive_ids_.end(), id) = alive_ids_.back();
     alive_ids_.pop_back();
-    alive_pos_[id] = kDeadPos;
   }
 }
 
@@ -61,7 +48,6 @@ void FailureScenario::revive(NodeId id) {
   if (alive_[id] == 0) {
     alive_[id] = 1;
     ++alive_count_;
-    alive_pos_[id] = static_cast<std::uint32_t>(alive_ids_.size());
     alive_ids_.push_back(static_cast<std::uint32_t>(id));
   }
 }

@@ -60,21 +60,16 @@ class FailureScenario {
   }
 
   /// Test hooks: force a node's state (updates the alive count and index).
+  /// kill finds the id by a linear search of the alive index, then
+  /// swap-removes it; revive appends.
   void kill(NodeId id);
   void revive(NodeId id);
 
  private:
-  explicit FailureScenario(std::uint64_t size);
-
-  void rebuild_alive_index();
-
-  static constexpr std::uint32_t kDeadPos = ~std::uint32_t{0};
-
   std::uint64_t size_;
   std::vector<std::uint8_t> alive_;
   std::uint64_t alive_count_ = 0;
   std::vector<std::uint32_t> alive_ids_;  // dense alive ids (sample target)
-  std::vector<std::uint32_t> alive_pos_;  // id -> index in alive_ids_, or kDeadPos
 };
 
 }  // namespace dht::sim

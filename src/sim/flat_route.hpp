@@ -1,8 +1,9 @@
 // Flattened per-geometry routing kernels.
 //
 // One tight loop per overlay family reading a contiguous neighbor table
-// (PrefixTable entries, materialized Chord fingers, Symphony shortcut rows)
-// and a raw liveness mask directly -- no virtual dispatch, no
+// (PrefixTable entries, randomized Chord fingers, Symphony shortcut rows;
+// deterministic Chord and the hypercube compute their links from the node
+// id) and a raw liveness mask directly -- no virtual dispatch, no
 // std::optional, no precondition re-checks per hop.  Kernels are exact
 // replicas of the corresponding Overlay::next_hop rules (property-tested in
 // test_flat_paths / test_parallel_monte_carlo).

@@ -25,6 +25,7 @@ class HypercubeOverlay final : public Overlay {
 
   std::vector<NodeId> links(NodeId node) const override;
   void links_into(NodeId node, std::vector<NodeId>& out) const override;
+  std::uint64_t table_bytes() const noexcept override { return 0; }
 
  private:
   IdSpace space_;

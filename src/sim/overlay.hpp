@@ -10,6 +10,7 @@
 // failed-path statistics.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -48,6 +49,10 @@ class Overlay {
   /// reusing the caller's buffer.  The base implementation falls back to
   /// links().
   virtual void links_into(NodeId node, std::vector<NodeId>& out) const;
+
+  /// Bytes of routing-table storage the overlay holds (0 for overlays
+  /// whose links are a closed form of the node id).
+  virtual std::uint64_t table_bytes() const noexcept = 0;
 };
 
 }  // namespace dht::sim

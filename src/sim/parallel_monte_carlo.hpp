@@ -16,9 +16,11 @@
 //
 // Routing itself runs on the flattened per-geometry kernels of
 // sim/flat_route.hpp: one tight loop per overlay family reading the
-// contiguous neighbor tables (PrefixTable entries, materialized Chord
-// fingers, Symphony shortcut rows) and the raw liveness mask directly -- no
-// virtual dispatch, no std::optional, no precondition re-checks per hop.
+// contiguous neighbor tables (PrefixTable entries, randomized Chord
+// fingers, Symphony shortcut rows; deterministic Chord and the hypercube
+// compute their links from the node id) and the raw liveness mask directly
+// -- no virtual dispatch, no std::optional, no precondition re-checks per
+// hop.
 // Kernels are exact replicas of the corresponding Overlay::next_hop rules
 // (property-tested), and unknown overlay types fall back to the generic
 // Router path.  The shard pool itself lives in sim/shard_pool.hpp; the

@@ -39,6 +39,10 @@ class SymphonyOverlay final : public Overlay {
     return shortcuts_;
   }
 
+  std::uint64_t table_bytes() const noexcept override {
+    return shortcuts_.size() * sizeof(std::uint32_t);
+  }
+
   int near_neighbors() const noexcept { return kn_; }
   int shortcuts() const noexcept { return ks_; }
 

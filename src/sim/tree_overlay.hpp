@@ -34,6 +34,10 @@ class TreeOverlay final : public Overlay {
     return table_;
   }
 
+  std::uint64_t table_bytes() const noexcept override {
+    return table_->entries().size() * sizeof(std::uint32_t);
+  }
+
  private:
   IdSpace space_;
   std::shared_ptr<const PrefixTable> table_;

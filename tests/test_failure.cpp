@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.hpp"
 
 namespace dht::sim {
@@ -97,6 +99,46 @@ TEST(FailureScenario, KillAndReviveMaintainCount) {
   scenario.revive(7);
   EXPECT_TRUE(scenario.alive(7));
   EXPECT_EQ(scenario.alive_count(), 64u);
+}
+
+// kill/revive must keep the alive index in one fixed order: sample_alive
+// draws index it directly, so any change in the swap-remove order moves
+// every sampled route.
+TEST(FailureScenario, KillReviveOrderIsPinned) {
+  const IdSpace space(6);
+  FailureScenario s = FailureScenario::all_alive(space);
+  s.kill(10);   // middle: the last id (63) moves into its slot
+  s.kill(63);   // the moved id
+  s.kill(63);   // killing twice is a no-op
+  s.kill(0);
+  s.revive(63);  // appended at the back
+  s.kill(63);    // killing the last element
+  s.kill(62);
+  s.revive(10);
+  s.kill(61);
+  s.kill(5);
+  s.kill(5);
+  s.revive(0);
+  s.kill(10);
+  s.kill(33);
+  const std::vector<std::uint32_t> expected_ids = {
+      0,  1,  2,  3,  4,  59, 6,  7,  8,  9,  60, 11, 12, 13, 14, 15,
+      16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31,
+      32, 58, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47,
+      48, 49, 50, 51, 52, 53, 54, 55, 56, 57};
+  EXPECT_EQ(s.alive_ids(), expected_ids);
+  EXPECT_EQ(s.alive_count(), 58u);
+  const std::vector<NodeId> expected_draws = {
+      42, 6,  21, 4,  45, 55, 27, 58, 14, 30, 52, 53, 47, 50, 45, 43,
+      31, 32, 25, 58, 32, 20, 31, 1,  34, 21, 7,  24, 41, 59, 24, 42,
+      25, 43, 8,  22, 48, 39, 28, 55, 12, 46, 21, 16, 21, 30, 12, 51,
+      36, 30, 48, 42, 2,  6,  60, 30, 11, 40, 30, 4,  28, 11, 51, 6};
+  math::CounterRng rng(19);
+  std::vector<NodeId> draws;
+  for (int i = 0; i < 64; ++i) {
+    draws.push_back(s.sample_alive(rng));
+  }
+  EXPECT_EQ(draws, expected_draws);
 }
 
 TEST(FailureScenario, RejectsBadArguments) {

@@ -1,8 +1,8 @@
 // Property tests for the flattened overlay hot paths against brute-force
-// oracles: materialized Chord finger tables vs the closed-form offsets, the
-// flattened greedy next_hop vs a straight reimplementation of the scan, the
-// O(1) alive-index sample_alive vs a linear-scan index, and the
-// non-allocating links_into vs links.
+// oracles: table-less deterministic Chord fingers vs the closed-form
+// offsets, the flattened greedy next_hop vs a straight reimplementation of
+// the scan, the O(1) alive-index sample_alive vs a linear-scan index, and
+// the non-allocating links_into vs links.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,19 +19,55 @@
 namespace dht::sim {
 namespace {
 
+// The deterministic ring stores no finger table at any d: finger() and
+// links_into() are the closed form node + 2^{d-i}.
 TEST(ChordFlattening, DeterministicFingerTableMatchesClosedForm) {
-  const IdSpace space(8);
+  const auto closed_form = [](const IdSpace& space, NodeId v, int i) {
+    return (v + (std::uint64_t{1} << (space.bits() - i))) & (space.size() - 1);
+  };
   math::Rng rng(1);
-  const ChordOverlay overlay(space, rng);
-  ASSERT_FALSE(overlay.finger_table().empty());
-  const std::uint64_t mask = space.size() - 1;
-  for (NodeId v = 0; v < space.size(); ++v) {
-    for (int i = 1; i <= space.bits(); ++i) {
-      const NodeId expected =
-          (v + (std::uint64_t{1} << (space.bits() - i))) & mask;
-      EXPECT_EQ(overlay.finger(v, i), expected) << "v=" << v << " i=" << i;
-      EXPECT_EQ(overlay.finger_table()[v * space.bits() + (i - 1)], expected);
+  {
+    const IdSpace space(8);
+    const ChordOverlay overlay(space, rng);
+    EXPECT_TRUE(overlay.finger_table().empty());
+    EXPECT_EQ(overlay.table_bytes(), 0u);
+    std::vector<NodeId> links;
+    for (NodeId v = 0; v < space.size(); ++v) {
+      overlay.links_into(v, links);
+      ASSERT_EQ(links.size(), static_cast<std::size_t>(space.bits()));
+      for (int i = 1; i <= space.bits(); ++i) {
+        const NodeId expected = closed_form(space, v, i);
+        EXPECT_EQ(overlay.finger(v, i), expected) << "v=" << v << " i=" << i;
+        EXPECT_EQ(links[static_cast<std::size_t>(i - 1)], expected)
+            << "v=" << v << " i=" << i;
+      }
     }
+  }
+  {
+    const IdSpace space(20);
+    const ChordOverlay overlay(space, rng);
+    EXPECT_TRUE(overlay.finger_table().empty());
+  }
+  {
+    // A 22 x 2^22 u32 finger table would take 352 MiB.
+    const IdSpace space(22);
+    const ChordOverlay overlay(space, rng);
+    EXPECT_TRUE(overlay.finger_table().empty());
+    math::Rng pick(3);
+    std::vector<NodeId> links;
+    for (int sample = 0; sample < 64; ++sample) {
+      const NodeId v = pick.uniform_below(space.size());
+      overlay.links_into(v, links);
+      ASSERT_EQ(links.size(), static_cast<std::size_t>(space.bits()));
+      for (int i = 1; i <= space.bits(); ++i) {
+        const NodeId expected = closed_form(space, v, i);
+        EXPECT_EQ(overlay.finger(v, i), expected) << "v=" << v << " i=" << i;
+        EXPECT_EQ(links[static_cast<std::size_t>(i - 1)], expected)
+            << "v=" << v << " i=" << i;
+      }
+    }
+    // The top edge of the ring wraps to the bottom.
+    EXPECT_EQ(overlay.finger(space.size() - 1, space.bits()), 0u);
   }
 }
 
