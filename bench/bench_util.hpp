@@ -1,22 +1,15 @@
 // Shared helpers for the figure/table reproduction harnesses.
 #pragma once
 
-#include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/strfmt.hpp"
 #include "core/report.hpp"
-#include "math/rng.hpp"
-#include "sim/chord_overlay.hpp"
-#include "sim/hypercube_overlay.hpp"
-#include "sim/symphony_overlay.hpp"
-#include "sim/tree_overlay.hpp"
-#include "sim/xor_overlay.hpp"
 
 namespace dht::bench {
 
@@ -42,40 +35,19 @@ inline std::vector<double> paper_q_grid() {
   return qs;
 }
 
-/// Builds the named simulator overlay (tree | hypercube | xor | ring |
-/// symphony, Symphony with kn = ks = 1); nullptr for unknown names.  The
-/// single factory shared by the bench harnesses.
-inline std::unique_ptr<sim::Overlay> make_overlay(std::string_view name,
-                                                  const sim::IdSpace& space,
-                                                  math::Rng& rng) {
-  if (name == "tree") {
-    return std::make_unique<sim::TreeOverlay>(space, rng);
-  }
-  if (name == "hypercube") {
-    return std::make_unique<sim::HypercubeOverlay>(space);
-  }
-  if (name == "xor") {
-    return std::make_unique<sim::XorOverlay>(space, rng);
-  }
-  if (name == "ring") {
-    return std::make_unique<sim::ChordOverlay>(space, rng);
-  }
-  if (name == "symphony") {
-    return std::make_unique<sim::SymphonyOverlay>(space, 1, 1, rng);
-  }
-  return nullptr;
-}
-
-/// Parses a `--flag value` pair from argv; returns `fallback` when absent.
-inline std::uint64_t parse_flag_u64(int argc, char** argv,
-                                    std::string_view flag,
-                                    std::uint64_t fallback) {
+/// The harness's `--threads N` (0, also when the flag is absent, means
+/// hardware concurrency), parsed strictly; a rejected value exits 1.
+inline unsigned threads_flag(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string_view(argv[i]) == flag) {
-      return std::strtoull(argv[i + 1], nullptr, 10);
+    if (std::string_view(argv[i]) == "--threads") {
+      unsigned threads = 0;
+      if (!common::parse_threads_flag(argv[0], argv[i + 1], threads)) {
+        std::exit(1);
+      }
+      return threads;
     }
   }
-  return fallback;
+  return 0;
 }
 
 /// Formats a probability as a percentage with one decimal.

@@ -60,8 +60,7 @@ constexpr std::uint64_t kPairsPerRound = 600;
 
 int main(int argc, char** argv) {
   using namespace dht;
-  const auto threads = static_cast<unsigned>(
-      bench::parse_flag_u64(argc, argv, "--threads", 0));
+  const auto threads = bench::threads_flag(argc, argv);
   const auto xor_geo = core::make_geometry(core::GeometryKind::kXor);
 
   core::Table table(strfmt(

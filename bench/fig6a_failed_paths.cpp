@@ -49,8 +49,7 @@ double simulated_failed(const dht::sim::Overlay& overlay, double q,
 
 int main(int argc, char** argv) {
   using namespace dht;
-  g_threads = static_cast<unsigned>(
-      bench::parse_flag_u64(argc, argv, "--threads", 0));
+  g_threads = bench::threads_flag(argc, argv);
   const sim::IdSpace space(kBits);
   math::Rng build_rng(20060328);  // arXiv date of the paper; any seed works
   const sim::TreeOverlay tree_overlay(space, build_rng);

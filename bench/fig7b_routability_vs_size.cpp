@@ -14,6 +14,7 @@
 #include "core/routability.hpp"
 #include "core/scalability.hpp"
 #include "math/rng.hpp"
+#include "sim/overlay.hpp"
 #include "sim/parallel_monte_carlo.hpp"
 
 namespace {
@@ -41,7 +42,7 @@ double simulated_routability(dht::core::GeometryKind kind, int d, double q,
   const sim::IdSpace space(d);
   math::Rng build_rng(20060328 + static_cast<std::uint64_t>(d));
   const std::unique_ptr<sim::Overlay> overlay =
-      bench::make_overlay(overlay_name(kind), space, build_rng);
+      sim::make_overlay(overlay_name(kind), space, build_rng);
   math::Rng fail_rng(7 + static_cast<std::uint64_t>(d));
   const sim::FailureScenario failures(space, q, fail_rng);
   const math::Rng route_rng(11);
@@ -55,6 +56,7 @@ double simulated_routability(dht::core::GeometryKind kind, int d, double q,
 
 int main(int argc, char** argv) {
   using namespace dht;
+  const unsigned threads = bench::threads_flag(argc, argv);
   const double q = 0.1;
   const auto geometries = core::make_all_geometries(core::SymphonyParams{1, 1});
 
@@ -101,8 +103,6 @@ int main(int argc, char** argv) {
 
   // Cross-check the analytical curves against the parallel deterministic
   // Monte-Carlo engine at the sizes where full overlays fit in memory.
-  const unsigned threads = static_cast<unsigned>(
-      bench::parse_flag_u64(argc, argv, "--threads", 0));
   core::Table sim_table(
       "Fig. 7(b) cross-check -- simulated routability (%) from the parallel "
       "engine, q = 0.1");

@@ -154,6 +154,7 @@
 #include "obs/phase_timer.hpp"
 #include "obs/trace.hpp"
 #include "sim/monte_carlo.hpp"
+#include "sim/overlay.hpp"
 #include "sim/parallel_monte_carlo.hpp"
 #include "sim/topology.hpp"
 #include "sparse/flat_sparse.hpp"
@@ -637,7 +638,7 @@ int main(int argc, char** argv) {
 
   for (const std::string& geometry : cfg.geometries) {
     math::Rng build_rng(cfg.seed);
-    const auto overlay = bench::make_overlay(geometry, space, build_rng);
+    const auto overlay = sim::make_overlay(geometry, space, build_rng);
     if (overlay == nullptr) {
       std::fprintf(stderr, "unknown geometry: %s\n", geometry.c_str());
       return 1;

@@ -5,9 +5,10 @@
 //   d -- identifier length, N = 2^d (default 16; anything up to thousands
 //        works, the evaluation is log-domain)
 //   q -- node failure probability in [0, 1) (default 0.1)
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 
+#include "common/flags.hpp"
 #include "common/strfmt.hpp"
 #include "core/registry.hpp"
 #include "core/report.hpp"
@@ -15,9 +16,15 @@
 #include "core/scalability.hpp"
 
 int main(int argc, char** argv) {
-  const int d = argc > 1 ? std::atoi(argv[1]) : 16;
-  const double q = argc > 2 ? std::atof(argv[2]) : 0.1;
-  if (d < 1 || q < 0.0 || q >= 1.0) {
+  using dht::common::parse_double_flag;
+  using dht::common::parse_int_flag;
+  int d = 16;
+  double q = 0.1;
+  if ((argc > 1 && !parse_int_flag("compare_geometries", "[d]", argv[1], 1,
+                                   std::numeric_limits<int>::max(), d)) ||
+      (argc > 2 &&
+       !parse_double_flag("compare_geometries", "[q]", argv[2], q)) ||
+      q < 0.0 || q >= 1.0) {
     std::cerr << "usage: compare_geometries [d >= 1] [q in [0, 1)]\n";
     return 1;
   }

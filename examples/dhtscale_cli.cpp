@@ -73,34 +73,19 @@
 #include "core/routability.hpp"
 #include "core/scalability.hpp"
 #include "math/rng.hpp"
-#include "sim/chord_overlay.hpp"
-#include "sim/hypercube_overlay.hpp"
+#include "sim/overlay.hpp"
 #include "sim/parallel_monte_carlo.hpp"
-#include "sim/symphony_overlay.hpp"
-#include "sim/tree_overlay.hpp"
-#include "sim/xor_overlay.hpp"
 
 namespace {
 
 using namespace dht;
 using common::parse_double_flag;
 using common::parse_int_flag;
+using common::parse_threads_flag;
 using common::parse_u64_flag;
 
 constexpr std::uint64_t kAnyU64 = std::numeric_limits<std::uint64_t>::max();
 constexpr int kAnyInt = std::numeric_limits<int>::max();
-
-// Every subcommand's --threads: a whole integer in [0, UINT_MAX], 0 meaning
-// hardware concurrency.
-bool parse_threads(const char* command, const char* text, unsigned& out) {
-  std::uint64_t value = 0;
-  if (!parse_u64_flag(command, "--threads", text, 0,
-                      std::numeric_limits<unsigned>::max(), value)) {
-    return false;
-  }
-  out = static_cast<unsigned>(value);
-  return true;
-}
 
 // The optional trailing [pairs] [seed] positionals, at positional[first]
 // and positional[first + 1]; absent ones keep the caller's defaults.
@@ -247,32 +232,11 @@ int cmd_scalability(double q) {
   return 0;
 }
 
-std::unique_ptr<sim::Overlay> make_overlay(const std::string& name,
-                                           const sim::IdSpace& space,
-                                           math::Rng& rng) {
-  if (name == "tree") {
-    return std::make_unique<sim::TreeOverlay>(space, rng);
-  }
-  if (name == "hypercube") {
-    return std::make_unique<sim::HypercubeOverlay>(space);
-  }
-  if (name == "xor") {
-    return std::make_unique<sim::XorOverlay>(space, rng);
-  }
-  if (name == "ring") {
-    return std::make_unique<sim::ChordOverlay>(space, rng);
-  }
-  if (name == "symphony") {
-    return std::make_unique<sim::SymphonyOverlay>(space, 1, 1, rng);
-  }
-  return nullptr;
-}
-
 int cmd_simulate(const std::string& name, int d, double q,
                  std::uint64_t pairs, std::uint64_t seed, unsigned threads) {
   const sim::IdSpace space(d);
   math::Rng rng(seed);
-  const auto overlay = make_overlay(name, space, rng);
+  const auto overlay = sim::make_overlay(name, space, rng);
   if (overlay == nullptr) {
     return usage();
   }
@@ -724,7 +688,7 @@ int main(int argc, char** argv) {
       std::vector<std::string> positional;
       for (int i = 5; i < argc; ++i) {
         if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
-          if (!parse_threads("simulate", argv[i + 1], threads)) {
+          if (!parse_threads_flag("simulate", argv[i + 1], threads)) {
             return 1;
           }
           ++i;
@@ -757,7 +721,7 @@ int main(int argc, char** argv) {
       for (int i = 6; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--threads" && i + 1 < argc) {
-          if (!parse_threads("sparse", argv[i + 1], threads)) {
+          if (!parse_threads_flag("sparse", argv[i + 1], threads)) {
             return 1;
           }
           ++i;
@@ -819,7 +783,7 @@ int main(int argc, char** argv) {
       for (int i = 7; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--threads" && i + 1 < argc) {
-          if (!parse_threads("churn", argv[i + 1], threads)) {
+          if (!parse_threads_flag("churn", argv[i + 1], threads)) {
             return 1;
           }
           ++i;
@@ -881,7 +845,7 @@ int main(int argc, char** argv) {
       for (int i = 8; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--threads" && i + 1 < argc) {
-          if (!parse_threads("sparse-churn", argv[i + 1], threads)) {
+          if (!parse_threads_flag("sparse-churn", argv[i + 1], threads)) {
             return 1;
           }
           ++i;

@@ -7,62 +7,38 @@
 //   geometry -- tree | hypercube | xor | ring | symphony (default xor)
 //   d        -- identifier length, N = 2^d, 4..20 (default 14)
 //   pairs    -- sampled pairs per point (default 20000)
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
-#include <memory>
+#include <limits>
 #include <string>
 
+#include "common/flags.hpp"
 #include "common/strfmt.hpp"
 #include "core/registry.hpp"
 #include "core/report.hpp"
 #include "core/routability.hpp"
 #include "math/rng.hpp"
-#include "sim/chord_overlay.hpp"
-#include "sim/hypercube_overlay.hpp"
 #include "sim/monte_carlo.hpp"
-#include "sim/symphony_overlay.hpp"
-#include "sim/tree_overlay.hpp"
-#include "sim/xor_overlay.hpp"
-
-namespace {
-
-std::unique_ptr<dht::sim::Overlay> make_overlay(const std::string& name,
-                                                const dht::sim::IdSpace& space,
-                                                dht::math::Rng& rng) {
-  using namespace dht::sim;
-  if (name == "tree") {
-    return std::make_unique<TreeOverlay>(space, rng);
-  }
-  if (name == "hypercube") {
-    return std::make_unique<HypercubeOverlay>(space);
-  }
-  if (name == "xor") {
-    return std::make_unique<XorOverlay>(space, rng);
-  }
-  if (name == "ring") {
-    return std::make_unique<ChordOverlay>(space, rng);
-  }
-  if (name == "symphony") {
-    return std::make_unique<SymphonyOverlay>(space, 1, 1, rng);
-  }
-  return nullptr;
-}
-
-}  // namespace
+#include "sim/overlay.hpp"
 
 int main(int argc, char** argv) {
+  using dht::common::parse_int_flag;
+  using dht::common::parse_u64_flag;
   const std::string name = argc > 1 ? argv[1] : "xor";
-  const int d = argc > 2 ? std::atoi(argv[2]) : 14;
-  const std::uint64_t pairs =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 20000;
-  if (d < 4 || d > 20) {
+  int d = 14;
+  std::uint64_t pairs = 20000;
+  if ((argc > 2 &&
+       !parse_int_flag("failure_sweep", "[d]", argv[2], 4, 20, d)) ||
+      (argc > 3 && !parse_u64_flag("failure_sweep", "[pairs]", argv[3], 1,
+                                   std::numeric_limits<std::uint64_t>::max(),
+                                   pairs))) {
     std::cerr << "usage: failure_sweep [geometry] [d in 4..20] [pairs]\n";
     return 1;
   }
 
   const dht::sim::IdSpace space(d);
   dht::math::Rng rng(424242);
-  const auto overlay = make_overlay(name, space, rng);
+  const auto overlay = dht::sim::make_overlay(name, space, rng);
   if (overlay == nullptr) {
     std::cerr << "unknown geometry '" << name
               << "' (tree|hypercube|xor|ring|symphony)\n";

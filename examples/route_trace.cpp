@@ -7,48 +7,22 @@
 //
 // Usage: route_trace [geometry] [d] [q] [routes]
 #include <bitset>
-#include <cstdlib>
 #include <iostream>
-#include <memory>
+#include <limits>
 #include <string>
 
+#include "common/flags.hpp"
 #include "common/strfmt.hpp"
 #include "math/rng.hpp"
-#include "sim/chord_overlay.hpp"
-#include "sim/hypercube_overlay.hpp"
 #include "sim/node_id.hpp"
+#include "sim/overlay.hpp"
 #include "sim/router.hpp"
-#include "sim/symphony_overlay.hpp"
-#include "sim/tree_overlay.hpp"
-#include "sim/xor_overlay.hpp"
 
 namespace {
 
 std::string bits(dht::sim::NodeId id, int d) {
   std::string out = std::bitset<26>(id).to_string();
   return out.substr(out.size() - static_cast<size_t>(d));
-}
-
-std::unique_ptr<dht::sim::Overlay> make_overlay(const std::string& name,
-                                                const dht::sim::IdSpace& space,
-                                                dht::math::Rng& rng) {
-  using namespace dht::sim;
-  if (name == "tree") {
-    return std::make_unique<TreeOverlay>(space, rng);
-  }
-  if (name == "hypercube") {
-    return std::make_unique<HypercubeOverlay>(space);
-  }
-  if (name == "xor") {
-    return std::make_unique<XorOverlay>(space, rng);
-  }
-  if (name == "ring") {
-    return std::make_unique<ChordOverlay>(space, rng);
-  }
-  if (name == "symphony") {
-    return std::make_unique<SymphonyOverlay>(space, 1, 1, rng);
-  }
-  return nullptr;
 }
 
 bool is_ring_family(const std::string& name) {
@@ -58,11 +32,18 @@ bool is_ring_family(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using dht::common::parse_double_flag;
+  using dht::common::parse_int_flag;
   const std::string name = argc > 1 ? argv[1] : "xor";
-  const int d = argc > 2 ? std::atoi(argv[2]) : 8;
-  const double q = argc > 3 ? std::atof(argv[3]) : 0.2;
-  const int routes = argc > 4 ? std::atoi(argv[4]) : 4;
-  if (d < 3 || d > 16 || q < 0.0 || q >= 1.0) {
+  int d = 8;
+  double q = 0.2;
+  int routes = 4;
+  if ((argc > 2 && !parse_int_flag("route_trace", "[d]", argv[2], 3, 16, d)) ||
+      (argc > 3 && !parse_double_flag("route_trace", "[q]", argv[3], q)) ||
+      (argc > 4 && !parse_int_flag("route_trace", "[routes]", argv[4], 0,
+                                   std::numeric_limits<int>::max(),
+                                   routes)) ||
+      q < 0.0 || q >= 1.0) {
     std::cerr << "usage: route_trace [geometry] [d in 3..16] [q in [0,1)] "
                  "[routes]\n";
     return 1;
@@ -70,7 +51,7 @@ int main(int argc, char** argv) {
 
   dht::math::Rng rng(99);
   const dht::sim::IdSpace space(d);
-  const auto overlay = make_overlay(name, space, rng);
+  const auto overlay = dht::sim::make_overlay(name, space, rng);
   if (overlay == nullptr) {
     std::cerr << "unknown geometry '" << name << "'\n";
     return 1;

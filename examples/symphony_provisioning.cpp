@@ -12,9 +12,10 @@
 //   target -- required routability in (0, 1) (default 0.95)
 //   d      -- identifier length of the largest expected network (default 16)
 //   q      -- design-point failure probability (default 0.2)
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 
+#include "common/flags.hpp"
 #include "common/strfmt.hpp"
 #include "core/registry.hpp"
 #include "core/report.hpp"
@@ -35,10 +36,18 @@ double analytical_routability(int kn, int ks, int d, double q) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double target = argc > 1 ? std::atof(argv[1]) : 0.95;
-  const int d = argc > 2 ? std::atoi(argv[2]) : 16;
-  const double q = argc > 3 ? std::atof(argv[3]) : 0.2;
-  if (target <= 0.0 || target >= 1.0 || d < 4 || q < 0.0 || q >= 1.0) {
+  using dht::common::parse_double_flag;
+  using dht::common::parse_int_flag;
+  double target = 0.95;
+  int d = 16;
+  double q = 0.2;
+  if ((argc > 1 && !parse_double_flag("symphony_provisioning", "[target]",
+                                      argv[1], target)) ||
+      (argc > 2 && !parse_int_flag("symphony_provisioning", "[d]", argv[2], 4,
+                                   std::numeric_limits<int>::max(), d)) ||
+      (argc > 3 &&
+       !parse_double_flag("symphony_provisioning", "[q]", argv[3], q)) ||
+      target <= 0.0 || target >= 1.0 || q < 0.0 || q >= 1.0) {
     std::cerr << "usage: symphony_provisioning [target in (0,1)] [d >= 4] "
                  "[q in [0, 1)]\n";
     return 1;

@@ -35,6 +35,12 @@ checker fails CI on the bug *classes* instead:
                  src/core).  Kernel TUs are re-entered concurrently by the
                  shard pool; any mutable global is either a data race or a
                  hidden cross-shard channel that breaks replayability.
+  loose-parse    atoi/atof/atol/atoll, strto{l,ll,ul,ull,f,d,ld} or
+                 std::sto* in bench/ and examples/.  They read "5x" as 5
+                 and "abc" as 0, so a mistyped argument silently runs a
+                 different config; the programs parse through
+                 src/common/flags.hpp, which takes the whole argument or
+                 rejects it.
 
 Escape hatch: an intentional exception carries, on the same line or the
 line directly above, a self-documenting annotation
@@ -60,6 +66,7 @@ RULES = {
     "fp-merge": "floating point inside a merge() member",
     "atomic-order": "atomic operation without an explicit std::memory_order",
     "kernel-global": "mutable namespace-scope state in a kernel TU",
+    "loose-parse": "lenient number parsing in bench/ or examples/",
     "allow-missing-reason": "lint:allow annotation without a reason",
 }
 
@@ -75,6 +82,14 @@ WALLCLOCK_EXEMPT_PREFIXES = ("src/obs/", "bench/")
 # Kernel TUs for `kernel-global`: translation units the shard pool
 # re-enters concurrently.
 KERNEL_TU_PREFIXES = ("src/sim/", "src/sparse/", "src/churn/", "src/core/")
+
+# Program trees for `loose-parse`: their numbers come from the command
+# line and must go through src/common/flags.hpp.
+LOOSE_PARSE_PREFIXES = ("bench/", "examples/")
+LOOSE_PARSE_PATTERN = re.compile(
+    r"(?<![\w.>:])(?:std::)?"
+    r"\b(atoi|atof|atol|atoll|strto(?:l|ll|ul|ull|f|d|ld)"
+    r"|sto(?:i|l|ll|ul|ull|f|d|ld))\s*\(")
 
 WALLCLOCK_PATTERNS = [
     re.compile(p)
@@ -315,6 +330,14 @@ def lint_text(rel_path, raw_text):
                     f"`{m.group(0).strip()}` -- ambient time/randomness is "
                     "nondeterministic; use math/rng.hpp lineages, or move "
                     "timing into src/obs//bench")
+
+    # ---- loose-parse ----------------------------------------------------
+    if rel_path.startswith(LOOSE_PARSE_PREFIXES):
+        for m in LOOSE_PARSE_PATTERN.finditer(code):
+            report(
+                m.start(), "loose-parse",
+                f"`{m.group(1)}` accepts a partial or empty number; parse "
+                "through src/common/flags.hpp")
 
     # ---- scope-dependent rules ------------------------------------------
     # One linear pass maintaining a scope stack.  It records function-body

@@ -430,36 +430,40 @@ sim::RoutabilityEstimate ChurnWorld::measure(std::uint64_t pairs,
   ctx.alive = alive_.data();
   ctx.table = entries_.data();
   ctx.max_hops = max_hops_;
-  // Single geometry -> kernel dispatch, hoisted out of the pair loop; an
-  // unhandled enumerator leaves `kernel` null and trips -Wswitch.
-  sim::RouteResult (*kernel)(const sim::flat::FlatCtx&, sim::NodeId,
-                             sim::NodeId) = nullptr;
+  const std::uint64_t n = space_.size();
+  const auto route_pairs = [&](auto step) {
+    for (std::uint64_t i = 0; i < pairs; ++i) {
+      sim::NodeId source = rng.uniform_below(n);
+      while (!alive_[source]) {
+        source = rng.uniform_below(n);
+      }
+      sim::NodeId target = rng.uniform_below(n);
+      while (!alive_[target] || target == source) {
+        target = rng.uniform_below(n);
+      }
+      estimate.record(sim::flat::route_stepped(ctx, source, target, step));
+    }
+  };
+  // Single geometry -> step dispatch, hoisted out of the pair loop.
   switch (geometry_) {
     case TrajectoryGeometry::kTree:
-      ctx.kind = sim::flat::KernelKind::kTree;
-      kernel = &sim::flat::route_tree;
+      route_pairs([](const sim::flat::FlatCtx& c, sim::NodeId cur,
+                     sim::NodeId target) {
+        return sim::flat::step_tree(c, cur, target);
+      });
       break;
     case TrajectoryGeometry::kRing:
-      ctx.kind = sim::flat::KernelKind::kChordRandomized;
-      kernel = &sim::flat::route_chord_randomized;
+      route_pairs([](const sim::flat::FlatCtx& c, sim::NodeId cur,
+                     sim::NodeId target) {
+        return sim::flat::step_chord_randomized(c, cur, target);
+      });
       break;
     case TrajectoryGeometry::kXor:
-      ctx.kind = sim::flat::KernelKind::kXor;
-      kernel = &sim::flat::route_xor;
+      route_pairs([](const sim::flat::FlatCtx& c, sim::NodeId cur,
+                     sim::NodeId target) {
+        return sim::flat::step_xor(c, cur, target);
+      });
       break;
-  }
-  DHT_CHECK(kernel != nullptr, "unsupported trajectory geometry");
-  const std::uint64_t n = space_.size();
-  for (std::uint64_t i = 0; i < pairs; ++i) {
-    sim::NodeId source = rng.uniform_below(n);
-    while (!alive_[source]) {
-      source = rng.uniform_below(n);
-    }
-    sim::NodeId target = rng.uniform_below(n);
-    while (!alive_[target] || target == source) {
-      target = rng.uniform_below(n);
-    }
-    estimate.record(kernel(ctx, source, target));
   }
   return estimate;
 }

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
 namespace dht::common {
 
@@ -61,6 +62,19 @@ inline bool parse_double_flag(const char* command, const char* flag,
     return false;
   }
   out = value;
+  return true;
+}
+
+/// A `--threads` value: a whole integer in [0, UINT_MAX], 0 meaning
+/// hardware concurrency.
+inline bool parse_threads_flag(const char* command, const char* text,
+                               unsigned& out) {
+  std::uint64_t value = 0;
+  if (!parse_u64_flag(command, "--threads", text, 0,
+                      std::numeric_limits<unsigned>::max(), value)) {
+    return false;
+  }
+  out = static_cast<unsigned>(value);
   return true;
 }
 

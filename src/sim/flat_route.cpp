@@ -1,5 +1,6 @@
 #include "sim/flat_route.hpp"
 
+#include "common/check.hpp"
 #include "sim/chord_overlay.hpp"
 #include "sim/hypercube_overlay.hpp"
 #include "sim/overlay.hpp"
@@ -10,15 +11,12 @@
 namespace dht::sim::flat {
 
 FlatCtx make_ctx(const Overlay& overlay, const FailureScenario& failures,
-                 std::uint64_t max_hops, bool use_flat_kernels) {
+                 std::uint64_t max_hops) {
   FlatCtx c;
   c.d = overlay.space().bits();
   c.mask = overlay.space().size() - 1;
   c.alive = failures.alive_data();
   c.max_hops = max_hops == 0 ? overlay.space().size() : max_hops;
-  if (!use_flat_kernels) {
-    return c;
-  }
   if (const auto* tree = dynamic_cast<const TreeOverlay*>(&overlay)) {
     c.kind = KernelKind::kTree;
     c.table = tree->table()->entries().data();
@@ -35,7 +33,9 @@ FlatCtx make_ctx(const Overlay& overlay, const FailureScenario& failures,
       c.kind = KernelKind::kChordRandomized;
       c.table = chord->finger_table().data();
     }
-  } else if (const auto* sym = dynamic_cast<const SymphonyOverlay*>(&overlay)) {
+  } else {
+    const auto* sym = dynamic_cast<const SymphonyOverlay*>(&overlay);
+    DHT_CHECK(sym != nullptr, "no flat kernel for this overlay type");
     c.kind = KernelKind::kSymphony;
     c.kn = sym->near_neighbors();
     c.ks = sym->shortcuts();

@@ -5,14 +5,16 @@
 // deterministic Chord and the hypercube compute their links from the node
 // id) and a raw liveness mask directly -- no virtual dispatch, no
 // std::optional, no precondition re-checks per hop.  Kernels are exact
-// replicas of the corresponding Overlay::next_hop rules (property-tested in
-// test_flat_paths / test_parallel_monte_carlo).
+// replicas of the corresponding Overlay::next_hop rules (checked pair by
+// pair against the Router in test_flat_paths), and they are the only way
+// the static parallel estimator routes: the virtual next_hop stays as the
+// oracle of the serial Router paths.
 //
 // Shared by the static parallel Monte-Carlo engine
 // (parallel_monte_carlo.cpp), which builds a FlatCtx over an immutable
-// overlay + FailureScenario, and by the churn trajectory engine
-// (churn/trajectory.cpp), which points the same kernels at the liveness
-// and table state a shard evolves round by round.
+// overlay + FailureScenario, and by the dense churn world
+// (churn/churn.cpp), which points the same kernels at the liveness and
+// table state it evolves round by round.
 #pragma once
 
 #include <bit>
@@ -33,7 +35,6 @@ class FailureScenario;
 namespace flat {
 
 enum class KernelKind {
-  kGeneric,
   kTree,
   kXor,
   kHypercube,
@@ -46,7 +47,7 @@ enum class KernelKind {
 // scalars.  Built once per engine invocation (or once per trajectory round),
 // read-only across threads.
 struct FlatCtx {
-  KernelKind kind = KernelKind::kGeneric;
+  KernelKind kind = KernelKind::kTree;
   int d = 0;
   std::uint64_t mask = 0;
   const std::uint8_t* alive = nullptr;
@@ -104,13 +105,6 @@ inline NodeId step_tree(const FlatCtx& c, NodeId cur, NodeId target) {
   return c.alive[cand] ? cand : kNoHop;
 }
 
-inline RouteResult route_tree(const FlatCtx& c, NodeId source, NodeId target) {
-  return route_stepped(c, source, target,
-                       [](const FlatCtx& ctx, NodeId cur, NodeId tgt) {
-                         return step_tree(ctx, cur, tgt);
-                       });
-}
-
 // XOR (Kademlia): greedy, falling back down the differing levels.
 /// One forwarding step; kNoHop when the protocol drops the message.
 inline NodeId step_xor(const FlatCtx& c, NodeId cur, NodeId target) {
@@ -127,19 +121,12 @@ inline NodeId step_xor(const FlatCtx& c, NodeId cur, NodeId target) {
   return kNoHop;
 }
 
-inline RouteResult route_xor(const FlatCtx& c, NodeId source, NodeId target) {
-  return route_stepped(c, source, target,
-                       [](const FlatCtx& ctx, NodeId cur, NodeId tgt) {
-                         return step_xor(ctx, cur, tgt);
-                       });
-}
-
 // Hypercube (CAN): uniform among alive bit-correcting neighbors.  Unlike
 // HypercubeOverlay::next_hop's reservoir sampling (one rng draw per alive
 // candidate), the kernel collects the alive candidate mask first and spends
 // at most one uniform_below per hop -- the same uniform choice, sampled
-// along a different path, so hypercube results differ from the generic
-// Router route-for-route while remaining deterministic and identically
+// along a different path, so hypercube results differ from the Router's
+// route for route while remaining deterministic and identically
 // distributed.  The mask is accumulated branchlessly from the liveness
 // bytes (batched alive lookups, no per-candidate branch), a lone candidate
 // is taken without burning a draw (a 1-way uniform choice is
@@ -181,14 +168,6 @@ inline NodeId step_hypercube(const FlatCtx& c, NodeId cur, NodeId target,
   }
   return cur ^ (alive_mask & (~alive_mask + 1));
 #endif
-}
-
-inline RouteResult route_hypercube(const FlatCtx& c, NodeId source,
-                                   NodeId target, math::Rng& rng) {
-  return route_stepped(c, source, target,
-                       [&rng](const FlatCtx& ctx, NodeId cur, NodeId tgt) {
-                         return step_hypercube(ctx, cur, tgt, rng);
-                       });
 }
 
 // Chord successor-list fallback, shared by both finger variants: the
@@ -237,14 +216,6 @@ inline NodeId step_chord_deterministic(const FlatCtx& c, NodeId cur,
   return next;
 }
 
-inline RouteResult route_chord_deterministic(const FlatCtx& c, NodeId source,
-                                             NodeId target) {
-  return route_stepped(c, source, target,
-                       [](const FlatCtx& ctx, NodeId cur, NodeId tgt) {
-                         return step_chord_deterministic(ctx, cur, tgt);
-                       });
-}
-
 // Chord with randomized fingers: greedy scan over the node's contiguous
 // finger row (dyadic intervals shrink with the index, so the first alive
 // non-overshooting finger is the greedy choice).
@@ -275,14 +246,6 @@ inline NodeId step_chord_randomized(const FlatCtx& c, NodeId cur,
     next = best;
   }
   return next;
-}
-
-inline RouteResult route_chord_randomized(const FlatCtx& c, NodeId source,
-                                          NodeId target) {
-  return route_stepped(c, source, target,
-                       [](const FlatCtx& ctx, NodeId cur, NodeId tgt) {
-                         return step_chord_randomized(ctx, cur, tgt);
-                       });
 }
 
 // Symphony: greedy clockwise over shortcuts then near neighbors.
@@ -317,19 +280,10 @@ inline NodeId step_symphony(const FlatCtx& c, NodeId cur, NodeId target) {
   return best_progress == 0 ? kNoHop : best;
 }
 
-inline RouteResult route_symphony(const FlatCtx& c, NodeId source,
-                                  NodeId target) {
-  return route_stepped(c, source, target,
-                       [](const FlatCtx& ctx, NodeId cur, NodeId tgt) {
-                         return step_symphony(ctx, cur, tgt);
-                       });
-}
-
-/// Builds a context over an immutable overlay + failure scenario.  Unknown
-/// overlay types (and use_flat_kernels = false) yield kGeneric, which the
-/// caller routes through the virtual-dispatch Router instead.
+/// Builds a context over an immutable overlay + failure scenario.  Throws
+/// PreconditionError for an overlay type with no kernel.
 FlatCtx make_ctx(const Overlay& overlay, const FailureScenario& failures,
-                 std::uint64_t max_hops, bool use_flat_kernels);
+                 std::uint64_t max_hops);
 
 }  // namespace flat
 }  // namespace dht::sim

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -54,5 +55,12 @@ class Overlay {
   /// whose links are a closed form of the node id).
   virtual std::uint64_t table_bytes() const noexcept = 0;
 };
+
+/// Builds the named overlay (tree | hypercube | xor | ring | symphony; ring
+/// is deterministic Chord, Symphony has kn = ks = 1) over `space`, drawing
+/// its tables from `rng`; nullptr for an unknown name.  The one factory
+/// behind the programs' geometry arguments.
+std::unique_ptr<Overlay> make_overlay(std::string_view name,
+                                      const IdSpace& space, math::Rng& rng);
 
 }  // namespace dht::sim

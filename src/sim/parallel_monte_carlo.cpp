@@ -12,27 +12,6 @@ namespace dht::sim {
 
 namespace {
 
-inline RouteResult route_one(const flat::FlatCtx& c, const Router& router,
-                             NodeId source, NodeId target, math::Rng& rng) {
-  switch (c.kind) {
-    case flat::KernelKind::kTree:
-      return flat::route_tree(c, source, target);
-    case flat::KernelKind::kXor:
-      return flat::route_xor(c, source, target);
-    case flat::KernelKind::kHypercube:
-      return flat::route_hypercube(c, source, target, rng);
-    case flat::KernelKind::kChordDeterministic:
-      return flat::route_chord_deterministic(c, source, target);
-    case flat::KernelKind::kChordRandomized:
-      return flat::route_chord_randomized(c, source, target);
-    case flat::KernelKind::kSymphony:
-      return flat::route_symphony(c, source, target);
-    case flat::KernelKind::kGeneric:
-      break;
-  }
-  return router.route(source, target, rng);
-}
-
 constexpr int kLanes = LaneBatch<NodeId>::kLanes;
 static_assert(LaneBatch<NodeId>::kDropped == flat::kNoHop,
               "step functions drop a route with kNoHop");
@@ -99,15 +78,12 @@ struct DenseLanes : NoShortcut {
   StepLane step_lane_;
 };
 
-// One shard of the sampled estimator: dispatch to the kernel (or the
-// virtual path) through the shared lane driver.  Hypercube hop draws come
-// from dedicated per-lane counter streams (ids kLanes..2*kLanes-1, disjoint
-// from the pair streams); the generic path's next_hop takes a sequential
-// math::Rng, so each lane forks one -- rng-free rules consume neither, which
-// is what keeps flat and generic runs bit-identical for them.
-void run_dense_shard(const flat::FlatCtx& c, const Overlay& overlay,
-                     const FailureScenario& failures, std::uint64_t pairs,
-                     const math::Rng& shard_rng,
+// One shard of the sampled estimator: dispatch to the kernel through the
+// shared lane driver.  Hypercube hop draws come from dedicated per-lane
+// counter streams (ids kLanes..2*kLanes-1, disjoint from the pair
+// streams); the other kernels draw nothing.
+void run_dense_shard(const flat::FlatCtx& c, const FailureScenario& failures,
+                     std::uint64_t pairs, const math::Rng& shard_rng,
                      RoutabilityEstimate& estimate) {
   const auto drive = [&](auto step_lane) {
     drive_lanes<NodeId>(c.max_hops, DenseLanes(failures, pairs, shard_rng,
@@ -150,19 +126,6 @@ void run_dense_shard(const flat::FlatCtx& c, const Overlay& overlay,
         return flat::step_symphony(c, cur, target);
       });
       return;
-    case flat::KernelKind::kGeneric: {
-      math::Rng lane_rngs[kLanes] = {
-          shard_rng.fork(0), shard_rng.fork(1), shard_rng.fork(2),
-          shard_rng.fork(3), shard_rng.fork(4), shard_rng.fork(5),
-          shard_rng.fork(6), shard_rng.fork(7)};
-      drive([&overlay, &failures, &lane_rngs](int l, NodeId cur,
-                                              NodeId target) {
-        const auto next =
-            overlay.next_hop(cur, target, failures, lane_rngs[l]);
-        return next.has_value() ? *next : flat::kNoHop;
-      });
-      return;
-    }
   }
 }
 
@@ -186,8 +149,7 @@ RoutabilityEstimate estimate_routability_parallel(
   flat::FlatCtx ctx;
   {
     obs::PhaseTimer timer(serial, obs::Phase::kWorldBuild, options.trace);
-    ctx = flat::make_ctx(overlay, failures, options.max_hops,
-                         options.use_flat_kernels);
+    ctx = flat::make_ctx(overlay, failures, options.max_hops);
   }
 
   const std::uint64_t shards =
@@ -210,8 +172,7 @@ RoutabilityEstimate estimate_routability_parallel(
                 const math::Rng shard_rng = rng.fork(s);
                 const std::uint64_t pairs = base + (s < extra ? 1 : 0);
                 RoutabilityEstimate estimate;
-                run_dense_shard(ctx, overlay, failures, pairs, shard_rng,
-                                estimate);
+                run_dense_shard(ctx, failures, pairs, shard_rng, estimate);
                 results[s] = estimate;
               });
 
@@ -227,54 +188,6 @@ RoutabilityEstimate estimate_routability_parallel(
     for (const obs::PhaseProfile& p : shard_profiles) {
       options.profile->merge(p);
     }
-  }
-  return merged;
-}
-
-RoutabilityEstimate exact_routability_parallel(
-    const Overlay& overlay, const FailureScenario& failures,
-    const ExactParallelOptions& options, const math::Rng& rng) {
-  DHT_CHECK(failures.alive_count() >= 2,
-            "routability needs at least two alive nodes");
-  const Router router(overlay, failures, options.max_hops);
-  const flat::FlatCtx ctx = flat::make_ctx(overlay, failures, options.max_hops,
-                                           options.use_flat_kernels);
-
-  const std::uint64_t size = failures.size();
-  const std::uint64_t shards =
-      options.shards != 0 ? std::min(options.shards, size)
-                          : std::min<std::uint64_t>(size, 256);
-  const std::uint64_t base = size / shards;
-  const std::uint64_t extra = size % shards;
-
-  std::vector<RoutabilityEstimate> results(shards);
-  run_sharded(shards,
-              PoolOptions{.threads = resolve_threads(options.threads),
-                          .pin_workers = options.pin_workers},
-              [&](std::uint64_t s) {
-                // Shard s owns the contiguous source block [lo, hi).
-                const std::uint64_t lo = s * base + std::min(s, extra);
-                const std::uint64_t hi = lo + base + (s < extra ? 1 : 0);
-                math::Rng shard_rng = rng.fork(s);
-                RoutabilityEstimate estimate;
-                for (NodeId source = lo; source < hi; ++source) {
-                  if (!failures.alive(source)) {
-                    continue;
-                  }
-                  for (NodeId target = 0; target < size; ++target) {
-                    if (target == source || !failures.alive(target)) {
-                      continue;
-                    }
-                    estimate.record(
-                        route_one(ctx, router, source, target, shard_rng));
-                  }
-                }
-                results[s] = estimate;
-              });
-
-  RoutabilityEstimate merged;
-  for (const RoutabilityEstimate& shard : results) {
-    merged.merge(shard);
   }
   return merged;
 }

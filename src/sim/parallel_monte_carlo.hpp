@@ -22,9 +22,10 @@
 // -- no virtual dispatch, no std::optional, no precondition re-checks per
 // hop.
 // Kernels are exact replicas of the corresponding Overlay::next_hop rules
-// (property-tested), and unknown overlay types fall back to the generic
-// Router path.  The shard pool itself lives in sim/shard_pool.hpp; the
-// churn trajectory engine (churn/trajectory.hpp) reuses both pieces.
+// (checked pair by pair against the Router) and the engine's only route
+// path: an overlay type with no kernel is rejected.  The shard pool itself
+// lives in sim/shard_pool.hpp; the churn trajectory engine
+// (churn/trajectory.hpp) reuses both pieces.
 #pragma once
 
 #include <cstdint>
@@ -45,15 +46,6 @@ struct ParallelOptions {
   /// Work shards (0 = default, min(pairs, 256)).  Results are a function of
   /// (seed, shard count); keep it fixed when comparing runs.
   std::uint64_t shards = 0;
-  /// When false, routes through the generic virtual next_hop path instead
-  /// of the flattened kernels.  Both paths run on the same interleaved lane
-  /// driver (sim/lanes.hpp) with the same per-lane pair streams, so for the
-  /// rng-free forwarding rules (tree, XOR, ring, Symphony) the kernels
-  /// replicate next_hop exactly and results are bit-identical either way; the
-  /// hypercube kernel spends one counter-stream draw per hop instead of
-  /// next_hop's one-per-candidate reservoir, so its routes differ
-  /// individually while the estimate stays identically distributed.
-  bool use_flat_kernels = true;
   /// Pin worker threads round-robin across NUMA nodes (sim/topology.hpp);
   /// best effort, a silent no-op where unsupported.  Never affects results.
   bool pin_workers = false;
@@ -72,26 +64,5 @@ struct ParallelOptions {
 RoutabilityEstimate estimate_routability_parallel(
     const Overlay& overlay, const FailureScenario& failures,
     const ParallelOptions& options, const math::Rng& rng);
-
-struct ExactParallelOptions {
-  std::uint64_t max_hops = 0;
-  unsigned threads = 0;
-  /// Source-block shards (0 = default, min(N, 256)).
-  std::uint64_t shards = 0;
-  bool use_flat_kernels = true;
-  /// Pin worker threads round-robin across NUMA nodes; scheduling only,
-  /// never affects results.
-  bool pin_workers = false;
-};
-
-/// Exact measurement over every ordered pair of alive nodes with the O(N^2)
-/// source loop sharded across threads.  For overlays whose forwarding rule
-/// consumes no randomness (tree, XOR, ring, Symphony) the result is
-/// bit-identical to the sequential exact_routability; the hypercube's
-/// random tie-break draws from per-shard forks instead of one stream, so
-/// its result is deterministic but shard-layout-dependent.
-RoutabilityEstimate exact_routability_parallel(
-    const Overlay& overlay, const FailureScenario& failures,
-    const ExactParallelOptions& options, const math::Rng& rng);
 
 }  // namespace dht::sim

@@ -32,27 +32,34 @@ Router::Router(const Overlay& overlay, const FailureScenario& failures,
             "failure scenario and overlay must share the id space");
 }
 
-RouteResult Router::route(NodeId source, NodeId target,
-                          math::Rng& rng) const {
-  DHT_CHECK(overlay_.space().contains(source), "source out of range");
-  DHT_CHECK(overlay_.space().contains(target), "target out of range");
+namespace {
+
+// The one hop loop behind route() and route_traced(): `on_hop(node)` sees
+// every node the message moves to, in order.
+template <typename OnHop>
+RouteResult walk(const Overlay& overlay, const FailureScenario& failures,
+                 std::uint64_t max_hops, NodeId source, NodeId target,
+                 math::Rng& rng, OnHop&& on_hop) {
+  DHT_CHECK(overlay.space().contains(source), "source out of range");
+  DHT_CHECK(overlay.space().contains(target), "target out of range");
   DHT_CHECK(source != target, "route requires source != target");
 
   RouteResult result;
   NodeId current = source;
   while (current != target) {
-    if (static_cast<std::uint64_t>(result.hops) >= max_hops_) {
+    if (static_cast<std::uint64_t>(result.hops) >= max_hops) {
       result.status = RouteStatus::kHopLimit;
       result.last_node = current;
       return result;
     }
-    const auto next = overlay_.next_hop(current, target, failures_, rng);
+    const auto next = overlay.next_hop(current, target, failures, rng);
     if (!next.has_value()) {
       result.status = RouteStatus::kDropped;
       result.last_node = current;
       return result;
     }
     current = *next;
+    on_hop(current);
     ++result.hops;
   }
   result.status = RouteStatus::kArrived;
@@ -60,33 +67,20 @@ RouteResult Router::route(NodeId source, NodeId target,
   return result;
 }
 
+}  // namespace
+
+RouteResult Router::route(NodeId source, NodeId target,
+                          math::Rng& rng) const {
+  return walk(overlay_, failures_, max_hops_, source, target, rng,
+              [](NodeId) {});
+}
+
 RouteTrace Router::route_traced(NodeId source, NodeId target,
                                 math::Rng& rng) const {
-  DHT_CHECK(overlay_.space().contains(source), "source out of range");
-  DHT_CHECK(overlay_.space().contains(target), "target out of range");
-  DHT_CHECK(source != target, "route requires source != target");
-
   RouteTrace trace;
   trace.path.push_back(source);
-  NodeId current = source;
-  while (current != target) {
-    if (static_cast<std::uint64_t>(trace.result.hops) >= max_hops_) {
-      trace.result.status = RouteStatus::kHopLimit;
-      trace.result.last_node = current;
-      return trace;
-    }
-    const auto next = overlay_.next_hop(current, target, failures_, rng);
-    if (!next.has_value()) {
-      trace.result.status = RouteStatus::kDropped;
-      trace.result.last_node = current;
-      return trace;
-    }
-    current = *next;
-    trace.path.push_back(current);
-    ++trace.result.hops;
-  }
-  trace.result.status = RouteStatus::kArrived;
-  trace.result.last_node = current;
+  trace.result = walk(overlay_, failures_, max_hops_, source, target, rng,
+                      [&trace](NodeId node) { trace.path.push_back(node); });
   return trace;
 }
 

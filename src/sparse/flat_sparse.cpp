@@ -23,7 +23,7 @@ namespace flat {
 
 FlatSparseCtx make_sparse_ctx(const SparseOverlay& overlay,
                               const SparseFailure& failures,
-                              std::uint64_t max_hops, bool use_flat_kernels) {
+                              std::uint64_t max_hops) {
   const SparseIdSpace& space = overlay.space();
   FlatSparseCtx c;
   c.d = space.bits();
@@ -32,9 +32,6 @@ FlatSparseCtx make_sparse_ctx(const SparseOverlay& overlay,
   c.ids = space.ids().data();
   c.alive = failures.alive_data();
   c.max_hops = max_hops == 0 ? space.node_count() : max_hops;
-  if (!use_flat_kernels) {
-    return c;
-  }
   if (const auto* chord = dynamic_cast<const SparseChordOverlay*>(&overlay)) {
     c.kind = SparseKernelKind::kChord;
     if (!chord->route_packed().empty()) {
@@ -51,26 +48,25 @@ FlatSparseCtx make_sparse_ctx(const SparseOverlay& overlay,
     c.table = kad->contact_table().data();
     c.bucket_k = kad->bucket_k();
     c.row_width = c.d * kad->bucket_k();
-  } else if (const auto* sym =
-                 dynamic_cast<const SparseSymphonyOverlay*>(&overlay)) {
+  } else {
+    const auto* sym = dynamic_cast<const SparseSymphonyOverlay*>(&overlay);
+    DHT_CHECK(sym != nullptr, "no flat kernel for this sparse overlay type");
     c.kind = SparseKernelKind::kSymphony;
     c.table = sym->shortcut_table().data();
     c.row_width = sym->shortcuts();
     c.kn = sym->near_neighbors();
     c.ks = sym->shortcuts();
   }
-  if (c.kind != SparseKernelKind::kGeneric) {
-    // Pack the byte mask into bits once per engine invocation (the failure
-    // scenario is frozen for the whole estimate): N/8 bytes instead of N,
-    // small enough to stay cache-resident under the kernels' random probes.
-    auto bits = std::make_shared<std::vector<std::uint64_t>>(c.n / 64 + 1, 0);
-    for (std::uint64_t i = 0; i < c.n; ++i) {
-      (*bits)[i >> 6] |= static_cast<std::uint64_t>(c.alive[i] ? 1 : 0)
-                         << (i & 63);
-    }
-    c.alive_bits = bits->data();
-    c.alive_bits_owner = std::move(bits);
+  // Pack the byte mask into bits once per engine invocation (the failure
+  // scenario is frozen for the whole estimate): N/8 bytes instead of N,
+  // small enough to stay cache-resident under the kernels' random probes.
+  auto bits = std::make_shared<std::vector<std::uint64_t>>(c.n / 64 + 1, 0);
+  for (std::uint64_t i = 0; i < c.n; ++i) {
+    (*bits)[i >> 6] |= static_cast<std::uint64_t>(c.alive[i] ? 1 : 0)
+                       << (i & 63);
   }
+  c.alive_bits = bits->data();
+  c.alive_bits_owner = std::move(bits);
   return c;
 }
 
@@ -320,11 +316,10 @@ struct LanePairSource {
 
 // The static engine's lane policy over the shared driver (sim/lanes.hpp):
 // pairs come from the pair source, retirements go to the estimate, and
-// `step_batch` is a batch kernel or the virtual-oracle step.  Lanes are
-// serviced in lane order, so the whole schedule -- which lane routes which
-// pair -- is a deterministic function of the pair source and the
-// (rng-free) route outcomes, identically for the flat kernels and the
-// virtual path.
+// `step_batch` is the overlay's batch kernel.  Lanes are serviced in lane
+// order, so the whole schedule -- which lane routes which pair -- is a
+// deterministic function of the pair source and the (rng-free) route
+// outcomes.
 //
 // Workload hooks, both no-ops in the default configuration: with a path
 // cache (c.cache != null), each settled lane probes its current node's
@@ -403,30 +398,7 @@ struct StaticLanes {
   }
 };
 
-// Virtual-dispatch batch step on the shared driver, so generic and flat
-// runs share the lane schedule hop for hop and are bit-comparable.
-struct GenericStepBatch {
-  const SparseOverlay& overlay;
-  const SparseFailure& failures;
-
-  void operator()(const FlatSparseCtx&, Lanes& b) const {
-    for (int l = 0; l < Lanes::kLanes; ++l) {
-      if (!b.active[l]) {
-        continue;
-      }
-      const auto next = overlay.next_hop(b.cur[l], b.target[l], failures);
-      if (!next.has_value()) {
-        b.cur[l] = kNoNode;
-        continue;
-      }
-      b.cur[l] = *next;
-      b.hops[l] += 1;
-    }
-  }
-};
-
-void run_lanes(const FlatSparseCtx& c, const SparseOverlay& overlay,
-               const SparseFailure& failures, LanePairSource& pairs,
+void run_lanes(const FlatSparseCtx& c, LanePairSource& pairs,
                SparseEstimate& estimate) {
   const auto drive = [&](auto step_batch) {
     sim::drive_lanes<NodeIndex>(
@@ -448,9 +420,6 @@ void run_lanes(const FlatSparseCtx& c, const SparseOverlay& overlay,
       drive([](const FlatSparseCtx& ctx, Lanes& b) {
         step_batch_symphony(ctx, b);
       });
-      return;
-    case SparseKernelKind::kGeneric:
-      drive(GenericStepBatch{overlay, failures});
       return;
   }
 }
@@ -491,8 +460,8 @@ SparseWorkloadReport estimate_workload_parallel(
   obs::PhaseProfile serial_profile;
   obs::PhaseProfile* const serial = observed ? &serial_profile : nullptr;
   obs::PhaseTimer build_timer(serial, obs::Phase::kWorldBuild, options.trace);
-  flat::FlatSparseCtx ctx = flat::make_sparse_ctx(
-      overlay, failures, options.max_hops, options.use_flat_kernels);
+  flat::FlatSparseCtx ctx =
+      flat::make_sparse_ctx(overlay, failures, options.max_hops);
 
   // Workload tables, built once and shared read-only by every shard: the
   // Zipf sampler over object ranks and each object's owner
@@ -559,7 +528,7 @@ SparseWorkloadReport estimate_workload_parallel(
                                     tables.zipf != nullptr ? &tables
                                                            : nullptr);
         SparseEstimate estimate;
-        flat::run_lanes(local, overlay, failures, source, estimate);
+        flat::run_lanes(local, source, estimate);
         results[s] = estimate;
         if (cache != nullptr) {
           caches->release(std::move(cache));

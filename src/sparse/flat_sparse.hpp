@@ -2,7 +2,8 @@
 // non-fully-populated identifier spaces.
 //
 // The virtual SparseOverlay::next_hop path (sparse_overlay.hpp) is the
-// semantic oracle; these kernels replicate it hop for hop on contiguous
+// semantic oracle of the serial estimator; these kernels, the parallel
+// estimator's only route path, replicate it hop for hop on contiguous
 // state -- the sorted id array (index -> identifier), the row-major
 // neighbor tables (Chord fingers / Kademlia contacts / Symphony
 // shortcuts), and the raw liveness mask -- with no virtual dispatch, no
@@ -34,7 +35,6 @@ namespace dht::sparse {
 namespace flat {
 
 enum class SparseKernelKind {
-  kGeneric,  // unknown overlay type: route through virtual next_hop
   kChord,
   kKademlia,
   kSymphony,
@@ -74,7 +74,7 @@ struct PathCache;
 // pointers and scalars.  Built once per engine invocation, read-only
 // across threads.
 struct FlatSparseCtx {
-  SparseKernelKind kind = SparseKernelKind::kGeneric;
+  SparseKernelKind kind = SparseKernelKind::kChord;
   int d = 0;                             // key-space bits
   std::uint64_t key_mask = 0;            // 2^d - 1
   std::uint64_t n = 0;                   // node count
@@ -99,7 +99,7 @@ struct FlatSparseCtx {
   // mask is megabytes at 2^20 nodes and every hop probes it at a random
   // index; the bit mask is N/8 bytes and stays cache-resident, so the
   // batched kernels' candidate probes stop missing to memory.  Built by
-  // make_sparse_ctx for the flat kinds; null for kGeneric.
+  // make_sparse_ctx.
   const std::uint64_t* alive_bits = nullptr;
   std::shared_ptr<const std::vector<std::uint64_t>> alive_bits_owner;
   // --- Workload layer (null/0 = off; the default path is untouched). ---
@@ -437,11 +437,10 @@ inline void step_batch_symphony(const FlatSparseCtx& c, Lanes& b) {
 }
 
 /// Builds a context over an immutable sparse overlay + failure scenario.
-/// Unknown overlay types (and use_flat_kernels = false) yield kGeneric,
-/// which the estimator routes through the virtual next_hop path instead.
+/// Throws PreconditionError for an overlay type with no kernel.
 FlatSparseCtx make_sparse_ctx(const SparseOverlay& overlay,
                               const SparseFailure& failures,
-                              std::uint64_t max_hops, bool use_flat_kernels);
+                              std::uint64_t max_hops);
 
 /// Object o's key: a fixed keyed hash of o masked to the key space.  It
 /// does not depend on the caller seed, so the object placement is a
@@ -502,11 +501,6 @@ struct SparseParallelOptions {
   /// Work shards (0 = default, min(pairs, 256)).  Results are a function of
   /// (seed, shard count); keep it fixed when comparing runs.
   std::uint64_t shards = 0;
-  /// When false, routes through the virtual next_hop path instead of the
-  /// flattened kernels.  All three sparse forwarding rules are rng-free, so
-  /// the kernels replicate next_hop exactly and results are bit-identical
-  /// either way (asserted in test_flat_sparse).
-  bool use_flat_kernels = true;
   /// Pin worker threads round-robin across NUMA nodes (sim/topology.hpp);
   /// best effort, a silent no-op where unsupported.  Never affects results.
   bool pin_workers = false;

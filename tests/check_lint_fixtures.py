@@ -42,6 +42,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("src/sim/bad_global.cpp", "kernel-global"): 1,
     ("src/sim/bad_allow_no_reason.cpp", "allow-missing-reason"): 1,
     ("src/sim/bad_stale_allow.cpp", "allow-missing-reason"): 1,
+    ("examples/bad_loose_parse.cpp", "loose-parse"): 4,
 }
 
 # Files that must produce NO findings at all.
@@ -50,6 +51,7 @@ EXPECTED_CLEAN_FIXTURES = (
     "bench/ok_wallclock.cpp",
     "src/sim/ok_allow.cpp",
     "src/sim/ok_clean.cpp",
+    "src/common/ok_strict_parse.hpp",
 )
 
 # (path, rule) pairs that must NOT appear: suppressed by the escape hatch

@@ -1,17 +1,21 @@
 // Property tests for the flattened overlay hot paths against brute-force
 // oracles: table-less deterministic Chord fingers vs the closed-form
 // offsets, the flattened greedy next_hop vs a straight reimplementation of
-// the scan, the O(1) alive-index sample_alive vs a linear-scan index, and
-// the non-allocating links_into vs links.
+// the scan, the O(1) alive-index sample_alive vs a linear-scan index, the
+// non-allocating links_into vs links, and every rng-free flat kernel vs
+// the virtual-dispatch Router on every ordered alive pair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "math/rng.hpp"
 #include "sim/chord_overlay.hpp"
+#include "sim/flat_route.hpp"
 #include "sim/hypercube_overlay.hpp"
+#include "sim/router.hpp"
 #include "sim/symphony_overlay.hpp"
 #include "sim/tree_overlay.hpp"
 #include "sim/xor_overlay.hpp"
@@ -265,6 +269,66 @@ TEST(LinksInto, MatchesLinksForEveryOverlay) {
       overlay->links_into(v, scratch);
       EXPECT_EQ(scratch, overlay->links(v))
           << overlay->name() << " v=" << v;
+    }
+  }
+}
+
+TEST(FlatKernels, MatchRouterOnEveryPair) {
+  // The static parallel estimator routes only through the flat kernels;
+  // for the rng-free rules each must reproduce the virtual next_hop path
+  // route for route.  (The hypercube kernel samples its uniform choice
+  // along a different path; ParallelMonteCarlo.AgreesWithSequentialEstimator
+  // compares it statistically.)
+  using Step = NodeId (*)(const flat::FlatCtx&, NodeId, NodeId);
+  struct Kernel {
+    std::string name;
+    std::unique_ptr<Overlay> overlay;
+    Step step;
+  };
+  const IdSpace space(7);
+  math::Rng build_rng(61);
+  std::vector<Kernel> kernels;
+  kernels.push_back({"tree", std::make_unique<TreeOverlay>(space, build_rng),
+                     &flat::step_tree});
+  kernels.push_back({"xor", std::make_unique<XorOverlay>(space, build_rng),
+                     &flat::step_xor});
+  kernels.push_back({"chord", std::make_unique<ChordOverlay>(space, build_rng),
+                     &flat::step_chord_deterministic});
+  kernels.push_back({"chord-randomized",
+                     std::make_unique<ChordOverlay>(
+                         space, build_rng, ChordFingers::kRandomized),
+                     &flat::step_chord_randomized});
+  kernels.push_back({"chord-successors",
+                     std::make_unique<ChordOverlay>(
+                         space, build_rng, ChordFingers::kDeterministic, 3),
+                     &flat::step_chord_deterministic});
+  kernels.push_back({"symphony",
+                     std::make_unique<SymphonyOverlay>(space, 2, 2, build_rng),
+                     &flat::step_symphony});
+  for (const double q : {0.0, 0.2, 0.35}) {
+    math::Rng fail_rng(62);
+    const FailureScenario failures(space, q, fail_rng);
+    for (const Kernel& kernel : kernels) {
+      const std::string what = kernel.name + " q=" + std::to_string(q);
+      const Router router(*kernel.overlay, failures);
+      const flat::FlatCtx ctx = flat::make_ctx(*kernel.overlay, failures, 0);
+      math::Rng unused(63);  // none of these rules draws
+      for (NodeId s = 0; s < space.size(); ++s) {
+        for (NodeId t = 0; t < space.size(); ++t) {
+          if (s == t || !failures.alive(s) || !failures.alive(t)) {
+            continue;
+          }
+          const RouteResult want = router.route(s, t, unused);
+          const RouteResult got = flat::route_stepped(ctx, s, t, kernel.step);
+          ASSERT_TRUE(got.status == want.status && got.hops == want.hops &&
+                      got.last_node == want.last_node)
+              << what << " s=" << s << " t=" << t << ": kernel "
+              << to_string(got.status) << " after " << got.hops
+              << " hops at " << got.last_node << ", router "
+              << to_string(want.status) << " after " << want.hops
+              << " hops at " << want.last_node;
+        }
+      }
     }
   }
 }

@@ -51,28 +51,6 @@ Instance make_instance(const std::string& name, int bits, std::uint64_t n,
   return inst;
 }
 
-TEST(FlatSparse, FlatAndGenericEstimatesAreBitIdentical) {
-  // All three sparse forwarding rules are rng-free, so the flat and the
-  // virtual-dispatch estimator runs consume identical rng streams and must
-  // agree field by field.
-  for (const std::string name : {"chord", "kademlia", "symphony"}) {
-    const auto inst = make_instance(name, 20, 2048, 311);
-    math::Rng fail_rng(312);
-    const SparseFailure failures(*inst.space, 0.3, fail_rng);
-    const math::Rng route_rng(313);
-    SparseParallelOptions flat_options{.pairs = 4000, .threads = 2};
-    SparseParallelOptions generic_options = flat_options;
-    generic_options.use_flat_kernels = false;
-    const auto a = estimate_routability_parallel(*inst.overlay, failures,
-                                                 flat_options, route_rng);
-    const auto b = estimate_routability_parallel(*inst.overlay, failures,
-                                                 generic_options, route_rng);
-    expect_identical(a, b, name.c_str());
-    EXPECT_GT(a.attempts, 0u) << name;
-    EXPECT_EQ(a.hop_limit_hits(), 0u) << name;
-  }
-}
-
 TEST(FlatSparse, BitIdenticalAcrossThreadCounts) {
   for (const std::string name : {"chord", "kademlia", "symphony"}) {
     const auto inst = make_instance(name, 24, 4096, 321);
@@ -284,9 +262,7 @@ TEST(FlatSparse, BatchKernelsMatchVirtualOraclePerPair) {
                                       501, shape.bucket_k);
       math::Rng fail_rng(502);
       const SparseFailure failures(*inst.space, q, fail_rng);
-      const auto ctx =
-          flat::make_sparse_ctx(*inst.overlay, failures, 0, true);
-      ASSERT_NE(ctx.kind, flat::SparseKernelKind::kGeneric) << what;
+      const auto ctx = flat::make_sparse_ctx(*inst.overlay, failures, 0);
       if (ctx.kind == flat::SparseKernelKind::kChord) {
         // bits <= 32 selects the packed u64 rows, wider spaces the
         // two-array (progress, finger) shape.

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -54,10 +56,6 @@ std::unique_ptr<Overlay> make_named_overlay(const std::string& name,
     return std::make_unique<ChordOverlay>(space, rng,
                                           ChordFingers::kRandomized);
   }
-  if (name == "chord-successors") {
-    return std::make_unique<ChordOverlay>(space, rng,
-                                          ChordFingers::kDeterministic, 3);
-  }
   return std::make_unique<SymphonyOverlay>(space, 2, 2, rng);
 }
 
@@ -104,50 +102,6 @@ TEST(ParallelMonteCarlo, RepeatedCallsAreIdentical) {
   const auto b = estimate_routability_parallel(overlay, failures,
                                                {.pairs = 3000}, route_rng);
   expect_identical(a, b, "repeat");
-}
-
-TEST(ParallelMonteCarlo, FlatKernelsMatchGenericRouterForRngFreeRules) {
-  // Tree, XOR, ring (both variants, with and without successor lists) and
-  // Symphony forwarding consume no randomness, so the flattened kernels
-  // must reproduce the virtual-dispatch Router path bit for bit.
-  const IdSpace space(9);
-  for (const std::string name :
-       {"tree", "xor", "chord", "chord-randomized", "chord-successors",
-        "symphony"}) {
-    math::Rng build_rng(11);
-    const auto overlay = make_named_overlay(name, space, build_rng);
-    math::Rng fail_rng(12);
-    const FailureScenario failures(space, 0.35, fail_rng);
-    const math::Rng route_rng(13);
-    ParallelOptions flat{.pairs = 3000, .threads = 2};
-    ParallelOptions generic = flat;
-    generic.use_flat_kernels = false;
-    const auto a =
-        estimate_routability_parallel(*overlay, failures, flat, route_rng);
-    const auto b =
-        estimate_routability_parallel(*overlay, failures, generic, route_rng);
-    expect_identical(a, b, name.c_str());
-  }
-}
-
-TEST(ParallelMonteCarlo, HypercubeFlatKernelAgreesStatistically) {
-  // The hypercube kernel draws once per hop instead of once per alive
-  // candidate, so individual routes differ from the generic path; the
-  // estimates must still agree to sampling accuracy.
-  const IdSpace space(10);
-  const HypercubeOverlay overlay(space);
-  math::Rng fail_rng(21);
-  const FailureScenario failures(space, 0.3, fail_rng);
-  const math::Rng route_rng(22);
-  ParallelOptions flat{.pairs = 20000, .threads = 2};
-  ParallelOptions generic = flat;
-  generic.use_flat_kernels = false;
-  const auto a =
-      estimate_routability_parallel(overlay, failures, flat, route_rng);
-  const auto b =
-      estimate_routability_parallel(overlay, failures, generic, route_rng);
-  EXPECT_NEAR(a.routability(), b.routability(), 0.02);
-  EXPECT_NEAR(a.hops.mean(), b.hops.mean(), 0.1);
 }
 
 TEST(ParallelMonteCarlo, AgreesWithSequentialEstimator) {
@@ -226,44 +180,6 @@ TEST(ParallelMonteCarlo, HopStatsMergeHandlesEmptyAndExtrema) {
   EXPECT_EQ(b.max(), 9u);
 }
 
-TEST(ParallelMonteCarlo, ExactParallelMatchesSequentialExact) {
-  // With rng-free forwarding rules the sharded exact measurement routes the
-  // same ordered pairs as the sequential one, so the results are equal bit
-  // for bit at every thread count.
-  const IdSpace space(7);
-  for (const std::string name : {"tree", "xor", "chord"}) {
-    math::Rng build_rng(51);
-    const auto overlay = make_named_overlay(name, space, build_rng);
-    math::Rng fail_rng(52);
-    const FailureScenario failures(space, 0.2, fail_rng);
-    math::Rng serial_rng(53);
-    const auto serial = exact_routability(*overlay, failures, serial_rng);
-    for (unsigned threads : {1u, 4u}) {
-      const math::Rng parallel_rng(54);
-      const auto parallel = exact_routability_parallel(
-          *overlay, failures, {.threads = threads}, parallel_rng);
-      expect_identical(serial, parallel, name.c_str());
-    }
-  }
-}
-
-TEST(ParallelMonteCarlo, ExactParallelHypercubeDeterministicAndClose) {
-  const IdSpace space(7);
-  const HypercubeOverlay overlay(space);
-  math::Rng fail_rng(61);
-  const FailureScenario failures(space, 0.2, fail_rng);
-  const math::Rng rng(62);
-  const auto one = exact_routability_parallel(overlay, failures,
-                                              {.threads = 1}, rng);
-  const auto eight = exact_routability_parallel(overlay, failures,
-                                                {.threads = 8}, rng);
-  expect_identical(one, eight, "hypercube-exact");
-  math::Rng serial_rng(63);
-  const auto serial = exact_routability(overlay, failures, serial_rng);
-  EXPECT_EQ(one.routed.trials, serial.routed.trials);
-  EXPECT_NEAR(one.routability(), serial.routability(), 0.02);
-}
-
 TEST(ParallelMonteCarlo, HopLimitHitsAreCountedDeterministically) {
   const IdSpace space(8);
   const HypercubeOverlay overlay(space);
@@ -294,7 +210,31 @@ TEST(ParallelMonteCarlo, RejectsDegenerateInputs) {
   EXPECT_THROW(
       estimate_routability_parallel(overlay, one_alive, {.pairs = 10}, rng),
       PreconditionError);
-  EXPECT_THROW(exact_routability_parallel(overlay, one_alive, {}, rng),
+}
+
+// Drops every message; a dense overlay type with no flat kernel.
+class NullOverlay final : public Overlay {
+ public:
+  explicit NullOverlay(const IdSpace& space) : space_(space) {}
+  std::string_view name() const noexcept override { return "null"; }
+  const IdSpace& space() const noexcept override { return space_; }
+  std::optional<NodeId> next_hop(NodeId, NodeId, const FailureScenario&,
+                                 math::Rng&) const override {
+    return std::nullopt;
+  }
+  std::vector<NodeId> links(NodeId) const override { return {}; }
+  std::uint64_t table_bytes() const noexcept override { return 0; }
+
+ private:
+  const IdSpace& space_;
+};
+
+TEST(ParallelMonteCarlo, RejectsAnOverlayWithNoKernel) {
+  // The flat kernels are the estimator's only route path.
+  const IdSpace space(4);
+  const FailureScenario alive = FailureScenario::all_alive(space);
+  EXPECT_THROW(estimate_routability_parallel(NullOverlay(space), alive,
+                                             {.pairs = 10}, math::Rng(82)),
                PreconditionError);
 }
 

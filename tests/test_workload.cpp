@@ -420,6 +420,19 @@ TEST(Workload, RejectsOversizedPathCaches) {
                PreconditionError);
 }
 
+TEST(Workload, RejectsAnOverlayWithNoKernel) {
+  // The parallel estimator routes only through the flat kernels, so an
+  // overlay type without one is refused rather than routed another way.
+  const auto inst = make_chord(22, 3000, 951);
+  math::Rng fail_rng(952);
+  const SparseFailure failures(*inst.space, 0.0, fail_rng);
+  EXPECT_THROW(estimate_routability_parallel(NullOverlay(*inst.space),
+                                             failures,
+                                             {.pairs = 100, .threads = 1},
+                                             math::Rng(953)),
+               PreconditionError);
+}
+
 churn::TrajectoryOptions churn_options(unsigned threads) {
   churn::TrajectoryOptions options;
   options.warmup_rounds = 12;
