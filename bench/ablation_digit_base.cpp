@@ -24,7 +24,7 @@ struct Config {
 };
 
 void emit_for(std::uint64_t n_label, const std::vector<Config>& configs,
-              int argc, char** argv) {
+              const dht::bench::Flags& flags) {
   using namespace dht;
   core::Table table(strfmt(
       "Digit-base ablation -- tree geometry failed paths %% at N = %llu "
@@ -54,14 +54,15 @@ void emit_for(std::uint64_t n_label, const std::vector<Config>& configs,
       "corrections: at small q, base 16 fails ~2.5x fewer paths than "
       "base 2 at the same N, paid for with ~4x the routing-table state -- "
       "but no base makes the tree scalable (Q(m) = q is base-independent)");
-  dht::bench::emit(table, argc, argv);
+  dht::bench::emit(table, flags);
   std::cout << '\n';
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  emit_for(4096, {{2, 12}, {4, 6}, {8, 4}, {16, 3}}, argc, argv);
-  emit_for(65536, {{2, 16}, {4, 8}, {16, 4}}, argc, argv);
+  const auto flags = dht::bench::parse_flags(argc, argv);
+  emit_for(4096, {{2, 12}, {4, 6}, {8, 4}, {16, 3}}, flags);
+  emit_for(65536, {{2, 16}, {4, 8}, {16, 4}}, flags);
   return 0;
 }

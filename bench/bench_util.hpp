@@ -13,16 +13,44 @@
 
 namespace dht::bench {
 
-/// Prints `table` to stdout -- as CSV when the harness was invoked with
-/// --csv (for replotting), aligned text otherwise.
-inline void emit(const core::Table& table, int argc, char** argv) {
+/// A harness's command line: `--csv` prints its tables as CSV (for
+/// replotting) instead of aligned text, and `--threads N` picks the worker
+/// count (0, also when the flag is absent, means hardware concurrency).
+struct Flags {
+  bool csv = false;
+  unsigned threads = 0;
+};
+
+/// Parses the harness flags strictly: any other argument, or --threads
+/// with no value or a rejected one, is named on stderr and exits 1.
+inline Flags parse_flags(int argc, char** argv) {
+  Flags flags;
   for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--csv") {
-      table.print_csv(std::cout);
-      return;
+    const std::string_view arg = argv[i];
+    if (arg == "--csv") {
+      flags.csv = true;
+    } else if (arg == "--threads" && i + 1 < argc) {
+      if (!common::parse_threads_flag(argv[0], argv[++i], flags.threads)) {
+        std::exit(1);
+      }
+    } else {
+      std::cerr << argv[0] << ": "
+                << (arg == "--threads" ? "missing value for flag "
+                                       : "unknown argument ")
+                << arg << "\n";
+      std::exit(1);
     }
   }
-  table.print(std::cout);
+  return flags;
+}
+
+/// Prints `table` to stdout, as CSV under --csv.
+inline void emit(const core::Table& table, const Flags& flags) {
+  if (flags.csv) {
+    table.print_csv(std::cout);
+  } else {
+    table.print(std::cout);
+  }
 }
 
 /// Percentages 0, 5, ..., 90 as failure probabilities (the x-axis of the
@@ -33,21 +61,6 @@ inline std::vector<double> paper_q_grid() {
     qs.push_back(percent / 100.0);
   }
   return qs;
-}
-
-/// The harness's `--threads N` (0, also when the flag is absent, means
-/// hardware concurrency), parsed strictly; a rejected value exits 1.
-inline unsigned threads_flag(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string_view(argv[i]) == "--threads") {
-      unsigned threads = 0;
-      if (!common::parse_threads_flag(argv[0], argv[i + 1], threads)) {
-        std::exit(1);
-      }
-      return threads;
-    }
-  }
-  return 0;
 }
 
 /// Formats a probability as a percentage with one decimal.

@@ -37,7 +37,8 @@ constexpr std::uint64_t kPairsPerRound = 500;
 
 int main(int argc, char** argv) {
   using namespace dht;
-  const auto threads = bench::threads_flag(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv);
+  const auto threads = flags.threads;
   const auto xor_geo = core::make_geometry(core::GeometryKind::kXor);
 
   core::Table table(strfmt(
@@ -83,7 +84,7 @@ int main(int argc, char** argv) {
       "stationary dead fraction 1-a, and the measured dynamic routability "
       "tracks the static curve at q_eff throughout (modulo Eq. 6's "
       "documented knee bias)");
-  dht::bench::emit(table, argc, argv);
+  dht::bench::emit(table, flags);
 
   // Geometry x rho sweep at one churn point, on the SweepSpec grid API.
   core::Table grid(strfmt(
@@ -129,6 +130,6 @@ int main(int argc, char** argv) {
       "ring stays slightly below its prediction even at rho = 1: its "
       "deepest dyadic finger intervals hold only one or two candidates, so "
       "a dead interval is irreparable until its members rejoin");
-  dht::bench::emit(grid, argc, argv);
+  dht::bench::emit(grid, flags);
   return 0;
 }

@@ -43,6 +43,7 @@ double simulated_failed(int successors, double q, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace dht;
+  const auto flags = bench::parse_flags(argc, argv);
 
   core::Table table(strfmt(
       "Sequential-neighbor extension -- ring failed paths %% at N = 2^%d "
@@ -73,6 +74,6 @@ int main(int argc, char** argv) {
   table.add_note(
       "for s > 0 the model is an approximation (end-game successors can "
       "overshoot), not a bound; agreement stays within a few percent");
-  dht::bench::emit(table, argc, argv);
+  dht::bench::emit(table, flags);
   return 0;
 }

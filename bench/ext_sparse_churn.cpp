@@ -60,7 +60,8 @@ constexpr std::uint64_t kPairsPerRound = 600;
 
 int main(int argc, char** argv) {
   using namespace dht;
-  const auto threads = bench::threads_flag(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv);
+  const auto threads = flags.threads;
   const auto xor_geo = core::make_geometry(core::GeometryKind::kXor);
 
   core::Table table(strfmt(
@@ -125,7 +126,7 @@ int main(int argc, char** argv) {
       "schedule would leave stale.  At full population the same engine "
       "pins the q_eff bridge itself (test_sparse_churn's dense-limit "
       "oracle)");
-  dht::bench::emit(table, argc, argv);
+  dht::bench::emit(table, flags);
 
   // Sequential neighbors under churn: s x rho on the ring.
   core::Table grid(strfmt(
@@ -165,7 +166,7 @@ int main(int argc, char** argv) {
       "sequential neighbors with per-round list repair and predecessor "
       "notify restore near-perfect routability -- the paper's sequential-"
       "neighbors resilience story, demonstrated under dynamic membership");
-  dht::bench::emit(grid, argc, argv);
+  dht::bench::emit(grid, flags);
 
   // Lookups under live churn: in-flight x bucket width x session model.
   core::Table live(strfmt(
@@ -251,7 +252,7 @@ int main(int argc, char** argv) {
       "departed mid-flight / successor collapse): holder-departed is only "
       "reachable on in-flight rows, where the sweep can kill the node "
       "carrying the message between hops");
-  dht::bench::emit(live, argc, argv);
+  dht::bench::emit(live, flags);
 
   // Availability under churn x replication: Zipf GETs on the ring.
   core::Table repl(strfmt(
@@ -313,6 +314,6 @@ int main(int argc, char** argv) {
       "stalls (every candidate finger dead) vs successor collapse (the "
       "whole successor list dead at once), the s = 4 list's rare worst "
       "case");
-  dht::bench::emit(repl, argc, argv);
+  dht::bench::emit(repl, flags);
   return 0;
 }

@@ -49,7 +49,8 @@ double simulated_failed(const dht::sim::Overlay& overlay, double q,
 
 int main(int argc, char** argv) {
   using namespace dht;
-  g_threads = bench::threads_flag(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv);
+  g_threads = flags.threads;
   const sim::IdSpace space(kBits);
   math::Rng build_rng(20060328);  // arXiv date of the paper; any seed works
   const sim::TreeOverlay tree_overlay(space, build_rng);
@@ -88,6 +89,6 @@ int main(int argc, char** argv) {
       "noise; xor: Eq. 6 idealizes fallback progress as durable, making the "
       "analytical curve a few percent optimistic in the knee (documented in "
       "EXPERIMENTS.md)");
-  dht::bench::emit(table, argc, argv);
+  dht::bench::emit(table, flags);
   return 0;
 }

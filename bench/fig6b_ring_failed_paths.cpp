@@ -21,6 +21,7 @@ constexpr std::uint64_t kPairs = 20000;
 
 int main(int argc, char** argv) {
   using namespace dht;
+  const auto flags = bench::parse_flags(argc, argv);
   const sim::IdSpace space(kBits);
   math::Rng build_rng(1);
   const sim::ChordOverlay overlay(space, build_rng);
@@ -52,6 +53,6 @@ int main(int argc, char** argv) {
       "the analytical column upper-bounds the simulated failures at every "
       "q; the curves are close in the region of practical interest "
       "(q <= 20%) and diverge beyond it, exactly as the paper discusses");
-  dht::bench::emit(table, argc, argv);
+  dht::bench::emit(table, flags);
   return 0;
 }

@@ -22,6 +22,7 @@ constexpr int kBits = 100;  // N = 2^100, the paper's asymptotic evaluation
 
 int main(int argc, char** argv) {
   using namespace dht;
+  const auto flags = bench::parse_flags(argc, argv);
   const auto geometries = core::make_all_geometries(core::SymphonyParams{1, 1});
 
   core::Table table(
@@ -62,6 +63,6 @@ int main(int argc, char** argv) {
   table.add_note(
       "chord column is the analytical lower-bound model (failed-path upper "
       "bound), as in the paper");
-  dht::bench::emit(table, argc, argv);
+  dht::bench::emit(table, flags);
   return 0;
 }

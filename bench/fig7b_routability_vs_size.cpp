@@ -56,7 +56,7 @@ double simulated_routability(dht::core::GeometryKind kind, int d, double q,
 
 int main(int argc, char** argv) {
   using namespace dht;
-  const unsigned threads = bench::threads_flag(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv);
   const double q = 0.1;
   const auto geometries = core::make_all_geometries(core::SymphonyParams{1, 1});
 
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
       "(unscalable) while hypercube, chord and xor stay flat and positive "
       "out to billions of nodes (scalable)");
   table.add_note("d = 17..33 covers the paper's 10^5..10^10 x-axis window");
-  dht::bench::emit(table, argc, argv);
+  dht::bench::emit(table, flags);
 
   // Cross-check the analytical curves against the parallel deterministic
   // Monte-Carlo engine at the sizes where full overlays fit in memory.
@@ -113,7 +113,8 @@ int main(int argc, char** argv) {
          {core::GeometryKind::kHypercube, core::GeometryKind::kRing,
           core::GeometryKind::kXor, core::GeometryKind::kTree,
           core::GeometryKind::kSymphony}) {
-      row.push_back(bench::pct(simulated_routability(kind, d, q, threads)));
+      row.push_back(
+          bench::pct(simulated_routability(kind, d, q, flags.threads)));
     }
     sim_table.add_row(std::move(row));
   }
@@ -123,6 +124,6 @@ int main(int argc, char** argv) {
   sim_table.add_note(
       "--threads N picks the worker count (results are thread-count "
       "independent)");
-  dht::bench::emit(sim_table, argc, argv);
+  dht::bench::emit(sim_table, flags);
   return 0;
 }

@@ -129,6 +129,15 @@ int usage() {
   return 1;
 }
 
+// An argument starting with "--" that no flag branch of `command` took:
+// an unknown flag, or a known one given last with no value.  Names it,
+// prints the usage and returns 1.
+int reject_flag(const char* command, const std::string& arg) {
+  std::cerr << command << ": unknown flag or flag without a value: " << arg
+            << "\n";
+  return usage();
+}
+
 // Boundary validation of the churn lifecycle arguments: a usage-style
 // message naming the offending flag, instead of the deep DHT_CHECK throw
 // from churn.cpp's check_params surfacing as "error: precondition failed".
@@ -687,13 +696,16 @@ int main(int argc, char** argv) {
       unsigned threads = 0;
       std::vector<std::string> positional;
       for (int i = 5; i < argc; ++i) {
-        if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
+        const std::string arg = argv[i];
+        if (arg == "--threads" && i + 1 < argc) {
           if (!parse_threads_flag("simulate", argv[i + 1], threads)) {
             return 1;
           }
           ++i;
+        } else if (arg.rfind("--", 0) == 0) {
+          return reject_flag("simulate", arg);
         } else {
-          positional.emplace_back(argv[i]);
+          positional.push_back(arg);
         }
       }
       int d = 0;
@@ -752,8 +764,7 @@ int main(int argc, char** argv) {
         } else if (arg == "--load") {
           record_load = true;
         } else if (arg.rfind("--", 0) == 0) {
-          std::cerr << "sparse: unknown flag " << arg << "\n";
-          return usage();
+          return reject_flag("sparse", arg);
         } else {
           positional.push_back(arg);
         }
@@ -799,8 +810,7 @@ int main(int argc, char** argv) {
           }
           ++i;
         } else if (arg.rfind("--", 0) == 0) {
-          std::cerr << "churn: unknown flag " << arg << "\n";
-          return usage();
+          return reject_flag("churn", arg);
         } else {
           positional.push_back(arg);
         }
@@ -924,8 +934,7 @@ int main(int argc, char** argv) {
           trace_out = argv[i + 1];
           ++i;
         } else if (arg.rfind("--", 0) == 0) {
-          std::cerr << "sparse-churn: unknown flag " << arg << "\n";
-          return usage();
+          return reject_flag("sparse-churn", arg);
         } else {
           positional.push_back(arg);
         }

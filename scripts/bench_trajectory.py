@@ -21,6 +21,13 @@ Usage: bench_trajectory.py [FILE.json ...]
 With no files, reads every BENCH_prN.json with N >= 12 at the repository
 root in issue-number order.  Exit status: 0, or 1 when no snapshot is
 readable.
+
+Usage: bench_trajectory.py --rises FILE.json
+Prints, as the JSON list a snapshot records under
+"per_layer_rises_beyond_parent_iqr", every traced timing layer (a name
+with route_ns, build_ns or build_ms in it) whose change median is above
+the parent median plus the parent IQR.  Exit status: 1 when there is
+any such rise, else 0.
 """
 
 import argparse
@@ -32,6 +39,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # The first snapshot written in the schema this script reads.
 FIRST_SCHEMA_ISSUE = 12
+# Per-layer timings whose rises a change must fix or explain.
+TIMING_LAYER = re.compile(r"route_ns|build_ns|build_ms")
 
 
 def issue_number(path):
@@ -45,6 +54,10 @@ def in_schema(snapshot):
             and isinstance(per_layer, dict) and "change" in per_layer)
 
 
+def median_of(value):
+    return next(v for k, v in value.items() if k.startswith("median_of_"))
+
+
 def metric_rows(snapshot):
     """Maps (0, workload.metric) for end-to-end and (1, metric) for
     per-layer metrics -> (change median, change vs parent or None)."""
@@ -54,10 +67,26 @@ def metric_rows(snapshot):
             rows[(0, f"{workload}.{metric}")] = (
                 summary["change"]["median"], summary.get("change_vs_parent"))
     for metric, value in snapshot["per_layer"]["change"].items():
-        median = next(v for k, v in value.items()
-                      if k.startswith("median_of_"))
-        rows[(1, metric)] = (median, None)
+        rows[(1, metric)] = (median_of(value), None)
     return rows
+
+
+def rises(snapshot):
+    """Timing layers whose change median exceeds the parent median by
+    more than the parent IQR (q3 - q1), sorted by name."""
+    parent = snapshot["per_layer"]["parent"]
+    found = []
+    for metric, value in sorted(snapshot["per_layer"]["change"].items()):
+        if not TIMING_LAYER.search(metric) or metric not in parent:
+            continue
+        parent_median = median_of(parent[metric])
+        parent_iqr = parent[metric]["q3"] - parent[metric]["q1"]
+        change_median = median_of(value)
+        if change_median > parent_median + parent_iqr:
+            found.append({"metric": metric, "parent_median": parent_median,
+                          "change_median": change_median,
+                          "parent_iqr": parent_iqr})
+    return found
 
 
 def format_cell(cell):
@@ -93,7 +122,17 @@ def trajectory(paths):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("files", nargs="*")
+    parser.add_argument("--rises", metavar="FILE",
+                        help="list FILE's timing layers above the parent "
+                             "IQR; exit 1 if there are any")
     args = parser.parse_args(argv)
+    if args.rises is not None:
+        if args.files:
+            parser.error("--rises takes one file and no others")
+        with open(args.rises, encoding="utf-8") as handle:
+            found = rises(json.load(handle))
+        print(json.dumps(found, indent=1))
+        return 1 if found else 0
     paths = args.files or sorted(
         (str(p) for p in ROOT.glob("BENCH_pr*.json")
          if issue_number(p) >= FIRST_SCHEMA_ISSUE), key=issue_number)

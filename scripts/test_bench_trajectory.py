@@ -28,6 +28,13 @@ def per_layer(values, runs=3):
             for name, value in values.items()}
 
 
+def quartiles(values, runs=10):
+    """Per-layer records from {name: (q1, median, q3)}."""
+    return {name: {f"median_of_{runs}": median, "q1": q1, "q3": q3,
+                   "unit": "ns"}
+            for name, (q1, median, q3) in values.items()}
+
+
 FIXTURE = {
     "BENCH_pr12.json": {
         "end_to_end": {"churn_sync": {"summary": {
@@ -95,6 +102,64 @@ class BenchTrajectoryTest(unittest.TestCase):
         self.assertEqual(len(lines), 1 + 5)
         self.assertTrue(lines[0].startswith("metric"))
         self.assertIn("82 (-18.0%)", lines[1])
+
+
+
+RISES_SNAPSHOT = {"per_layer": {
+    "parent": quartiles({
+        "sim.route_ns_per_route.tree": (190.0, 200.0, 210.0),
+        "sim.route_ns_per_route.ring": (190.0, 200.0, 210.0),
+        "sim.build_ms.xor": (100.0, 110.0, 130.0),
+        "sparse.build_ns_per_node.ring": (50.0, 50.0, 50.0),
+        "sim.mean_hops.tree": (5.0, 5.0, 5.0),
+        "churn.route_ns_per_route.sync": (10.0, 10.0, 10.0),
+    }),
+    "change": quartiles({
+        # 200 + IQR 20 = 220: 221 rises, 220 does not.
+        "sim.route_ns_per_route.tree": (0.0, 221.0, 0.0),
+        "sim.route_ns_per_route.ring": (0.0, 220.0, 0.0),
+        "sim.build_ms.xor": (0.0, 141.0, 0.0),
+        # A zero parent IQR: any rise counts.
+        "sparse.build_ns_per_node.ring": (0.0, 50.5, 0.0),
+        # Not a timing layer.
+        "sim.mean_hops.tree": (0.0, 9.0, 0.0),
+        # Absent from the parent side.
+        "sim.route_ns_per_route.xor": (0.0, 900.0, 0.0),
+        "churn.route_ns_per_route.sync": (0.0, 9.0, 0.0),
+    }),
+}}
+
+
+class RisesTest(unittest.TestCase):
+    def test_only_timing_layers_beyond_the_parent_iqr(self):
+        found = bench_trajectory.rises(RISES_SNAPSHOT)
+        self.assertEqual([r["metric"] for r in found], [
+            "sim.build_ms.xor", "sim.route_ns_per_route.tree",
+            "sparse.build_ns_per_node.ring"])
+        self.assertEqual(found[1], {
+            "metric": "sim.route_ns_per_route.tree", "parent_median": 200.0,
+            "change_median": 221.0, "parent_iqr": 20.0})
+
+    def test_main_prints_the_rises_and_exits_1(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "BENCH_pr99.json"
+            path.write_text(json.dumps(RISES_SNAPSHOT), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                self.assertEqual(
+                    bench_trajectory.main(["--rises", str(path)]), 1)
+            self.assertEqual(json.loads(out.getvalue()),
+                             bench_trajectory.rises(RISES_SNAPSHOT))
+
+    def test_main_exits_0_without_rises(self):
+        calm = json.loads(json.dumps(RISES_SNAPSHOT))
+        calm["per_layer"]["change"] = calm["per_layer"]["parent"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "BENCH_pr99.json"
+            path.write_text(json.dumps(calm), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                self.assertEqual(
+                    bench_trajectory.main(["--rises", str(path)]), 0)
+            self.assertEqual(out.getvalue().strip(), "[]")
 
 
 if __name__ == "__main__":

@@ -287,10 +287,11 @@ ChurnWorld::ChurnWorld(TrajectoryGeometry geometry, const sim::IdSpace& space,
   const std::uint64_t n = space_.size();
   const int d = space_.bits();
   const double a = availability(params);
-  alive_.resize(n);
+  alive_bits_.resize((n + 63) / 64, 0);
   for (std::uint64_t v = 0; v < n; ++v) {
-    alive_[v] = lifecycle_rng_.bernoulli(a) ? 1 : 0;
-    alive_count_ += alive_[v];
+    const bool up = lifecycle_rng_.bernoulli(a);
+    sim::set_alive_bit(alive_bits_.data(), v, up);
+    alive_count_ += up ? 1 : 0;
   }
   entries_.resize(n * static_cast<std::uint64_t>(d));
   refreshed_at_.resize(entries_.size());
@@ -336,12 +337,12 @@ void ChurnWorld::refresh_entry(sim::NodeId node, int level) {
   // tiny).
   sim::NodeId chosen =
       class_member(node, level, table_rng_.uniform_below(count));
-  if (!alive_[chosen]) {
+  if (!alive(chosen)) {
     bool found = false;
     for (int attempt = 0; attempt < 32 && !found; ++attempt) {
       const sim::NodeId candidate =
           class_member(node, level, table_rng_.uniform_below(count));
-      if (alive_[candidate]) {
+      if (alive(candidate)) {
         chosen = candidate;
         found = true;
       }
@@ -349,7 +350,7 @@ void ChurnWorld::refresh_entry(sim::NodeId node, int level) {
     if (!found) {
       for (std::uint64_t member = 0; member < count && !found; ++member) {
         const sim::NodeId candidate = class_member(node, level, member);
-        if (alive_[candidate]) {
+        if (alive(candidate)) {
           chosen = candidate;
           found = true;
         }
@@ -378,13 +379,13 @@ void ChurnWorld::step() {
   obs::PhaseTimer lifecycle_timer(profile_, obs::Phase::kLifecycle, trace_);
   std::vector<sim::NodeId> rejoined;
   for (std::uint64_t v = 0; v < n; ++v) {
-    if (alive_[v]) {
+    if (alive(v)) {
       if (lifecycle_rng_.bernoulli(params_.death_per_round)) {
-        alive_[v] = 0;
+        sim::set_alive_bit(alive_bits_.data(), v, false);
         --alive_count_;
       }
     } else if (lifecycle_rng_.bernoulli(params_.rebirth_per_round)) {
-      alive_[v] = 1;
+      sim::set_alive_bit(alive_bits_.data(), v, true);
       ++alive_count_;
       rejoined.push_back(v);
     }
@@ -401,7 +402,7 @@ void ChurnWorld::step() {
   // approaches the fully repaired static regime.
   const int d = space_.bits();
   for (std::uint64_t v = 0; v < n; ++v) {
-    if (!alive_[v]) {
+    if (!alive(v)) {
       continue;
     }
     for (int level = 1; level <= d; ++level) {
@@ -409,7 +410,7 @@ void ChurnWorld::step() {
                                  static_cast<std::uint64_t>(level - 1);
       if (round_ - refreshed_at_[slot] >= params_.refresh_interval) {
         refresh_entry(v, level);
-      } else if (repair_probability_ > 0.0 && !alive_[entries_[slot]] &&
+      } else if (repair_probability_ > 0.0 && !alive(entries_[slot]) &&
                  table_rng_.bernoulli(repair_probability_)) {
         refresh_entry(v, level);
       }
@@ -427,18 +428,19 @@ sim::RoutabilityEstimate ChurnWorld::measure(std::uint64_t pairs,
   sim::flat::FlatCtx ctx;
   ctx.d = space_.bits();
   ctx.mask = space_.size() - 1;
-  ctx.alive = alive_.data();
+  ctx.alive_bits = alive_bits_.data();
   ctx.table = entries_.data();
+  ctx.row_width = static_cast<std::uint64_t>(ctx.d);
   ctx.max_hops = max_hops_;
   const std::uint64_t n = space_.size();
   const auto route_pairs = [&](auto step) {
     for (std::uint64_t i = 0; i < pairs; ++i) {
       sim::NodeId source = rng.uniform_below(n);
-      while (!alive_[source]) {
+      while (!alive(source)) {
         source = rng.uniform_below(n);
       }
       sim::NodeId target = rng.uniform_below(n);
-      while (!alive_[target] || target == source) {
+      while (!alive(target) || target == source) {
         target = rng.uniform_below(n);
       }
       estimate.record(sim::flat::route_stepped(ctx, source, target, step));
@@ -482,7 +484,7 @@ double ChurnWorld::mean_entry_age() const {
   std::uint64_t counted = 0;
   const int d = space_.bits();
   for (std::uint64_t v = 0; v < space_.size(); ++v) {
-    if (!alive_[v]) {
+    if (!alive(v)) {
       continue;
     }
     for (int level = 0; level < d; ++level) {

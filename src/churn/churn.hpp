@@ -36,6 +36,7 @@
 #include "math/rng.hpp"
 #include "math/stats.hpp"
 #include "obs/phase_timer.hpp"
+#include "sim/failure.hpp"
 #include "sim/id_space.hpp"
 #include "sim/monte_carlo.hpp"
 #include "sim/node_id.hpp"
@@ -222,6 +223,14 @@ class ChurnWorld {
   int round() const noexcept { return round_; }
   std::uint64_t alive_count() const noexcept { return alive_count_; }
   double alive_fraction() const noexcept;
+  bool alive(sim::NodeId v) const {
+    return sim::alive_bit(alive_bits_.data(), v);
+  }
+  /// Liveness packed one bit per node ((N + 63) / 64 words, padding bits
+  /// zero): the words measure() points the routing kernels at.
+  const std::vector<std::uint64_t>& alive_bits() const noexcept {
+    return alive_bits_;
+  }
 
   /// Mean age (rounds since refresh) over all entries of alive nodes --
   /// diagnostic for the q_eff derivation's uniform-age assumption.
@@ -254,7 +263,7 @@ class ChurnWorld {
   obs::PhaseProfile* profile_ = nullptr;
   obs::Trace* trace_ = nullptr;
   int round_ = 0;
-  std::vector<std::uint8_t> alive_;
+  std::vector<std::uint64_t> alive_bits_;
   std::uint64_t alive_count_ = 0;
   // Row-major [node][level-1] entries + the round each was last refreshed.
   std::vector<std::uint32_t> entries_;

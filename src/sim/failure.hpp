@@ -5,8 +5,13 @@
 // entries).  A FailureScenario is an immutable liveness mask over an
 // IdSpace, built deterministically from a seed.
 //
-// Alongside the byte mask the scenario maintains a dense index of alive
-// node ids, so sample_alive is a single unbiased draw (O(1)) instead of
+// The mask is packed one bit per node in 64-bit words (alive_bit below;
+// the padding bits past size() are zero).  The routing kernels probe it at
+// a random index every hop; at 2^20 nodes it is 128 KiB, where a byte per
+// node took 1 MiB.
+//
+// Alongside the mask the scenario maintains a dense index of alive node
+// ids, so sample_alive is a single unbiased draw (O(1)) instead of
 // rejection sampling -- the Monte-Carlo engine samples two endpoints per
 // route, and at high failure probabilities rejection would dominate the
 // routing work itself.
@@ -21,6 +26,17 @@
 
 namespace dht::sim {
 
+/// A packed liveness mask holds node `id` in bit id & 63 of word id >> 6,
+/// 1 = alive.  FailureScenario, the dense churn world and the flat routing
+/// kernels read and write their masks through these two.
+inline bool alive_bit(const std::uint64_t* words, NodeId id) {
+  return ((words[id >> 6] >> (id & 63)) & 1) != 0;
+}
+inline void set_alive_bit(std::uint64_t* words, NodeId id, bool up) {
+  const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+  words[id >> 6] = up ? (words[id >> 6] | bit) : (words[id >> 6] & ~bit);
+}
+
 /// Immutable i.i.d. Bernoulli(1-q) liveness mask over an identifier space.
 class FailureScenario {
  public:
@@ -31,7 +47,7 @@ class FailureScenario {
   /// A scenario where every node is alive (q = 0) -- the baseline topology.
   static FailureScenario all_alive(const IdSpace& space);
 
-  bool alive(NodeId id) const { return alive_[id] != 0; }
+  bool alive(NodeId id) const { return alive_bit(alive_bits_.data(), id); }
   std::uint64_t alive_count() const noexcept { return alive_count_; }
   double alive_fraction() const noexcept {
     return static_cast<double>(alive_count_) / static_cast<double>(size_);
@@ -47,9 +63,11 @@ class FailureScenario {
     return alive_ids_[rng.uniform_below(alive_count_)];
   }
 
-  /// Raw liveness mask (size() bytes, 1 = alive); hot-path routing kernels
-  /// index this directly.
-  const std::uint8_t* alive_data() const noexcept { return alive_.data(); }
+  /// The packed liveness mask, (size() + 63) / 64 words; hot-path routing
+  /// kernels probe it directly (flat::alive_bit).
+  const std::uint64_t* alive_bits() const noexcept {
+    return alive_bits_.data();
+  }
 
   /// The dense array of alive node ids backing sample_alive.  Freshly
   /// constructed scenarios list ids in increasing order; kill/revive
@@ -67,7 +85,7 @@ class FailureScenario {
 
  private:
   std::uint64_t size_;
-  std::vector<std::uint8_t> alive_;
+  std::vector<std::uint64_t> alive_bits_;
   std::uint64_t alive_count_ = 0;
   std::vector<std::uint32_t> alive_ids_;  // dense alive ids (sample target)
 };

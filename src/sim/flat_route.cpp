@@ -15,14 +15,16 @@ FlatCtx make_ctx(const Overlay& overlay, const FailureScenario& failures,
   FlatCtx c;
   c.d = overlay.space().bits();
   c.mask = overlay.space().size() - 1;
-  c.alive = failures.alive_data();
+  c.alive_bits = failures.alive_bits();
   c.max_hops = max_hops == 0 ? overlay.space().size() : max_hops;
   if (const auto* tree = dynamic_cast<const TreeOverlay*>(&overlay)) {
     c.kind = KernelKind::kTree;
     c.table = tree->table()->entries().data();
+    c.row_width = static_cast<std::uint64_t>(c.d);
   } else if (const auto* xr = dynamic_cast<const XorOverlay*>(&overlay)) {
     c.kind = KernelKind::kXor;
     c.table = xr->table()->entries().data();
+    c.row_width = static_cast<std::uint64_t>(c.d);
   } else if (dynamic_cast<const HypercubeOverlay*>(&overlay) != nullptr) {
     c.kind = KernelKind::kHypercube;
   } else if (const auto* chord = dynamic_cast<const ChordOverlay*>(&overlay)) {
@@ -32,6 +34,7 @@ FlatCtx make_ctx(const Overlay& overlay, const FailureScenario& failures,
     } else {
       c.kind = KernelKind::kChordRandomized;
       c.table = chord->finger_table().data();
+      c.row_width = static_cast<std::uint64_t>(c.d);
     }
   } else {
     const auto* sym = dynamic_cast<const SymphonyOverlay*>(&overlay);
@@ -40,6 +43,7 @@ FlatCtx make_ctx(const Overlay& overlay, const FailureScenario& failures,
     c.kn = sym->near_neighbors();
     c.ks = sym->shortcuts();
     c.table = sym->shortcut_table().data();
+    c.row_width = static_cast<std::uint64_t>(c.ks);
   }
   return c;
 }

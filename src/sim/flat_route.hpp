@@ -3,18 +3,22 @@
 // One tight loop per overlay family reading a contiguous neighbor table
 // (PrefixTable entries, randomized Chord fingers, Symphony shortcut rows;
 // deterministic Chord and the hypercube compute their links from the node
-// id) and a raw liveness mask directly -- no virtual dispatch, no
-// std::optional, no precondition re-checks per hop.  Kernels are exact
-// replicas of the corresponding Overlay::next_hop rules (checked pair by
-// pair against the Router in test_flat_paths), and they are the only way
-// the static parallel estimator routes: the virtual next_hop stays as the
-// oracle of the serial Router paths.
+// id) and a packed liveness mask (one bit per node, probed through
+// alive_bit) directly -- no virtual dispatch, no std::optional, no
+// precondition re-checks per hop.  Kernels are exact replicas of the
+// corresponding Overlay::next_hop rules (checked pair by pair against the
+// Router in test_flat_paths), and they are the only way the static
+// parallel estimator routes: the virtual next_hop stays as the oracle of
+// the serial Router paths.
 //
 // Shared by the static parallel Monte-Carlo engine
 // (parallel_monte_carlo.cpp), which builds a FlatCtx over an immutable
 // overlay + FailureScenario, and by the dense churn world
-// (churn/churn.cpp), which points the same kernels at the liveness and
-// table state it evolves round by round.
+// (churn/churn.cpp), which points the same kernels at the liveness words
+// and table state it evolves round by round.  At 2^20 nodes a tree or XOR
+// hop reads a random 80-byte row of an 80 MiB table, so the batched
+// estimator prefetches the next hop's row (prefetch_row) one lane turn
+// before its kernel reads it.
 #pragma once
 
 #include <bit>
@@ -25,12 +29,12 @@
 #endif
 
 #include "math/rng.hpp"
+#include "sim/failure.hpp"
 #include "sim/router.hpp"
 
 namespace dht::sim {
 
 class Overlay;
-class FailureScenario;
 
 namespace flat {
 
@@ -50,13 +54,31 @@ struct FlatCtx {
   KernelKind kind = KernelKind::kTree;
   int d = 0;
   std::uint64_t mask = 0;
-  const std::uint8_t* alive = nullptr;
+  const std::uint64_t* alive_bits = nullptr;  // packed, sim::alive_bit
   const std::uint32_t* table = nullptr;  // prefix entries / fingers / shortcuts
+  // Entries per table row: d (tree, xor, randomized chord), ks (symphony),
+  // 0 when the kernel reads no table (hypercube, deterministic chord).
+  std::uint64_t row_width = 0;
   int successor_links = 0;               // chord
   int kn = 0;                            // symphony near neighbors
   int ks = 0;                            // symphony shortcuts
   std::uint64_t max_hops = 0;
 };
+
+/// Whether node `id` is alive: one bit probe of the packed mask.
+inline bool alive_bit(const FlatCtx& c, NodeId id) {
+  return sim::alive_bit(c.alive_bits, id);
+}
+
+/// Prefetches node `id`'s table row: both ends, since a row of d = 20
+/// entries spans up to two cache lines.  No-op for table-free kernels.
+inline void prefetch_row(const FlatCtx& c, NodeId id) {
+  if (c.row_width != 0) {
+    const std::uint32_t* row = c.table + id * c.row_width;
+    __builtin_prefetch(row);
+    __builtin_prefetch(row + c.row_width - 1);
+  }
+}
 
 inline RouteResult finish(RouteStatus status, int hops, NodeId last) {
   RouteResult r;
@@ -102,7 +124,7 @@ inline NodeId step_tree(const FlatCtx& c, NodeId cur, NodeId target) {
   const NodeId cand = c.table[cur * static_cast<std::uint64_t>(c.d) +
                               static_cast<std::uint64_t>(c.d) -
                               static_cast<std::uint64_t>(std::bit_width(diff))];
-  return c.alive[cand] ? cand : kNoHop;
+  return alive_bit(c, cand) ? cand : kNoHop;
 }
 
 // XOR (Kademlia): greedy, falling back down the differing levels.
@@ -113,7 +135,7 @@ inline NodeId step_xor(const FlatCtx& c, NodeId cur, NodeId target) {
   while (diff != 0) {
     const int bw = std::bit_width(diff);
     const NodeId cand = row[c.d - bw];
-    if (c.alive[cand]) {
+    if (alive_bit(c, cand)) {
       return cand;
     }
     diff &= ~(std::uint64_t{1} << (bw - 1));  // next differing bit down
@@ -128,7 +150,7 @@ inline NodeId step_xor(const FlatCtx& c, NodeId cur, NodeId target) {
 // along a different path, so hypercube results differ from the Router's
 // route for route while remaining deterministic and identically
 // distributed.  The mask is accumulated branchlessly from the liveness
-// bytes (batched alive lookups, no per-candidate branch), a lone candidate
+// bits (batched alive probes, no per-candidate branch), a lone candidate
 // is taken without burning a draw (a 1-way uniform choice is
 // deterministic), and the k-th set bit is selected with pdep where BMI2 is
 // available.
@@ -139,14 +161,14 @@ inline NodeId step_xor(const FlatCtx& c, NodeId cur, NodeId target) {
 template <typename Generator>
 inline NodeId step_hypercube(const FlatCtx& c, NodeId cur, NodeId target,
                              Generator& rng) {
-  // Mask of differing bits whose flip lands on an alive node; the byte
-  // loads stay, but the data-dependent branch per candidate does not.
+  // Mask of differing bits whose flip lands on an alive node; the bit
+  // probes stay, but the data-dependent branch per candidate does not.
   std::uint64_t alive_mask = 0;
   std::uint64_t diff = cur ^ target;
   while (diff != 0) {
     const std::uint64_t lowest = diff & (~diff + 1);
-    alive_mask |=
-        lowest & (0 - static_cast<std::uint64_t>(c.alive[cur ^ lowest]));
+    alive_mask |= lowest & (0 - static_cast<std::uint64_t>(
+                                    alive_bit(c, cur ^ lowest)));
     diff ^= lowest;
   }
   if (alive_mask == 0) {
@@ -181,7 +203,7 @@ inline bool chord_successor(const FlatCtx& c, NodeId cur,
       continue;  // overshoots
     }
     const NodeId succ = (cur + static_cast<std::uint64_t>(k)) & c.mask;
-    if (c.alive[succ]) {
+    if (alive_bit(c, succ)) {
       out = succ;
       return true;
     }
@@ -200,7 +222,7 @@ inline NodeId step_chord_deterministic(const FlatCtx& c, NodeId cur,
   // Largest power-of-two offset <= distance, then downward.
   for (int k = std::bit_width(distance) - 1; k >= 0; --k) {
     const NodeId f = (cur + (std::uint64_t{1} << k)) & c.mask;
-    if (c.alive[f]) {
+    if (alive_bit(c, f)) {
       best_progress = std::uint64_t{1} << k;
       best = f;
       break;
@@ -232,7 +254,7 @@ inline NodeId step_chord_randomized(const FlatCtx& c, NodeId cur,
     if (progress > distance) {
       continue;
     }
-    if (c.alive[f]) {
+    if (alive_bit(c, f)) {
       best_progress = progress;
       best = f;
       break;
@@ -261,7 +283,7 @@ inline NodeId step_symphony(const FlatCtx& c, NodeId cur, NodeId target) {
     if (progress > distance || progress <= best_progress) {
       continue;
     }
-    if (c.alive[link]) {
+    if (alive_bit(c, link)) {
       best_progress = progress;
       best = link;
     }
@@ -272,7 +294,7 @@ inline NodeId step_symphony(const FlatCtx& c, NodeId cur, NodeId target) {
       continue;
     }
     const NodeId link = (cur + progress) & c.mask;
-    if (c.alive[link]) {
+    if (alive_bit(c, link)) {
       best_progress = progress;
       best = link;
     }

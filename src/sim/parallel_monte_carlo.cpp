@@ -24,17 +24,43 @@ static_assert(LaneBatch<NodeId>::kDropped == flat::kNoHop,
 // route one hop and returns flat::kNoHop on a drop; the driver's
 // accounting matches flat::route_stepped hop for hop, so estimates equal
 // those of routing the same pairs one at a time.
+//
+// Every table read is a random row of a table far larger than the cache,
+// so the policy starts each row's load one lane turn early: a step that
+// lands on a live node prefetches that node's row, and each lane keeps one
+// pair drawn ahead (the sparse engine's LanePairSource pattern) whose
+// source row is prefetched a whole route before its first hop.  A handout
+// is still the lane stream's next pair in draw order, so the estimates do
+// not change; a lane's last lookahead draw is simply never routed.
 template <typename StepLane>
 struct DenseLanes : NoShortcut {
-  DenseLanes(const FailureScenario& failures, std::uint64_t pairs,
-             const math::Rng& shard_rng, RoutabilityEstimate& estimate,
-             StepLane step_lane)
-      : failures_(failures), remaining_(pairs), estimate_(estimate),
+  DenseLanes(const flat::FlatCtx& c, const FailureScenario& failures,
+             std::uint64_t pairs, const math::Rng& shard_rng,
+             RoutabilityEstimate& estimate, StepLane step_lane)
+      : ctx_(c), failures_(failures), remaining_(pairs), estimate_(estimate),
         step_lane_(step_lane) {
     for (int l = 0; l < kLanes; ++l) {
       pair_streams_[l] =
           shard_rng.counter_stream(static_cast<std::uint64_t>(l));
+      draw_ahead(l);
     }
+  }
+
+  struct Pair {
+    NodeId source;
+    NodeId target;
+  };
+
+  // Draws lane l's next pair and starts the load of its source row.
+  void draw_ahead(int l) {
+    math::CounterRng& rng = pair_streams_[l];
+    const NodeId source = failures_.sample_alive(rng);
+    NodeId target = failures_.sample_alive(rng);
+    while (target == source) {
+      target = failures_.sample_alive(rng);
+    }
+    ahead_[l] = Pair{source, target};
+    flat::prefetch_row(ctx_, source);
   }
 
   bool refill(LaneBatch<NodeId>& b, int l) {
@@ -42,15 +68,10 @@ struct DenseLanes : NoShortcut {
       return false;
     }
     --remaining_;
-    math::CounterRng& rng = pair_streams_[l];
-    const NodeId source = failures_.sample_alive(rng);
-    NodeId target = failures_.sample_alive(rng);
-    while (target == source) {
-      target = failures_.sample_alive(rng);
-    }
-    b.cur[l] = source;
-    b.target[l] = target;
+    b.cur[l] = ahead_[l].source;
+    b.target[l] = ahead_[l].target;
     b.hops[l] = 0;
+    draw_ahead(l);
     return true;
   }
 
@@ -64,39 +85,46 @@ struct DenseLanes : NoShortcut {
       if (b.active[l] == 0) {
         continue;
       }
-      b.cur[l] = step_lane_(l, b.cur[l], b.target[l]);
-      if (b.cur[l] != flat::kNoHop) {
+      const NodeId next = step_lane_(l, b.cur[l], b.target[l]);
+      b.cur[l] = next;
+      if (next != flat::kNoHop) {
         ++b.hops[l];
+        flat::prefetch_row(ctx_, next);
       }
     }
   }
 
+  const flat::FlatCtx ctx_;
   const FailureScenario& failures_;
   math::CounterRng pair_streams_[kLanes];
+  Pair ahead_[kLanes];
   std::uint64_t remaining_;
   RoutabilityEstimate& estimate_;
   StepLane step_lane_;
 };
 
 // One shard of the sampled estimator: dispatch to the kernel through the
-// shared lane driver.  Hypercube hop draws come from dedicated per-lane
-// counter streams (ids kLanes..2*kLanes-1, disjoint from the pair
+// shared lane driver.  The step lambdas capture the context by value: a
+// copy in the closure aliases nothing the lane loop writes, so the
+// compiler keeps its pointers in registers (captured by reference, ring
+// routes ran ~20% slower).  Hypercube hop draws come from dedicated
+// per-lane counter streams (ids kLanes..2*kLanes-1, disjoint from the pair
 // streams); the other kernels draw nothing.
 void run_dense_shard(const flat::FlatCtx& c, const FailureScenario& failures,
                      std::uint64_t pairs, const math::Rng& shard_rng,
                      RoutabilityEstimate& estimate) {
   const auto drive = [&](auto step_lane) {
-    drive_lanes<NodeId>(c.max_hops, DenseLanes(failures, pairs, shard_rng,
+    drive_lanes<NodeId>(c.max_hops, DenseLanes(c, failures, pairs, shard_rng,
                                                estimate, step_lane));
   };
   switch (c.kind) {
     case flat::KernelKind::kTree:
-      drive([&c](int, NodeId cur, NodeId target) {
+      drive([c](int, NodeId cur, NodeId target) {
         return flat::step_tree(c, cur, target);
       });
       return;
     case flat::KernelKind::kXor:
-      drive([&c](int, NodeId cur, NodeId target) {
+      drive([c](int, NodeId cur, NodeId target) {
         return flat::step_xor(c, cur, target);
       });
       return;
@@ -106,23 +134,23 @@ void run_dense_shard(const flat::FlatCtx& c, const FailureScenario& failures,
         hop_streams[l] =
             shard_rng.counter_stream(static_cast<std::uint64_t>(kLanes + l));
       }
-      drive([&c, &hop_streams](int l, NodeId cur, NodeId target) {
+      drive([c, &hop_streams](int l, NodeId cur, NodeId target) {
         return flat::step_hypercube(c, cur, target, hop_streams[l]);
       });
       return;
     }
     case flat::KernelKind::kChordDeterministic:
-      drive([&c](int, NodeId cur, NodeId target) {
+      drive([c](int, NodeId cur, NodeId target) {
         return flat::step_chord_deterministic(c, cur, target);
       });
       return;
     case flat::KernelKind::kChordRandomized:
-      drive([&c](int, NodeId cur, NodeId target) {
+      drive([c](int, NodeId cur, NodeId target) {
         return flat::step_chord_randomized(c, cur, target);
       });
       return;
     case flat::KernelKind::kSymphony:
-      drive([&c](int, NodeId cur, NodeId target) {
+      drive([c](int, NodeId cur, NodeId target) {
         return flat::step_symphony(c, cur, target);
       });
       return;

@@ -1,7 +1,10 @@
 // The churn extension: lifecycle model, the q_eff bridge, and the dynamic
 // simulator's agreement with the static analysis (the paper's Section 1
 // open question for this churn model).
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -361,6 +364,60 @@ TEST(ChurnWorld, MeasureWithFewerThanTwoAliveNodesIsEmpty) {
   // The world keeps stepping; rebirths may repopulate it.
   for (int round = 0; round < 20; ++round) {
     world.step();
+  }
+}
+
+TEST(ChurnWorld, PackedLivenessFollowsTheLifecycle) {
+  // The world keeps its liveness as packed words only, and the routing
+  // kernels read them directly.  Replay the lifecycle chain from the same
+  // fork of the caller's generator (fork 1 feeds nothing but the flips)
+  // and check every word after every round; d = 3 leaves 56 padding bits
+  // in the one word, which must stay zero.
+  for (const int d : {3, 8}) {
+    for (const TrajectoryGeometry geometry :
+         {TrajectoryGeometry::kXor, TrajectoryGeometry::kRing}) {
+      const sim::IdSpace space(d);
+      const ChurnParams params{.death_per_round = 0.2,
+                               .rebirth_per_round = 0.3,
+                               .refresh_interval = 4};
+      const math::Rng rng(90 + static_cast<std::uint64_t>(d));
+      ChurnWorld world(geometry, space, params, /*repair_probability=*/0.5,
+                       /*max_hops=*/0, rng);
+      math::Rng lifecycle = rng.fork(1);
+      const std::uint64_t n = space.size();
+      std::vector<bool> up(n);
+      for (std::uint64_t v = 0; v < n; ++v) {
+        up[v] = lifecycle.bernoulli(availability(params));
+      }
+      for (int round = 0; round <= 12; ++round) {
+        if (round > 0) {
+          world.step();
+          for (std::uint64_t v = 0; v < n; ++v) {
+            up[v] = up[v] ? !lifecycle.bernoulli(params.death_per_round)
+                          : lifecycle.bernoulli(params.rebirth_per_round);
+          }
+        }
+        const std::vector<std::uint64_t>& words = world.alive_bits();
+        ASSERT_EQ(words.size(), (n + 63) / 64);
+        std::vector<std::uint64_t> expected(words.size(), 0);
+        std::uint64_t count = 0;
+        for (std::uint64_t v = 0; v < n; ++v) {
+          expected[v >> 6] |= static_cast<std::uint64_t>(up[v]) << (v & 63);
+          count += up[v] ? 1 : 0;
+          EXPECT_EQ(world.alive(v), up[v]) << "d=" << d << " v=" << v;
+        }
+        EXPECT_EQ(words, expected) << "d=" << d << " round=" << round;
+        std::uint64_t popcount = 0;
+        for (const std::uint64_t word : words) {
+          popcount += static_cast<std::uint64_t>(std::popcount(word));
+        }
+        EXPECT_EQ(popcount, world.alive_count());
+        EXPECT_EQ(world.alive_count(), count);
+        if (count >= 2) {
+          EXPECT_EQ(world.measure(50).routed.trials, 50u);
+        }
+      }
+    }
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -139,6 +142,83 @@ TEST(FailureScenario, KillReviveOrderIsPinned) {
     draws.push_back(s.sample_alive(rng));
   }
   EXPECT_EQ(draws, expected_draws);
+}
+
+// The packed mask is the only liveness representation: alive(id), the
+// words the routing kernels probe, alive_count() and the alive index must
+// agree after construction and after any kill/revive sequence, with the
+// padding bits past size() zero.
+void expect_packed_consistent(const FailureScenario& s, const char* what) {
+  const std::uint64_t words = (s.size() + 63) / 64;
+  std::uint64_t popcount = 0;
+  for (std::uint64_t w = 0; w < words; ++w) {
+    popcount += static_cast<std::uint64_t>(std::popcount(s.alive_bits()[w]));
+  }
+  EXPECT_EQ(popcount, s.alive_count()) << what;
+  for (NodeId id = 0; id < s.size(); ++id) {
+    ASSERT_EQ(s.alive(id), ((s.alive_bits()[id >> 6] >> (id & 63)) & 1) != 0)
+        << what << " id=" << id;
+  }
+  const std::uint64_t tail = s.size() & 63;
+  if (tail != 0) {
+    EXPECT_EQ(s.alive_bits()[words - 1] >> tail, 0u) << what;
+  }
+  EXPECT_EQ(s.alive_ids().size(), s.alive_count()) << what;
+  for (const std::uint32_t id : s.alive_ids()) {
+    EXPECT_TRUE(s.alive(id)) << what << " id=" << id;
+  }
+}
+
+TEST(FailureScenario, PackedLivenessStaysConsistent) {
+  for (const int bits : {3, 6, 7, 10}) {
+    const IdSpace space(bits);
+    for (const double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        math::Rng rng(seed * 100 + static_cast<std::uint64_t>(bits));
+        FailureScenario s(space, q, rng);
+        const std::string what = "bits=" + std::to_string(bits) +
+                                 " q=" + std::to_string(q) +
+                                 " seed=" + std::to_string(seed);
+        expect_packed_consistent(s, what.c_str());
+        if (q == 0.0) {
+          EXPECT_EQ(s.alive_count(), space.size());
+        } else if (q == 1.0) {
+          EXPECT_EQ(s.alive_count(), 0u);
+        }
+        std::vector<bool> expected(space.size());
+        for (NodeId id = 0; id < space.size(); ++id) {
+          expected[id] = s.alive(id);
+        }
+        math::Rng ops(seed);
+        for (int op = 0; op < 200; ++op) {
+          const NodeId id = ops.uniform_below(space.size());
+          if (ops.bernoulli(0.5)) {
+            s.kill(id);
+            expected[id] = false;
+          } else {
+            s.revive(id);
+            expected[id] = true;
+          }
+        }
+        expect_packed_consistent(s, what.c_str());
+        for (NodeId id = 0; id < space.size(); ++id) {
+          EXPECT_EQ(s.alive(id), expected[id]) << what << " id=" << id;
+        }
+      }
+    }
+  }
+}
+
+TEST(FailureScenario, AllAliveSetsEveryBitAndNoPadding) {
+  for (const int bits : {1, 5, 6, 9}) {
+    const IdSpace space(bits);
+    const FailureScenario s = FailureScenario::all_alive(space);
+    expect_packed_consistent(s, "all_alive");
+    EXPECT_EQ(s.alive_count(), space.size());
+    for (std::uint64_t w = 0; w + 1 < (space.size() + 63) / 64; ++w) {
+      EXPECT_EQ(s.alive_bits()[w], ~std::uint64_t{0});
+    }
+  }
 }
 
 TEST(FailureScenario, RejectsBadArguments) {

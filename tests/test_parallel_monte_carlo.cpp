@@ -119,6 +119,54 @@ TEST(ParallelMonteCarlo, AgreesWithSequentialEstimator) {
   EXPECT_NEAR(parallel.hops.mean(), serial.hops.mean(), 0.1);
 }
 
+// Each lane hands out a pair drawn one refill earlier, so one shard with a
+// budget below, at, and just above the lane count draws pairs it never
+// routes.  The counters are pinned from the engine before the lookahead:
+// the handed-out pairs, and hence the estimates, must not change.
+TEST(ParallelMonteCarlo, LookaheadDrawsKeepSmallBudgetsExact) {
+  struct Pinned {
+    const char* overlay;
+    std::uint64_t pairs;
+    // successes, trials, hop sum, hop sum of squares, min, max, drops
+    std::uint64_t counters[7];
+  };
+  const Pinned pinned[] = {
+      {"tree", 1, {0, 1, 0, 0, 0, 0, 1}},
+      {"tree", 7, {3, 7, 11, 43, 3, 5, 4}},
+      {"tree", 8, {3, 8, 11, 43, 3, 5, 5}},
+      {"tree", 9, {3, 9, 11, 43, 3, 5, 6}},
+      {"tree", 17, {5, 17, 19, 77, 3, 5, 12}},
+      {"hypercube", 1, {1, 1, 5, 25, 5, 5, 0}},
+      {"hypercube", 7, {5, 7, 19, 79, 2, 5, 2}},
+      {"hypercube", 8, {6, 8, 22, 88, 2, 5, 2}},
+      {"hypercube", 9, {7, 9, 27, 113, 2, 5, 2}},
+      {"hypercube", 17, {14, 17, 59, 269, 2, 6, 3}},
+  };
+  const IdSpace space(10);
+  for (const Pinned& p : pinned) {
+    math::Rng build_rng(41);
+    const auto overlay = make_named_overlay(p.overlay, space, build_rng);
+    math::Rng fail_rng(42);
+    const FailureScenario failures(space, 0.3, fail_rng);
+    const math::Rng route_rng(43);
+    const RoutabilityEstimate e = estimate_routability_parallel(
+        *overlay, failures, {.pairs = p.pairs, .threads = 1, .shards = 1},
+        route_rng);
+    const std::uint64_t got[7] = {
+        e.routed.successes,
+        e.routed.trials,
+        e.hops.sum(),
+        static_cast<std::uint64_t>(e.hops.sum_squares()),
+        e.hops.min(),
+        e.hops.max(),
+        e.failures[obs::RouteFailure::kDeadEntry]};
+    for (int i = 0; i < 7; ++i) {
+      EXPECT_EQ(got[i], p.counters[i])
+          << p.overlay << " pairs=" << p.pairs << " counter " << i;
+    }
+  }
+}
+
 TEST(ParallelMonteCarlo, MergeOfShardsEqualsOnePass) {
   // Record a deterministic stream of route outcomes once sequentially and
   // once split across three shard estimates; merging the shards must
