@@ -15,8 +15,9 @@
 #include "core/xor_geometry.hpp"
 #include "math/stable.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dht;
+  const auto flags = bench::parse_flags(argc, argv);
   const core::XorGeometry xr;
 
   core::Table eq6("Eq. 6 ablation -- exact XOR Q(m) vs the paper's "
@@ -36,7 +37,7 @@ int main() {
   eq6.add_note(
       "the approximation is excellent for small q (the regime the paper "
       "uses it in) and deteriorates -- eventually clamping -- as q grows");
-  eq6.print(std::cout);
+  bench::emit(eq6, flags);
   std::cout << '\n';
 
   core::Table eq7("Eq. 7 ablation -- Symphony Q vs the suboptimal-hop cap "
@@ -61,6 +62,6 @@ int main() {
       "the cap matters: the infinite-cap limit y/(x+y) is the failure "
       "probability of the advance-vs-death race; the paper's d/(1-q) cap "
       "sits between it and the bare d cap");
-  eq7.print(std::cout);
+  bench::emit(eq7, flags);
   return 0;
 }

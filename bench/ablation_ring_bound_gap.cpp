@@ -40,8 +40,9 @@ double simulated_failed(dht::sim::ChordFingers variant, double q,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dht;
+  const auto flags = bench::parse_flags(argc, argv);
   const auto ring = core::make_geometry(core::GeometryKind::kRing);
 
   core::Table table(strfmt(
@@ -70,6 +71,6 @@ int main() {
       "bound at every q (the paper's Fig. 6(b) claim); randomized fingers "
       "can exceed it at small q -- the chain's m-choices assumption is "
       "specific to the deterministic finger layout");
-  table.print(std::cout);
+  bench::emit(table, flags);
   return 0;
 }

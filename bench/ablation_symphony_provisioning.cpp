@@ -44,8 +44,9 @@ double analytical(int kn, int ks, double q) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dht;
+  const auto flags = bench::parse_flags(argc, argv);
 
   core::Table sweep(strfmt(
       "Symphony provisioning ablation -- routability %% at N = 2^%d, "
@@ -66,7 +67,7 @@ int main() {
       "both columns rise steeply with provisioning; Eq. 7 is optimistic "
       "for the unidirectional protocol at minimal provisioning (it ignores "
       "overshoot-blocking) and tightens as links are added");
-  sweep.print(std::cout);
+  bench::emit(sweep, flags);
   std::cout << '\n';
 
   core::Table target(
@@ -90,6 +91,6 @@ int main() {
   target.add_note(
       "the paper's point: unscalability is asymptotic -- for any finite "
       "deployment a designer can buy the target routability with links");
-  target.print(std::cout);
+  bench::emit(target, flags);
   return 0;
 }

@@ -23,8 +23,9 @@ constexpr int kBits = 14;
 constexpr std::uint64_t kPairs = 20000;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dht;
+  const auto flags = bench::parse_flags(argc, argv);
   const sim::IdSpace space(kBits);
   math::Rng build_rng(77);
   const auto table_ptr = std::make_shared<const sim::PrefixTable>(space,
@@ -69,6 +70,6 @@ int main() {
       "the fallback gain peaks in the mid-q knee -- the region where "
       "Kademlia's XOR metric buys the most resilience over plain prefix "
       "routing for free (same state, same neighbors)");
-  table.print(std::cout);
+  bench::emit(table, flags);
   return 0;
 }

@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
     const auto result = run_sparse_churn_trajectory(
         churn::SparseChurnGeometry::kKademlia, config, live_params, options,
         math::Rng(live_seed));
-    // Sync rows route through the 8-lane batch kernels (the engine
+    // Sync rows route 8 lanes at a time on the lane driver (the engine
     // default, bit-identical to scalar); in-flight rows are inherently
     // scalar -- the lifecycle sweep advances under every hop.
     live.add_row({strfmt("%d", row.k), churn::to_string(row.session),

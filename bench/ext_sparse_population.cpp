@@ -43,8 +43,9 @@ double sparse_failed(const dht::sparse::SparseOverlay& overlay, double q,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dht;
+  const auto flags = bench::parse_flags(argc, argv);
   const auto ring = core::make_geometry(core::GeometryKind::kRing);
   const auto xr = core::make_geometry(core::GeometryKind::kXor);
 
@@ -107,6 +108,6 @@ int main() {
   table.add_note(
       "kad columns: same density-independence for Kademlia buckets; the "
       "dense-model column inherits Eq. 6's documented knee optimism");
-  table.print(std::cout);
+  bench::emit(table, flags);
   return 0;
 }

@@ -47,8 +47,9 @@ double xor_failed_with_repair(const dht::sim::IdSpace& space,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dht;
+  const auto flags = bench::parse_flags(argc, argv);
   const sim::IdSpace space(kBits);
   math::Rng build_rng(99);
   const sim::PrefixTable table(space, build_rng);
@@ -87,6 +88,6 @@ int main() {
       "Eq. 6's documented knee optimism), and rho = 1 leaves only "
       "whole-class die-offs -- near-total recovery even at q = 90%.  The "
       "paper's static model is the worst case of this repair spectrum");
-  out.print(std::cout);
+  bench::emit(out, flags);
   return 0;
 }

@@ -46,8 +46,9 @@ double simulate_example(double q, int trials) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dht;
+  const auto flags = bench::parse_flags(argc, argv);
   const core::HypercubeGeometry cube;
 
   core::Table structure(
@@ -59,7 +60,7 @@ int main() {
   structure.add_note(
       "routing 011 -> 100: three bit-correcting choices for the first hop, "
       "two for the second, one for the last");
-  structure.print(std::cout);
+  bench::emit(structure, flags);
   std::cout << '\n';
 
   core::Table table(
@@ -90,6 +91,6 @@ int main() {
       "routability saturates/clamps at this toy scale: Eq. 3's denominator "
       "(1-q)N - 1 undercounts the root's expected (1-q)(N-1) alive peers by "
       "q, which only matters when N = 8");
-  table.print(std::cout);
+  bench::emit(table, flags);
   return 0;
 }

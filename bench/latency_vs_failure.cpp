@@ -37,8 +37,9 @@ double simulated_hops(const dht::sim::Overlay& overlay, double q,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dht;
+  const auto flags = bench::parse_flags(argc, argv);
   const sim::IdSpace space(kBits);
   math::Rng build_rng(11);
   const sim::TreeOverlay tree_overlay(space, build_rng);
@@ -81,6 +82,6 @@ int main() {
       "~d/2 real hops -- already at q = 0 the chain is a latency upper "
       "bound, and its non-progressing suboptimal hops widen that bound "
       "with q");
-  table.print(std::cout);
+  bench::emit(table, flags);
   return 0;
 }

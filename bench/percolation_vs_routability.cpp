@@ -51,8 +51,9 @@ GapRow measure(const dht::sim::Overlay& overlay, double q,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dht;
+  const auto flags = bench::parse_flags(argc, argv);
   const sim::IdSpace space(kBits);
   math::Rng build_rng(55);
   const sim::TreeOverlay tree(space, build_rng);
@@ -84,6 +85,6 @@ int main() {
       "collapsed (most dramatically for the tree): component size does not "
       "give routability, which is why RCM analyzes the protocol, not the "
       "graph (paper Section 1)");
-  table.print(std::cout);
+  bench::emit(table, flags);
   return 0;
 }

@@ -10,8 +10,9 @@
 #include "core/report.hpp"
 #include "core/scalability.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dht;
+  const auto flags = bench::parse_flags(argc, argv);
 
   core::Table table(
       "Section 5 -- scalability of DHT routing geometries under random "
@@ -32,7 +33,7 @@ int main() {
   table.add_note(
       "verdict: analytic classification per the paper; numeric: dyadic "
       "block diagnosis of sum Q(m) at q = 0.3 (independent corroboration)");
-  table.print(std::cout);
+  bench::emit(table, flags);
   std::cout << '\n';
 
   core::Table args("Why: the scalability arguments");
@@ -41,6 +42,6 @@ int main() {
     args.add_row({std::string(geometry->name()),
                   std::string(geometry->scalability_argument())});
   }
-  args.print(std::cout);
+  bench::emit(args, flags);
   return 0;
 }

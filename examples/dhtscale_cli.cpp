@@ -88,11 +88,17 @@ constexpr std::uint64_t kAnyU64 = std::numeric_limits<std::uint64_t>::max();
 constexpr int kAnyInt = std::numeric_limits<int>::max();
 
 // The optional trailing [pairs] [seed] positionals, at positional[first]
-// and positional[first + 1]; absent ones keep the caller's defaults.
+// and positional[first + 1]; absent ones keep the caller's defaults.  A
+// positional past them is rejected by name.
 bool parse_pairs_seed(const char* command,
                       const std::vector<std::string>& positional,
                       std::size_t first, std::uint64_t& pairs,
                       std::uint64_t& seed) {
+  if (positional.size() > first + 2) {
+    std::cerr << command << ": unexpected argument: " << positional[first + 2]
+              << "\n";
+    return false;
+  }
   return (positional.size() <= first ||
           parse_u64_flag(command, "pairs", positional[first].c_str(), 0,
                          kAnyU64, pairs)) &&

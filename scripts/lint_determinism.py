@@ -31,10 +31,11 @@ checker fails CI on the bug *classes* instead:
                  (and is then visible to review and to ThreadSanitizer
                  triage).
   kernel-global  mutable namespace-scope state in a kernel translation
-                 unit (*.cpp under src/sim, src/sparse, src/churn,
-                 src/core).  Kernel TUs are re-entered concurrently by the
-                 shard pool; any mutable global is either a data race or a
-                 hidden cross-shard channel that breaks replayability.
+                 unit or a header it includes (any source file under
+                 src/sim, src/sparse, src/churn, src/core).  Kernel TUs
+                 are re-entered concurrently by the shard pool; any mutable
+                 global is either a data race or a hidden cross-shard
+                 channel that breaks replayability.
   loose-parse    atoi/atof/atol/atoll, strto{l,ll,ul,ull,f,d,ld} or
                  std::sto* in bench/ and examples/.  They read "5x" as 5
                  and "abc" as 0, so a mistyped argument silently runs a
@@ -79,8 +80,9 @@ SOURCE_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc")
 # time themselves by design.
 WALLCLOCK_EXEMPT_PREFIXES = ("src/obs/", "bench/")
 
-# Kernel TUs for `kernel-global`: translation units the shard pool
-# re-enters concurrently.
+# Kernel sources for `kernel-global`: translation units the shard pool
+# re-enters concurrently, and the headers (hop kernels, lane policies)
+# compiled into them.
 KERNEL_TU_PREFIXES = ("src/sim/", "src/sparse/", "src/churn/", "src/core/")
 
 # Program trees for `loose-parse`: their numbers come from the command
@@ -346,8 +348,7 @@ def lint_text(rel_path, raw_text):
     # half of fp-merge), and checks namespace-scope statements in kernel
     # TUs as they close.
     stack = []
-    is_kernel_tu = rel_path.startswith(KERNEL_TU_PREFIXES) and rel_path.endswith(
-        (".cpp", ".cc"))
+    is_kernel_tu = rel_path.startswith(KERNEL_TU_PREFIXES)
     stmt_start = 0
     header_start = 0
     fn_spans = []      # (start, end, function name)

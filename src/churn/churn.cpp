@@ -497,22 +497,4 @@ double ChurnWorld::mean_entry_age() const {
   return counted == 0 ? 0.0 : total / static_cast<double>(counted);
 }
 
-ChurnSimulator::ChurnSimulator(const sim::IdSpace& space,
-                               const ChurnParams& params, math::Rng& rng)
-    : world_(TrajectoryGeometry::kXor, space, params,
-             /*repair_probability=*/0.0, /*max_hops=*/0, rng) {}
-
-void ChurnSimulator::run(int rounds) {
-  DHT_CHECK(rounds >= 0, "round count must be >= 0");
-  for (int i = 0; i < rounds; ++i) {
-    world_.step();
-  }
-}
-
-math::Proportion ChurnSimulator::measure_routability(std::uint64_t pairs,
-                                                     math::Rng& rng) {
-  DHT_CHECK(world_.alive_count() >= 2, "need at least two alive nodes");
-  return world_.measure(pairs, rng).routed;
-}
-
 }  // namespace dht::churn

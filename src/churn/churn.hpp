@@ -24,9 +24,8 @@
 // matches the static model evaluated at q_eff, answering the paper's open
 // question for this churn model: static resilience analysis applies under
 // churn, at the effective failure probability set by the refresh lag.
-// ChurnSimulator is the single-world convenience facade; the sharded sweep
-// engine (churn/trajectory.hpp) runs many ChurnWorlds as independent
-// replicas.
+// The sharded sweep engine (churn/trajectory.hpp) runs many ChurnWorlds as
+// independent replicas.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "math/rng.hpp"
-#include "math/stats.hpp"
 #include "obs/phase_timer.hpp"
 #include "sim/failure.hpp"
 #include "sim/id_space.hpp"
@@ -268,35 +266,6 @@ class ChurnWorld {
   // Row-major [node][level-1] entries + the round each was last refreshed.
   std::vector<std::uint32_t> entries_;
   std::vector<std::int32_t> refreshed_at_;
-};
-
-/// Single-world convenience facade over ChurnWorld for the XOR geometry
-/// (the original churn extension's interface): no eager repair, external
-/// measurement stream.
-class ChurnSimulator {
- public:
-  /// `rng` is only fork()ed, never advanced.
-  ChurnSimulator(const sim::IdSpace& space, const ChurnParams& params,
-                 math::Rng& rng);
-
-  /// Advances one round.
-  void step() { world_.step(); }
-
-  /// Runs `rounds` steps (warm-up convenience).
-  void run(int rounds);
-
-  int round() const noexcept { return world_.round(); }
-  double alive_fraction() const noexcept { return world_.alive_fraction(); }
-
-  /// Routability among currently-alive pairs, sampled with the XOR
-  /// fallback rule against the stored (possibly stale) tables.
-  /// Precondition: at least two alive nodes.
-  math::Proportion measure_routability(std::uint64_t pairs, math::Rng& rng);
-
-  double mean_entry_age() const { return world_.mean_entry_age(); }
-
- private:
-  ChurnWorld world_;
 };
 
 }  // namespace dht::churn

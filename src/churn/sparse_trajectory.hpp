@@ -101,6 +101,14 @@ class SparseChurnWorld {
   static std::uint64_t footprint_bytes(SparseChurnGeometry geometry,
                                        const SparseChurnConfig& config);
 
+  /// Validates `config` ahead of every allocation -- value ranges, then
+  /// the footprint of `live_worlds` worlds against the host's physical
+  /// memory -- and passes it through.  Throws std::invalid_argument
+  /// naming the knob at fault.  The constructor checks one world.
+  static SparseChurnConfig checked_config(const SparseChurnConfig& config,
+                                          SparseChurnGeometry geometry,
+                                          std::uint64_t live_worlds);
+
   /// Advances one round: lifecycle flips (leaves + joins with fresh ids),
   /// order-index commit, joiner bootstraps + join announcements,
   /// successor-list maintenance, due refreshes, and eager repair.
@@ -114,12 +122,13 @@ class SparseChurnWorld {
   /// All per-pair randomness (sources, targets, Zipf objects) is drawn up
   /// front in pair order from the world's measurement sub-stream; routing
   /// itself is rng-free, so the stream is byte-for-byte the historical
-  /// interleaved one.  The routes then run through the 8-lane SoA batch
-  /// kernels on the shared lane driver (sim/lanes.hpp).
+  /// interleaved one.  The routes then run 8 lanes at a time on the shared
+  /// lane driver (sim/lanes.hpp), each lane's hop through the geometry's
+  /// one scalar kernel (churn/churn_kernels.hpp).
   sparse::SparseEstimate measure(std::uint64_t pairs);
 
   /// measure()'s scalar reference: the same draws, routed pair by pair
-  /// through the single-route core instead of the batch driver.
+  /// through the single-route core instead of the lane driver.
   /// Bit-identical to measure() by construction -- every recorded quantity
   /// (estimate counters, per-slot load adds) is commutative and the batch
   /// executes exactly the scalar attempt set -- and gated per pair in
@@ -284,7 +293,7 @@ class SparseChurnWorld {
   // (SparseMembership::bucket_ranges).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> bucket_ranges_;
   // Sync-mode measurement scratch, reused across rounds: the up-front
-  // per-pair draws, the per-GET availability flags, and the batch
+  // per-pair draws, the per-GET availability flags, and the lane
   // driver's failed-attempt worklist.
   std::vector<GetDraw> draws_;
   std::vector<std::uint8_t> get_available_;

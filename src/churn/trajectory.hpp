@@ -75,7 +75,7 @@ struct TrajectoryOptions {
   /// Per-round probability that an entry observed dead is eagerly repaired
   /// (re-pointed at an alive class member) in addition to the scheduled
   /// refresh -- the rho knob of the static-repair model.  0 = pure lazy
-  /// refresh (the ChurnSimulator model).
+  /// refresh (the original XOR churn model).
   double repair_probability = 0.0;
   /// In-flight lookup measurement (sparse churn engine only): membership
   /// events and repairs advance DURING each measured route instead of

@@ -38,7 +38,7 @@ enum class Phase : int {
   kRefreshRepair = 2,    ///< scheduled refresh, eager repair, list rebuilds
   kRoute = 3,            ///< route/GET measurement (in-flight mode's fused
                          ///< lifecycle sweep is attributed here; see
-                         ///< sparse_trajectory.cpp)
+                         ///< sparse_measure.cpp)
   kMembershipCommit = 4, ///< joiner integration into the routable roster
   kMerge = 5,            ///< shard-order reduction of results
 };

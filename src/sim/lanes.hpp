@@ -4,7 +4,7 @@
 // and count arrivals, drops and hop-limit hits.  The batched estimators --
 // static dense (sim/parallel_monte_carlo.cpp), static sparse
 // (sparse/flat_sparse.cpp) and sync sparse churn
-// (churn/sparse_trajectory.cpp) -- advance kLanes independent routes one
+// (churn/sparse_measure.cpp) -- advance kLanes independent routes one
 // hop per turn, so their table and liveness loads overlap in the memory
 // pipeline instead of serializing on cache misses.  drive_lanes is the one
 // retire -> refill -> step loop they share; what differs between engines
@@ -18,11 +18,11 @@
 
 namespace dht::sim {
 
-/// In-flight routes of one shard, one array element per lane.  Keeping the
-/// routes as parallel arrays (rather than an array of lane structs) lets a
-/// batch kernel run each micro-phase -- distance computation, row scans,
-/// liveness probes -- as a short branch-light loop over lanes whose loads
-/// issue together.
+/// In-flight routes of one shard, one array element per lane.  Parallel
+/// arrays let the static sparse batch kernels run each micro-phase --
+/// distance computation, row scans, liveness probes -- as a short
+/// branch-light loop over lanes whose loads issue together; the dense and
+/// churn policies step lane by lane through a scalar hop kernel.
 ///
 /// Invariant between steps: an active lane is mid-route (cur != target,
 /// cur != kDropped, hops < max_hops) -- the driver retires terminal lanes

@@ -40,7 +40,8 @@ enum class SparseKernelKind {
   kSymphony,
 };
 
-/// Lanes of the static sparse and sparse churn batch kernels.
+/// Lanes of the static sparse batch kernels and the sparse churn lane
+/// policy (churn/churn_kernels.hpp).
 using Lanes = sim::LaneBatch<NodeIndex>;
 static_assert(Lanes::kDropped == kNoNode, "kernels drop a lane with kNoNode");
 

@@ -40,6 +40,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("src/sim/bad_fp_merge.hpp", "fp-merge"): 2,
     ("src/sim/bad_atomic.cpp", "atomic-order"): 3,
     ("src/sim/bad_global.cpp", "kernel-global"): 1,
+    ("src/churn/bad_global_kernel.hpp", "kernel-global"): 2,
     ("src/sim/bad_allow_no_reason.cpp", "allow-missing-reason"): 1,
     ("src/sim/bad_stale_allow.cpp", "allow-missing-reason"): 1,
     ("examples/bad_loose_parse.cpp", "loose-parse"): 4,

@@ -1068,7 +1068,7 @@ void expect_estimates_equal(const sparse::SparseEstimate& a,
 }
 
 TEST(SparseChurn, BatchedMatchesScalarPerPair) {
-  // The tentpole gate: the 8-lane batched sync path (measure) must agree
+  // The lane gate: the 8-lane batched sync path (measure) must agree
   // with the scalar reference path (measure_reference) PER PAIR -- not
   // merely in aggregate -- across every geometry, bucket width,
   // successor-list length, replication factor, and a repaired Zipf GET
@@ -1135,6 +1135,16 @@ TEST(SparseChurn, BatchedMatchesScalarPerPair) {
                       .rebirth_per_round = 0.06,
                       .refresh_interval = 5},
           0.2, std::string(to_string(geometry)) + " zipf repaired");
+    // A 2^40 key space: the 64-bit cached-id columns (bits > 32), i.e. the
+    // ChurnKernelCtx<std::uint64_t> instantiation of both paths.
+    check(geometry,
+          SparseChurnConfig{.bits = 40,
+                            .capacity = 700,
+                            .successors = 4,
+                            .shortcuts = 4,
+                            .bucket_k = 2,
+                            .replicas = 2},
+          params, 0.0, std::string(to_string(geometry)) + " bits=40");
   }
 }
 
