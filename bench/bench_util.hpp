@@ -14,29 +14,32 @@
 namespace dht::bench {
 
 /// A harness's command line: `--csv` prints its tables as CSV (for
-/// replotting) instead of aligned text, and `--threads N` picks the worker
-/// count (0, also when the flag is absent, means hardware concurrency).
+/// replotting) instead of aligned text, and, in a harness that runs a
+/// parallel engine, `--threads N` picks the worker count (0, also when the
+/// flag is absent, means hardware concurrency).
 struct Flags {
   bool csv = false;
   unsigned threads = 0;
 };
 
-/// Parses the harness flags strictly: any other argument, or --threads
-/// with no value or a rejected one, is named on stderr and exits 1.
-inline Flags parse_flags(int argc, char** argv) {
+/// Parses the harness flags strictly: any other argument -- --threads too,
+/// unless `takes_threads` -- or --threads with no value or a rejected one,
+/// is named on stderr and exits 1.
+inline Flags parse_flags(int argc, char** argv, bool takes_threads = false) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--csv") {
       flags.csv = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
+    } else if (takes_threads && arg == "--threads" && i + 1 < argc) {
       if (!common::parse_threads_flag(argv[0], argv[++i], flags.threads)) {
         std::exit(1);
       }
     } else {
       std::cerr << argv[0] << ": "
-                << (arg == "--threads" ? "missing value for flag "
-                                       : "unknown argument ")
+                << (takes_threads && arg == "--threads"
+                        ? "missing value for flag "
+                        : "unknown argument ")
                 << arg << "\n";
       std::exit(1);
     }

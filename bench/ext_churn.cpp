@@ -37,7 +37,7 @@ constexpr std::uint64_t kPairsPerRound = 500;
 
 int main(int argc, char** argv) {
   using namespace dht;
-  const auto flags = bench::parse_flags(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv, /*takes_threads=*/true);
   const auto threads = flags.threads;
   const auto xor_geo = core::make_geometry(core::GeometryKind::kXor);
 

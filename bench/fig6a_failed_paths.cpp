@@ -49,7 +49,7 @@ double simulated_failed(const dht::sim::Overlay& overlay, double q,
 
 int main(int argc, char** argv) {
   using namespace dht;
-  const auto flags = bench::parse_flags(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv, /*takes_threads=*/true);
   g_threads = flags.threads;
   const sim::IdSpace space(kBits);
   math::Rng build_rng(20060328);  // arXiv date of the paper; any seed works

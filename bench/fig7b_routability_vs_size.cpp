@@ -56,7 +56,7 @@ double simulated_routability(dht::core::GeometryKind kind, int d, double q,
 
 int main(int argc, char** argv) {
   using namespace dht;
-  const auto flags = bench::parse_flags(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv, /*takes_threads=*/true);
   const double q = 0.1;
   const auto geometries = core::make_all_geometries(core::SymphonyParams{1, 1});
 

@@ -13,8 +13,9 @@
 //    "identical_across_threads":true}
 //
 // table_bytes is the overlay's routing-table storage (Overlay::table_bytes:
-// 4 d 2^d for tree/xor, 4 ks 2^d for symphony, 0 for the closed-form ring
-// and hypercube), an exact integer the thread-count diffs compare.
+// ceil(d(d-1)/16) 2^d + 8 for the packed class rows of tree/xor and the
+// randomized ring, 4 ks 2^d for symphony, 0 for the closed-form ring and
+// hypercube), an exact integer the thread-count diffs compare.
 //
 // A second JSONL section ("section":"churn") drives the sharded churn
 // trajectory engine (churn/trajectory.hpp) on the XOR geometry across the

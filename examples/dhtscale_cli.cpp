@@ -416,7 +416,7 @@ int cmd_churn(const std::string& name, int d, double pd, double pr,
   const auto point = core::evaluate_routability(*geometry_core, d, q_eff);
   const auto ci = result.overall.confidence95();
   std::cout << strfmt(
-      "churn trajectory:      %s, N = 2^%d, %llu shard replicas, "
+      "churn trajectory:      %s, N = 2^%d, %llu shards, "
       "%d+%d rounds\n",
       churn::to_string(geometry), d,
       static_cast<unsigned long long>(result.shards),
@@ -557,7 +557,7 @@ int cmd_sparse_churn(const std::string& name, int bits, std::uint64_t n0,
   const double q_eff = churn::effective_q(params);
   std::cout << strfmt(
       "sparse churn:          %s, N0 = %llu (capacity %llu slots) in a 2^%d "
-      "key space, %llu replicas\n",
+      "key space, %llu shards\n",
       churn::to_string(geometry), static_cast<unsigned long long>(n0),
       static_cast<unsigned long long>(config.capacity), bits,
       static_cast<unsigned long long>(result.shards));
@@ -718,7 +718,8 @@ int main(int argc, char** argv) {
       double q = 0.0;
       std::uint64_t pairs = 20000;
       std::uint64_t seed = 1;
-      // d is capped at 20 by the tree/xor tables' memory.
+      // d is capped at 20: the tree/xor tables take ceil(d(d-1)/16)
+      // bytes per node (24 MiB each at d = 20, 2.6 GiB at IdSpace's 26).
       if (!parse_int_flag("simulate", "<d>", argv[3], 1, 20, d) ||
           !parse_double_flag("simulate", "<q>", argv[4], q) ||
           !parse_pairs_seed("simulate", positional, 0, pairs, seed)) {

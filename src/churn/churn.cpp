@@ -293,8 +293,11 @@ ChurnWorld::ChurnWorld(TrajectoryGeometry geometry, const sim::IdSpace& space,
     sim::set_alive_bit(alive_bits_.data(), v, up);
     alive_count_ += up ? 1 : 0;
   }
-  entries_.resize(n * static_cast<std::uint64_t>(d));
-  refreshed_at_.resize(entries_.size());
+  entries_ = sim::ClassRows(geometry_ == TrajectoryGeometry::kRing
+                                ? sim::EntryClass::kDyadic
+                                : sim::EntryClass::kPrefix,
+                            d, n);
+  refreshed_at_.resize(n * static_cast<std::uint64_t>(d));
   for (std::uint64_t v = 0; v < n; ++v) {
     for (int level = 1; level <= d; ++level) {
       refresh_entry(v, level);
@@ -309,58 +312,37 @@ ChurnWorld::ChurnWorld(TrajectoryGeometry geometry, const sim::IdSpace& space,
   }
 }
 
-sim::NodeId ChurnWorld::class_member(sim::NodeId node, int level,
-                                     std::uint64_t member) const {
-  // The entry class of (node, level) has 2^{d-level} candidates:
-  //   xor/tree  ids sharing node's first level-1 bits, bit level flipped
-  //             (a contiguous block once the suffix is freed)
-  //   ring      the dyadic finger interval node + [2^{d-level},
-  //             2^{d-level+1}) on the ring
-  // Any member resolves its level (xor/tree) or keeps the disjoint
-  // decreasing-interval structure the greedy finger scan relies on (ring).
-  const int d = space_.bits();
-  if (geometry_ == TrajectoryGeometry::kRing) {
-    const std::uint64_t lo = std::uint64_t{1} << (d - level);
-    return (node + lo + member) & (space_.size() - 1);
-  }
-  const int suffix_bits = d - level;
-  const sim::NodeId base = (sim::flip_level(node, level, d) >> suffix_bits)
-                           << suffix_bits;
-  return base + member;
-}
-
 void ChurnWorld::refresh_entry(sim::NodeId node, int level) {
   const int d = space_.bits();
   const std::uint64_t count = std::uint64_t{1} << (d - level);
-  // Prefer an alive class member; keep a (dead) random member if the class
-  // is dead (bounded rejection, then exact scan -- classes die only when
+  // The entry class of (node, level) has 2^{d-level} members (prefix block
+  // for xor/tree, dyadic finger interval for ring; sim/class_rows.hpp).
+  // Prefer an alive member; keep a (dead) random member if the class is
+  // dead (bounded rejection, then exact scan -- classes die only when
   // tiny).
-  sim::NodeId chosen =
-      class_member(node, level, table_rng_.uniform_below(count));
-  if (!alive(chosen)) {
-    bool found = false;
-    for (int attempt = 0; attempt < 32 && !found; ++attempt) {
-      const sim::NodeId candidate =
-          class_member(node, level, table_rng_.uniform_below(count));
-      if (alive(candidate)) {
-        chosen = candidate;
-        found = true;
-      }
-    }
-    if (!found) {
-      for (std::uint64_t member = 0; member < count && !found; ++member) {
-        const sim::NodeId candidate = class_member(node, level, member);
-        if (alive(candidate)) {
-          chosen = candidate;
-          found = true;
-        }
-      }
+  const auto member_alive = [&](std::uint64_t member) {
+    return alive(sim::class_member(entries_.entry_class(), d, node, level,
+                                   member));
+  };
+  std::uint64_t chosen = table_rng_.uniform_below(count);
+  bool found = member_alive(chosen);
+  for (int attempt = 0; attempt < 32 && !found; ++attempt) {
+    const std::uint64_t candidate = table_rng_.uniform_below(count);
+    if (member_alive(candidate)) {
+      chosen = candidate;
+      found = true;
     }
   }
-  const std::uint64_t slot = node * static_cast<std::uint64_t>(d) +
-                             static_cast<std::uint64_t>(level - 1);
-  entries_[slot] = static_cast<std::uint32_t>(chosen);
-  refreshed_at_[slot] = static_cast<std::int32_t>(round_);
+  for (std::uint64_t member = 0; member < count && !found; ++member) {
+    if (member_alive(member)) {
+      chosen = member;
+      found = true;
+    }
+  }
+  entries_.set_member(node, level, chosen);
+  refreshed_at_[node * static_cast<std::uint64_t>(d) +
+                static_cast<std::uint64_t>(level - 1)] =
+      static_cast<std::int32_t>(round_);
 }
 
 void ChurnWorld::rebuild_node(sim::NodeId node) {
@@ -410,7 +392,8 @@ void ChurnWorld::step() {
                                  static_cast<std::uint64_t>(level - 1);
       if (round_ - refreshed_at_[slot] >= params_.refresh_interval) {
         refresh_entry(v, level);
-      } else if (repair_probability_ > 0.0 && !alive(entries_[slot]) &&
+      } else if (repair_probability_ > 0.0 &&
+                 !alive(entries_.entry(v, level)) &&
                  table_rng_.bernoulli(repair_probability_)) {
         refresh_entry(v, level);
       }
@@ -429,8 +412,8 @@ sim::RoutabilityEstimate ChurnWorld::measure(std::uint64_t pairs,
   ctx.d = space_.bits();
   ctx.mask = space_.size() - 1;
   ctx.alive_bits = alive_bits_.data();
-  ctx.table = entries_.data();
-  ctx.row_width = static_cast<std::uint64_t>(ctx.d);
+  ctx.rows = entries_.data();
+  ctx.row_bytes = entries_.row_bytes();
   ctx.max_hops = max_hops_;
   const std::uint64_t n = space_.size();
   const auto route_pairs = [&](auto step) {

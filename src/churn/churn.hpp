@@ -34,6 +34,7 @@
 
 #include "math/rng.hpp"
 #include "obs/phase_timer.hpp"
+#include "sim/class_rows.hpp"
 #include "sim/failure.hpp"
 #include "sim/id_space.hpp"
 #include "sim/monte_carlo.hpp"
@@ -245,8 +246,6 @@ class ChurnWorld {
   }
 
  private:
-  sim::NodeId class_member(sim::NodeId node, int level,
-                           std::uint64_t member) const;
   void refresh_entry(sim::NodeId node, int level);
   void rebuild_node(sim::NodeId node);
 
@@ -263,8 +262,10 @@ class ChurnWorld {
   int round_ = 0;
   std::vector<std::uint64_t> alive_bits_;
   std::uint64_t alive_count_ = 0;
-  // Row-major [node][level-1] entries + the round each was last refreshed.
-  std::vector<std::uint32_t> entries_;
+  // Packed class rows of member indices (prefix classes for xor/tree,
+  // dyadic fingers for ring) + the round each entry was last refreshed
+  // (row-major [node][level-1]).
+  sim::ClassRows entries_;
   std::vector<std::int32_t> refreshed_at_;
 };
 

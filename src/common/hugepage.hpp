@@ -1,10 +1,11 @@
 // Best-effort transparent-hugepage advice for large read-mostly arrays.
 //
-// The routing kernels stream hundreds of megabytes of neighbor tables at
-// random row granularity; on 4K pages that working set overwhelms the
-// dTLB and every hop pays a page walk on top of its cache miss.  Backing
-// the arrays with 2MB pages shrinks a ~250MB table set to ~125 TLB
-// entries.  Kernels with transparent_hugepage=always do this on their
+// The routing kernels read neighbor tables of tens to hundreds of
+// megabytes at random row granularity (52 MiB for the packed tree and XOR
+// rows plus Symphony's shortcuts at 2^20 dense nodes, more in the sparse
+// engine at 10^6 nodes); on 4K pages that working set overwhelms the dTLB
+// and every hop pays a page walk on top of its cache miss.  Backing the
+// arrays with 2MB pages shrinks the dense set to ~26 TLB entries.  Kernels with transparent_hugepage=always do this on their
 // own; the common madvise default only promotes ranges that ask, so the
 // big allocations ask.
 //

@@ -22,20 +22,4 @@ LogReal binomial(int n, int k) {
   return LogReal::from_log(log_binomial(n, k));
 }
 
-std::uint64_t binomial_exact(int n, int k) {
-  DHT_CHECK(n >= 0 && n <= 62, "binomial_exact supports 0 <= n <= 62");
-  DHT_CHECK(k >= 0 && k <= n, "binomial_exact requires 0 <= k <= n");
-  if (k > n - k) {
-    k = n - k;
-  }
-  // Multiplicative formula; dividing by i at each step keeps the running
-  // value integral: the product of i consecutive integers is divisible by i!.
-  std::uint64_t result = 1;
-  for (int i = 1; i <= k; ++i) {
-    result = result * static_cast<std::uint64_t>(n - k + i) /
-             static_cast<std::uint64_t>(i);
-  }
-  return result;
-}
-
 }  // namespace dht::math

@@ -2,12 +2,9 @@
 //
 // The tree, hypercube and XOR geometries all have distance distribution
 // n(h) = C(d, h) (paper Sections 4.2, 4.3.1, 4.3.2).  Figure 7 evaluates at
-// d = 100, so coefficients are provided in log space via lgamma; exact
-// 64-bit values are available for the ranges where they fit, which the tests
-// use to validate the log-space path.
+// d = 100, so coefficients are provided in log space via lgamma (the tests
+// check them against exact 64-bit values where those fit).
 #pragma once
-
-#include <cstdint>
 
 #include "math/logreal.hpp"
 
@@ -20,10 +17,5 @@ LogReal binomial(int n, int k);
 /// log C(n, k).  Returns -infinity for k < 0 or k > n.
 /// Precondition: n >= 0.
 double log_binomial(int n, int k);
-
-/// Exact C(n, k) in 64 bits.  Precondition: 0 <= n <= 62 (the largest n for
-/// which every C(n, k) fits in uint64_t is 67; 62 keeps the multiply-divide
-/// loop overflow-free without 128-bit arithmetic) and 0 <= k <= n.
-std::uint64_t binomial_exact(int n, int k);
 
 }  // namespace dht::math

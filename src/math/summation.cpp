@@ -14,34 +14,4 @@ void NeumaierSum::add(double value) noexcept {
   sum_ = t;
 }
 
-double sum_compensated(std::span<const double> values) noexcept {
-  NeumaierSum acc;
-  for (double v : values) {
-    acc.add(v);
-  }
-  return acc.total();
-}
-
-namespace {
-
-double pairwise_recurse(std::span<const double> values) noexcept {
-  constexpr std::size_t kBaseCase = 32;
-  if (values.size() <= kBaseCase) {
-    double s = 0.0;
-    for (double v : values) {
-      s += v;
-    }
-    return s;
-  }
-  const std::size_t half = values.size() / 2;
-  return pairwise_recurse(values.first(half)) +
-         pairwise_recurse(values.subspan(half));
-}
-
-}  // namespace
-
-double sum_pairwise(std::span<const double> values) noexcept {
-  return pairwise_recurse(values);
-}
-
 }  // namespace dht::math

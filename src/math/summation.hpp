@@ -5,9 +5,6 @@
 // NeumaierSum (improved Kahan-Babuska) keeps the error independent of length.
 #pragma once
 
-#include <cstddef>
-#include <span>
-
 namespace dht::math {
 
 /// Running compensated sum (Neumaier's variant of Kahan summation).
@@ -27,12 +24,5 @@ class NeumaierSum {
   double sum_ = 0.0;
   double compensation_ = 0.0;
 };
-
-/// Compensated sum of a range.
-double sum_compensated(std::span<const double> values) noexcept;
-
-/// Pairwise (cascade) summation; O(log n) error growth, used as an
-/// independent reference in tests.
-double sum_pairwise(std::span<const double> values) noexcept;
 
 }  // namespace dht::math

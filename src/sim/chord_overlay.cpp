@@ -15,14 +15,13 @@ ChordOverlay::ChordOverlay(const IdSpace& space, math::Rng& rng,
   }
   // Randomized finger i: clockwise offset uniform in [2^{d-i}, 2^{d-i+1}).
   const int d = space_.bits();
-  const std::uint64_t size = space_.size();
-  fingers_.reserve(size * static_cast<std::uint64_t>(d));
-  for (NodeId v = 0; v < size; ++v) {
+  fingers_ = ClassRows(EntryClass::kDyadic, d, space_.size());
+  std::uint64_t offsets[ClassRows::kMaxLevels] = {};
+  for (NodeId v = 0; v < space_.size(); ++v) {
     for (int i = 1; i <= d; ++i) {
-      const std::uint64_t lo = std::uint64_t{1} << (d - i);
-      fingers_.push_back(static_cast<std::uint32_t>(
-          (v + lo + rng.uniform_below(lo)) & (size - 1)));
+      offsets[i - 1] = rng.uniform_below(std::uint64_t{1} << (d - i));
     }
+    fingers_.set_row(v, offsets);
   }
 }
 
@@ -33,8 +32,7 @@ NodeId ChordOverlay::finger(NodeId node, int index) const {
     const std::uint64_t offset = std::uint64_t{1} << (space_.bits() - index);
     return (node + offset) & (space_.size() - 1);
   }
-  return fingers_[node * static_cast<std::uint64_t>(space_.bits()) +
-                  static_cast<std::uint64_t>(index - 1)];
+  return fingers_.entry(node, index);
 }
 
 std::optional<NodeId> ChordOverlay::next_hop(NodeId current, NodeId target,

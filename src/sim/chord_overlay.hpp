@@ -23,14 +23,16 @@
 //
 // The deterministic variant stores nothing: its fingers are the closed
 // form, computed per call by finger(), links_into() and the flat kernel.
-// The randomized variant draws its fingers once, at construction, into one
-// contiguous row-major u32 table (2^d x d entries) that the routing hot
-// path and links_into read straight out of.
+// The randomized variant draws its fingers once, at construction, and
+// keeps finger i as its d-i bit offset into the dyadic interval, in packed
+// class rows (sim/class_rows.hpp) that the routing hot path and links_into
+// read straight out of.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "sim/class_rows.hpp"
 #include "sim/overlay.hpp"
 
 namespace dht::sim {
@@ -68,22 +70,20 @@ class ChordOverlay final : public Overlay {
   /// variant).
   NodeId finger(NodeId node, int index) const;
 
-  /// Row-major [node][index-1] finger table of the randomized variant;
-  /// always empty for the deterministic variant.
-  const std::vector<std::uint32_t>& finger_table() const noexcept {
-    return fingers_;
-  }
+  /// Packed dyadic-class rows of the randomized variant; always empty for
+  /// the deterministic variant.
+  const ClassRows& finger_table() const noexcept { return fingers_; }
 
   std::uint64_t table_bytes() const noexcept override {
-    return fingers_.size() * sizeof(std::uint32_t);
+    return fingers_.bytes();
   }
 
  private:
   IdSpace space_;
   ChordFingers variant_;
   int successor_links_;
-  // Row-major [node][index-1] absolute finger ids; see finger_table().
-  std::vector<std::uint32_t> fingers_;
+  // Randomized fingers as dyadic-interval offsets; see finger_table().
+  ClassRows fingers_;
 };
 
 }  // namespace dht::sim

@@ -19,12 +19,12 @@ FlatCtx make_ctx(const Overlay& overlay, const FailureScenario& failures,
   c.max_hops = max_hops == 0 ? overlay.space().size() : max_hops;
   if (const auto* tree = dynamic_cast<const TreeOverlay*>(&overlay)) {
     c.kind = KernelKind::kTree;
-    c.table = tree->table()->entries().data();
-    c.row_width = static_cast<std::uint64_t>(c.d);
+    c.rows = tree->table()->rows().data();
+    c.row_bytes = tree->table()->rows().row_bytes();
   } else if (const auto* xr = dynamic_cast<const XorOverlay*>(&overlay)) {
     c.kind = KernelKind::kXor;
-    c.table = xr->table()->entries().data();
-    c.row_width = static_cast<std::uint64_t>(c.d);
+    c.rows = xr->table()->rows().data();
+    c.row_bytes = xr->table()->rows().row_bytes();
   } else if (dynamic_cast<const HypercubeOverlay*>(&overlay) != nullptr) {
     c.kind = KernelKind::kHypercube;
   } else if (const auto* chord = dynamic_cast<const ChordOverlay*>(&overlay)) {
@@ -33,8 +33,8 @@ FlatCtx make_ctx(const Overlay& overlay, const FailureScenario& failures,
       c.kind = KernelKind::kChordDeterministic;
     } else {
       c.kind = KernelKind::kChordRandomized;
-      c.table = chord->finger_table().data();
-      c.row_width = static_cast<std::uint64_t>(c.d);
+      c.rows = chord->finger_table().data();
+      c.row_bytes = chord->finger_table().row_bytes();
     }
   } else {
     const auto* sym = dynamic_cast<const SymphonyOverlay*>(&overlay);
@@ -42,8 +42,9 @@ FlatCtx make_ctx(const Overlay& overlay, const FailureScenario& failures,
     c.kind = KernelKind::kSymphony;
     c.kn = sym->near_neighbors();
     c.ks = sym->shortcuts();
-    c.table = sym->shortcut_table().data();
-    c.row_width = static_cast<std::uint64_t>(c.ks);
+    c.rows = reinterpret_cast<const unsigned char*>(
+        sym->shortcut_table().data());
+    c.row_bytes = static_cast<std::uint64_t>(c.ks) * sizeof(std::uint32_t);
   }
   return c;
 }

@@ -1,10 +1,10 @@
 // Flattened per-geometry routing kernels.
 //
 // One tight loop per overlay family reading a contiguous neighbor table
-// (PrefixTable entries, randomized Chord fingers, Symphony shortcut rows;
-// deterministic Chord and the hypercube compute their links from the node
-// id) and a packed liveness mask (one bit per node, probed through
-// alive_bit) directly -- no virtual dispatch, no std::optional, no
+// (the packed class rows of PrefixTable and randomized Chord, Symphony
+// shortcut rows; deterministic Chord and the hypercube compute their links
+// from the node id) and a packed liveness mask (one bit per node, probed
+// through alive_bit) directly -- no virtual dispatch, no std::optional, no
 // precondition re-checks per hop.  Kernels are exact replicas of the
 // corresponding Overlay::next_hop rules (checked pair by pair against the
 // Router in test_flat_paths), and they are the only way the static
@@ -16,19 +16,21 @@
 // overlay + FailureScenario, and by the dense churn world
 // (churn/churn.cpp), which points the same kernels at the liveness words
 // and table state it evolves round by round.  At 2^20 nodes a tree or XOR
-// hop reads a random 80-byte row of an 80 MiB table, so the batched
+// hop reads a random 24-byte row of a 24 MiB table, so the batched
 // estimator prefetches the next hop's row (prefetch_row) one lane turn
 // before its kernel reads it.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 
 #if defined(__BMI2__)
 #include <immintrin.h>
 #endif
 
 #include "math/rng.hpp"
+#include "sim/class_rows.hpp"
 #include "sim/failure.hpp"
 #include "sim/router.hpp"
 
@@ -55,10 +57,12 @@ struct FlatCtx {
   int d = 0;
   std::uint64_t mask = 0;
   const std::uint64_t* alive_bits = nullptr;  // packed, sim::alive_bit
-  const std::uint32_t* table = nullptr;  // prefix entries / fingers / shortcuts
-  // Entries per table row: d (tree, xor, randomized chord), ks (symphony),
-  // 0 when the kernel reads no table (hypercube, deterministic chord).
-  std::uint64_t row_width = 0;
+  // Node v's table row starts at rows + v * row_bytes: packed class rows
+  // (tree, xor, randomized chord; sim/class_rows.hpp) or ks u32 shortcut
+  // ids (symphony).  row_bytes is 0 when the kernel reads no table
+  // (hypercube, deterministic chord).
+  const unsigned char* rows = nullptr;
+  std::uint64_t row_bytes = 0;
   int successor_links = 0;               // chord
   int kn = 0;                            // symphony near neighbors
   int ks = 0;                            // symphony shortcuts
@@ -70,14 +74,22 @@ inline bool alive_bit(const FlatCtx& c, NodeId id) {
   return sim::alive_bit(c.alive_bits, id);
 }
 
-/// Prefetches node `id`'s table row: both ends, since a row of d = 20
-/// entries spans up to two cache lines.  No-op for table-free kernels.
+/// Prefetches node `id`'s table row: its first and last byte, since a row
+/// may straddle two cache lines.  No-op for table-free kernels.
 inline void prefetch_row(const FlatCtx& c, NodeId id) {
-  if (c.row_width != 0) {
-    const std::uint32_t* row = c.table + id * c.row_width;
+  if (c.row_bytes != 0) {
+    const unsigned char* row = c.rows + id * c.row_bytes;
     __builtin_prefetch(row);
-    __builtin_prefetch(row + c.row_width - 1);
+    __builtin_prefetch(row + c.row_bytes - 1);
   }
+}
+
+/// Entry `level` of node's packed class row: the one accessor the tree,
+/// XOR and randomized-Chord kernels read their tables through.
+template <EntryClass kClass>
+inline NodeId class_entry(const FlatCtx& c, NodeId node, int level) {
+  return class_member(kClass, c.d, node, level,
+                      read_member(c.rows + node * c.row_bytes, c.d - level));
 }
 
 inline RouteResult finish(RouteStatus status, int hops, NodeId last) {
@@ -120,21 +132,18 @@ RouteResult route_stepped(const FlatCtx& c, NodeId source, NodeId target,
 // Tree (Plaxton): the level-correcting neighbor is the only admissible hop.
 /// One forwarding step; kNoHop when the protocol drops the message.
 inline NodeId step_tree(const FlatCtx& c, NodeId cur, NodeId target) {
-  const std::uint64_t diff = cur ^ target;
-  const NodeId cand = c.table[cur * static_cast<std::uint64_t>(c.d) +
-                              static_cast<std::uint64_t>(c.d) -
-                              static_cast<std::uint64_t>(std::bit_width(diff))];
+  const int level = c.d + 1 - std::bit_width(cur ^ target);
+  const NodeId cand = class_entry<EntryClass::kPrefix>(c, cur, level);
   return alive_bit(c, cand) ? cand : kNoHop;
 }
 
 // XOR (Kademlia): greedy, falling back down the differing levels.
 /// One forwarding step; kNoHop when the protocol drops the message.
 inline NodeId step_xor(const FlatCtx& c, NodeId cur, NodeId target) {
-  const std::uint32_t* row = c.table + cur * static_cast<std::uint64_t>(c.d);
   std::uint64_t diff = cur ^ target;
   while (diff != 0) {
     const int bw = std::bit_width(diff);
-    const NodeId cand = row[c.d - bw];
+    const NodeId cand = class_entry<EntryClass::kPrefix>(c, cur, c.d + 1 - bw);
     if (alive_bit(c, cand)) {
       return cand;
     }
@@ -238,18 +247,19 @@ inline NodeId step_chord_deterministic(const FlatCtx& c, NodeId cur,
   return next;
 }
 
-// Chord with randomized fingers: greedy scan over the node's contiguous
-// finger row (dyadic intervals shrink with the index, so the first alive
-// non-overshooting finger is the greedy choice).
+// Chord with randomized fingers: greedy scan over the node's finger row
+// (dyadic intervals shrink with the index, so the first alive
+// non-overshooting finger is the greedy choice).  Finger i lies at
+// clockwise offset [2^{d-i}, 2^{d-i+1}), so every finger before level
+// d + 1 - bit_width(distance) overshoots and the scan starts there.
 /// One forwarding step; kNoHop when the protocol drops the message.
 inline NodeId step_chord_randomized(const FlatCtx& c, NodeId cur,
                                     NodeId target) {
   const std::uint64_t distance = (target - cur) & c.mask;
-  const std::uint32_t* row = c.table + cur * static_cast<std::uint64_t>(c.d);
   std::uint64_t best_progress = 0;
   NodeId best = cur;
-  for (int i = 0; i < c.d; ++i) {
-    const NodeId f = row[i];
+  for (int i = c.d + 1 - std::bit_width(distance); i <= c.d; ++i) {
+    const NodeId f = class_entry<EntryClass::kDyadic>(c, cur, i);
     const std::uint64_t progress = (f - cur) & c.mask;
     if (progress > distance) {
       continue;
@@ -276,9 +286,11 @@ inline NodeId step_symphony(const FlatCtx& c, NodeId cur, NodeId target) {
   const std::uint64_t distance = (target - cur) & c.mask;
   std::uint64_t best_progress = 0;
   NodeId best = 0;
-  const std::uint32_t* row = c.table + cur * static_cast<std::uint64_t>(c.ks);
+  const unsigned char* row = c.rows + cur * c.row_bytes;
   for (int j = 0; j < c.ks; ++j) {
-    const NodeId link = row[j];
+    std::uint32_t link32;
+    std::memcpy(&link32, row + j * sizeof link32, sizeof link32);
+    const NodeId link = link32;
     const std::uint64_t progress = (link - cur) & c.mask;
     if (progress > distance || progress <= best_progress) {
       continue;

@@ -16,9 +16,9 @@
 //
 // Routing itself runs on the flattened per-geometry kernels of
 // sim/flat_route.hpp: one tight loop per overlay family reading the
-// contiguous neighbor tables (PrefixTable entries, randomized Chord
-// fingers, Symphony shortcut rows; deterministic Chord and the hypercube
-// compute their links from the node id) and the raw liveness mask directly
+// contiguous neighbor tables (the packed class rows of PrefixTable and
+// randomized Chord, Symphony shortcut rows; deterministic Chord and the
+// hypercube compute their links from the node id) and the raw liveness mask directly
 // -- no virtual dispatch, no std::optional, no precondition re-checks per
 // hop.
 // Kernels are exact replicas of the corresponding Overlay::next_hop rules

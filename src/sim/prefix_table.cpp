@@ -1,51 +1,52 @@
 #include "sim/prefix_table.hpp"
 
 #include "common/check.hpp"
-#include "common/hugepage.hpp"
 
 namespace dht::sim {
 
 PrefixTable::PrefixTable(const IdSpace& space, math::Rng& rng)
-    : d_(space.bits()), size_(space.size()) {
-  common::reserve_hugepages(entries_, size_ * static_cast<std::uint64_t>(d_));
-  for (NodeId v = 0; v < size_; ++v) {
-    for (int level = 1; level <= d_; ++level) {
-      // Keep the first level-1 bits, flip bit `level`, randomize the rest
-      // (the flip is flip_level(v, level, d_) without its range checks).
-      const int suffix_bits = d_ - level;
-      const NodeId kept = ((v >> suffix_bits) ^ 1) << suffix_bits;
-      const NodeId suffix =
-          suffix_bits == 0
-              ? 0
-              : rng.uniform_below(std::uint64_t{1} << suffix_bits);
-      entries_.push_back(static_cast<std::uint32_t>(kept | suffix));
+    : rows_(EntryClass::kPrefix, space.bits(), space.size()) {
+  const int d = space.bits();
+  // Level d's class is the single node with the last bit flipped: no draw.
+  std::uint64_t members[ClassRows::kMaxLevels] = {};
+  for (NodeId v = 0; v < space.size(); ++v) {
+    for (int level = 1; level < d; ++level) {
+      members[level - 1] = rng.uniform_below(std::uint64_t{1} << (d - level));
     }
+    rows_.set_row(v, members);
   }
 }
 
 PrefixTable::PrefixTable(const IdSpace& space,
-                         std::vector<std::uint32_t> entries)
-    : d_(space.bits()), size_(space.size()), entries_(std::move(entries)) {
-  DHT_CHECK(entries_.size() == size_ * static_cast<std::uint64_t>(d_),
+                         const std::vector<std::uint32_t>& entries)
+    : rows_(EntryClass::kPrefix, space.bits(), space.size()) {
+  const int d = space.bits();
+  DHT_CHECK(entries.size() == space.size() * static_cast<std::uint64_t>(d),
             "entry count must be N * d");
-  for (NodeId v = 0; v < size_; ++v) {
-    for (int level = 1; level <= d_; ++level) {
-      const NodeId entry = entries_[v * static_cast<std::uint64_t>(d_) +
-                                    static_cast<std::uint64_t>(level - 1)];
-      DHT_CHECK(entry < size_, "entry out of the id space");
-      DHT_CHECK(shares_prefix(v, entry, level - 1, d_) &&
-                    bit_at_level(v, level, d_) !=
-                        bit_at_level(entry, level, d_),
+  for (NodeId v = 0; v < space.size(); ++v) {
+    for (int level = 1; level <= d; ++level) {
+      const NodeId entry = entries[v * static_cast<std::uint64_t>(d) +
+                                   static_cast<std::uint64_t>(level - 1)];
+      const std::uint64_t member =
+          entry & ((std::uint64_t{1} << (d - level)) - 1);
+      DHT_CHECK(class_member(EntryClass::kPrefix, d, v, level, member) == entry,
                 "entry violates its (prefix, flipped-bit) class");
+      rows_.set_member(v, level, member);
     }
   }
 }
 
+PrefixTable::PrefixTable(ClassRows rows) : rows_(std::move(rows)) {
+  DHT_CHECK(rows_.entry_class() == EntryClass::kPrefix &&
+                rows_.bytes() == (rows_.row_bytes() << levels()) +
+                                     ClassRows::kTailBytes,
+            "prefix table needs one prefix-class row per node");
+}
+
 NodeId PrefixTable::neighbor(NodeId node, int level) const {
-  DHT_CHECK(node < size_, "node id out of range");
-  DHT_CHECK(level >= 1 && level <= d_, "level out of range");
-  return entries_[node * static_cast<std::uint64_t>(d_) +
-                  static_cast<std::uint64_t>(level - 1)];
+  DHT_CHECK(node >> levels() == 0, "node id out of range");
+  DHT_CHECK(level >= 1 && level <= levels(), "level out of range");
+  return rows_.entry(node, level);
 }
 
 }  // namespace dht::sim

@@ -3,14 +3,16 @@
 // Both geometries use the same neighbor rule (paper Section 3.3: "matching
 // the first i-1 bits of one's identifier, flipping the ith bit, and choose
 // random bits for the rest"); they differ only in the forwarding rule.
-// PrefixTable materializes the level-i neighbor of every node, so the
-// tree-vs-XOR ablation can run both protocols on the *same* tables.
+// PrefixTable holds the level-i neighbor of every node, as its d-i random
+// bits in packed class rows (sim/class_rows.hpp), so the tree-vs-XOR
+// ablation can run both protocols on the *same* tables.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "math/rng.hpp"
+#include "sim/class_rows.hpp"
 #include "sim/id_space.hpp"
 #include "sim/node_id.hpp"
 
@@ -25,25 +27,23 @@ class PrefixTable {
 
   /// Adopts pre-built entries (row-major [node][level-1]).  Every entry
   /// must satisfy the class constraint (shared i-1 prefix, flipped bit i);
-  /// violations throw.  Used by the repair model (repair.hpp) and tests.
-  PrefixTable(const IdSpace& space, std::vector<std::uint32_t> entries);
+  /// violations throw.  Used by tests.
+  PrefixTable(const IdSpace& space, const std::vector<std::uint32_t>& entries);
+
+  /// Adopts packed prefix-class rows (the repair model, repair.hpp).
+  explicit PrefixTable(ClassRows rows);
 
   /// The level-i neighbor of `node`.  Preconditions: node in space,
   /// 1 <= level <= d.
   NodeId neighbor(NodeId node, int level) const;
 
-  int levels() const noexcept { return d_; }
+  int levels() const noexcept { return rows_.levels(); }
 
-  /// The raw entries (row-major [node][level-1]); for repair and tests.
-  const std::vector<std::uint32_t>& entries() const noexcept {
-    return entries_;
-  }
+  /// The packed rows: the routing kernels' and the repair model's view.
+  const ClassRows& rows() const noexcept { return rows_; }
 
  private:
-  int d_;
-  std::uint64_t size_;
-  // Row-major [node][level-1]; 32-bit entries (IdSpace caps d at 26).
-  std::vector<std::uint32_t> entries_;
+  ClassRows rows_;
 };
 
 }  // namespace dht::sim

@@ -9,24 +9,30 @@ namespace dht::sim {
 
 namespace {
 
-/// Uniformly samples an alive member of the class [base, base + count), or
-/// returns nullopt when none is alive.  Rejection sampling with a bounded
-/// number of tries, then an exact scan (rare: the class is nearly dead).
-std::optional<NodeId> sample_alive_in_class(NodeId base, std::uint64_t count,
-                                            const FailureScenario& failures,
-                                            math::Rng& rng) {
+/// Uniformly samples the member index of an alive member of (node,
+/// level)'s prefix class, or returns nullopt when none is alive.  Rejection
+/// sampling with a bounded number of tries, then an exact scan (rare: the
+/// class is nearly dead).
+std::optional<std::uint64_t> sample_alive_in_class(
+    NodeId node, int level, int d, const FailureScenario& failures,
+    math::Rng& rng) {
+  const std::uint64_t count = std::uint64_t{1} << (d - level);
+  const auto member_alive = [&](std::uint64_t member) {
+    return failures.alive(
+        class_member(EntryClass::kPrefix, d, node, level, member));
+  };
   constexpr int kRejectionTries = 64;
   for (int attempt = 0; attempt < kRejectionTries; ++attempt) {
-    const NodeId candidate = base + rng.uniform_below(count);
-    if (failures.alive(candidate)) {
+    const std::uint64_t candidate = rng.uniform_below(count);
+    if (member_alive(candidate)) {
       return candidate;
     }
   }
   // Exact fallback: collect the alive members and pick uniformly.
-  std::vector<NodeId> alive;
-  for (std::uint64_t offset = 0; offset < count; ++offset) {
-    if (failures.alive(base + offset)) {
-      alive.push_back(base + offset);
+  std::vector<std::uint64_t> alive;
+  for (std::uint64_t member = 0; member < count; ++member) {
+    if (member_alive(member)) {
+      alive.push_back(member);
     }
   }
   if (alive.empty()) {
@@ -49,30 +55,23 @@ std::shared_ptr<const PrefixTable> repair_prefix_table(
             "failure scenario must match the id space");
 
   const int d = space.bits();
-  std::vector<std::uint32_t> entries = table.entries();
+  ClassRows rows = table.rows();
   for (NodeId v = 0; v < space.size(); ++v) {
     for (int level = 1; level <= d; ++level) {
-      auto& entry = entries[v * static_cast<std::uint64_t>(d) +
-                            static_cast<std::uint64_t>(level - 1)];
-      if (failures.alive(entry)) {
+      if (failures.alive(rows.entry(v, level))) {
         continue;  // nothing to repair
       }
       if (!rng.bernoulli(repair_probability)) {
         continue;  // repair has not happened yet (static regime)
       }
-      // The entry's class: ids sharing v's first level-1 bits with bit
-      // `level` flipped -- a contiguous range once the suffix is freed.
-      const int suffix_bits = d - level;
-      const NodeId base = (flip_level(v, level, d) >> suffix_bits)
-                          << suffix_bits;
-      const auto replacement = sample_alive_in_class(
-          base, std::uint64_t{1} << suffix_bits, failures, rng);
+      const auto replacement =
+          sample_alive_in_class(v, level, d, failures, rng);
       if (replacement.has_value()) {
-        entry = static_cast<std::uint32_t>(*replacement);
+        rows.set_member(v, level, *replacement);
       }
     }
   }
-  return std::make_shared<const PrefixTable>(space, std::move(entries));
+  return std::make_shared<const PrefixTable>(std::move(rows));
 }
 
 std::shared_ptr<const PrefixTable> repair_prefix_table(

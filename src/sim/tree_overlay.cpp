@@ -29,11 +29,9 @@ std::optional<NodeId> TreeOverlay::next_hop(NodeId current, NodeId target,
 
 void TreeOverlay::links_into(NodeId node, std::vector<NodeId>& out) const {
   out.clear();
-  const int d = space_.bits();
-  const std::uint32_t* row =
-      table_->entries().data() + node * static_cast<std::uint64_t>(d);
-  for (int i = 0; i < d; ++i) {
-    out.push_back(row[i]);
+  const ClassRows& rows = table_->rows();
+  for (int level = 1; level <= space_.bits(); ++level) {
+    out.push_back(rows.entry(node, level));
   }
 }
 

@@ -35,7 +35,7 @@ class TreeOverlay final : public Overlay {
   }
 
   std::uint64_t table_bytes() const noexcept override {
-    return table_->entries().size() * sizeof(std::uint32_t);
+    return table_->rows().bytes();
   }
 
  private:

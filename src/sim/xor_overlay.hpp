@@ -38,7 +38,7 @@ class XorOverlay final : public Overlay {
   }
 
   std::uint64_t table_bytes() const noexcept override {
-    return table_->entries().size() * sizeof(std::uint32_t);
+    return table_->rows().bytes();
   }
 
  private:

@@ -9,6 +9,26 @@
 namespace dht::math {
 namespace {
 
+/// Exact C(n, k) in 64 bits, the reference for the log-space path.
+/// Precondition: 0 <= n <= 62 (the largest n for which every C(n, k) fits
+/// in uint64_t is 67; 62 keeps the multiply-divide loop overflow-free
+/// without 128-bit arithmetic) and 0 <= k <= n.
+std::uint64_t binomial_exact(int n, int k) {
+  DHT_CHECK(n >= 0 && n <= 62, "binomial_exact supports 0 <= n <= 62");
+  DHT_CHECK(k >= 0 && k <= n, "binomial_exact requires 0 <= k <= n");
+  if (k > n - k) {
+    k = n - k;
+  }
+  // Multiplicative formula; dividing by i at each step keeps the running
+  // value integral: the product of i consecutive integers is divisible by i!.
+  std::uint64_t result = 1;
+  for (int i = 1; i <= k; ++i) {
+    result = result * static_cast<std::uint64_t>(n - k + i) /
+             static_cast<std::uint64_t>(i);
+  }
+  return result;
+}
+
 TEST(BinomialExact, SmallValues) {
   EXPECT_EQ(binomial_exact(0, 0), 1u);
   EXPECT_EQ(binomial_exact(1, 0), 1u);

@@ -391,16 +391,18 @@ TEST(Overlays, NamesMatchCoreGeometryNames) {
   EXPECT_EQ(SymphonyOverlay(space, 1, 1, rng).name(), "symphony");
 }
 
-// table_bytes() counts the u32 routing entries each overlay stores:
-// 4 d 2^d for the prefix tables and the randomized ring, 4 ks 2^d for
-// Symphony's shortcuts, nothing for the closed-form ring and hypercube.
+// table_bytes() counts the routing-table bytes each overlay stores: the
+// packed class rows of the prefix tables and the randomized ring,
+// ceil(d(d-1)/16) bytes per node plus 8 bytes of tail padding
+// (15 * 2^16 + 8 at d = 16), 4 ks 2^d for Symphony's u32 shortcuts,
+// nothing for the closed-form ring and hypercube.
 TEST(Overlays, TableBytesAtD16) {
   const IdSpace space(16);
   math::Rng rng(32);
-  EXPECT_EQ(TreeOverlay(space, rng).table_bytes(), 4194304u);
-  EXPECT_EQ(XorOverlay(space, rng).table_bytes(), 4194304u);
+  EXPECT_EQ(TreeOverlay(space, rng).table_bytes(), 983048u);
+  EXPECT_EQ(XorOverlay(space, rng).table_bytes(), 983048u);
   EXPECT_EQ(ChordOverlay(space, rng, ChordFingers::kRandomized).table_bytes(),
-            4194304u);
+            983048u);
   EXPECT_EQ(ChordOverlay(space, rng).table_bytes(), 0u);
   EXPECT_EQ(HypercubeOverlay(space).table_bytes(), 0u);
   EXPECT_EQ(SymphonyOverlay(space, 1, 1, rng).table_bytes(), 262144u);

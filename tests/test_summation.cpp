@@ -1,11 +1,37 @@
 #include "math/summation.hpp"
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 namespace dht::math {
 namespace {
+
+/// Compensated sum of a range.
+double sum_compensated(std::span<const double> values) noexcept {
+  NeumaierSum acc;
+  for (double v : values) {
+    acc.add(v);
+  }
+  return acc.total();
+}
+
+/// Pairwise (cascade) summation; O(log n) error growth, an independent
+/// reference for the compensated sum.
+double sum_pairwise(std::span<const double> values) noexcept {
+  constexpr std::size_t kBaseCase = 32;
+  if (values.size() <= kBaseCase) {
+    double s = 0.0;
+    for (double v : values) {
+      s += v;
+    }
+    return s;
+  }
+  const std::size_t half = values.size() / 2;
+  return sum_pairwise(values.first(half)) + sum_pairwise(values.subspan(half));
+}
 
 TEST(NeumaierSum, EmptyIsZero) {
   const NeumaierSum sum;
