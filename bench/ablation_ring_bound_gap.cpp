@@ -15,7 +15,7 @@
 #include "core/routability.hpp"
 #include "math/rng.hpp"
 #include "sim/chord_overlay.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 
 namespace {
 constexpr int kBits = 14;
@@ -32,9 +32,9 @@ double simulated_failed(dht::sim::ChordFingers variant, double q,
   const sim::ChordOverlay overlay(space, build_rng, variant);
   math::Rng fail_rng(seed + 1);
   const sim::FailureScenario failures(space, q, fail_rng);
-  math::Rng route_rng(seed + 2);
-  return 1.0 - sim::estimate_routability(overlay, failures, {.pairs = kPairs},
-                                         route_rng)
+  const math::Rng route_rng(seed + 2);
+  return 1.0 - sim::estimate_routability_parallel(overlay, failures,
+                                                  {.pairs = kPairs}, route_rng)
                    .routability();
 }
 

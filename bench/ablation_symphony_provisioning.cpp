@@ -13,7 +13,7 @@
 #include "core/report.hpp"
 #include "core/routability.hpp"
 #include "math/rng.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 #include "sim/symphony_overlay.hpp"
 
 namespace {
@@ -28,9 +28,9 @@ double simulated(int kn, int ks, double q, std::uint64_t seed) {
   const sim::SymphonyOverlay overlay(space, kn, ks, build_rng);
   math::Rng fail_rng(seed + 1);
   const sim::FailureScenario failures(space, q, fail_rng);
-  math::Rng route_rng(seed + 2);
-  return sim::estimate_routability(overlay, failures, {.pairs = kPairs},
-                                   route_rng)
+  const math::Rng route_rng(seed + 2);
+  return sim::estimate_routability_parallel(overlay, failures,
+                                            {.pairs = kPairs}, route_rng)
       .routability();
 }
 

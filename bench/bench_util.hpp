@@ -14,9 +14,9 @@
 namespace dht::bench {
 
 /// A harness's command line: `--csv` prints its tables as CSV (for
-/// replotting) instead of aligned text, and, in a harness that runs a
-/// parallel engine, `--threads N` picks the worker count (0, also when the
-/// flag is absent, means hardware concurrency).
+/// replotting) instead of aligned text, and, in a harness that takes it,
+/// `--threads N` picks the worker count (0, also when the flag is absent,
+/// means hardware concurrency; results never depend on it).
 struct Flags {
   bool csv = false;
   unsigned threads = 0;

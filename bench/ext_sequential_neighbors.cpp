@@ -15,7 +15,7 @@
 #include "core/routability.hpp"
 #include "math/rng.hpp"
 #include "sim/chord_overlay.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 
 namespace {
 constexpr int kBits = 14;
@@ -33,9 +33,9 @@ double simulated_failed(int successors, double q, std::uint64_t seed) {
                                   successors);
   math::Rng fail_rng(seed + 1);
   const sim::FailureScenario failures(space, q, fail_rng);
-  math::Rng route_rng(seed + 2);
-  return 1.0 - sim::estimate_routability(overlay, failures, {.pairs = kPairs},
-                                         route_rng)
+  const math::Rng route_rng(seed + 2);
+  return 1.0 - sim::estimate_routability_parallel(overlay, failures,
+                                                  {.pairs = kPairs}, route_rng)
                    .routability();
 }
 

@@ -17,7 +17,7 @@
 #include "core/report.hpp"
 #include "core/routability.hpp"
 #include "math/rng.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 #include "sim/repair.hpp"
 #include "sim/xor_overlay.hpp"
 
@@ -39,9 +39,9 @@ double xor_failed_with_repair(const dht::sim::IdSpace& space,
   const auto repaired =
       sim::repair_prefix_table(table, space, failures, rho, repair_rng);
   const sim::XorOverlay overlay(space, repaired);
-  math::Rng route_rng(seed + 2);
-  return 1.0 - sim::estimate_routability(overlay, failures, {.pairs = kPairs},
-                                         route_rng)
+  const math::Rng route_rng(seed + 2);
+  return 1.0 - sim::estimate_routability_parallel(overlay, failures,
+                                                  {.pairs = kPairs}, route_rng)
                    .routability();
 }
 

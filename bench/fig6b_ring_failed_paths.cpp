@@ -12,7 +12,7 @@
 #include "core/routability.hpp"
 #include "math/rng.hpp"
 #include "sim/chord_overlay.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 
 namespace {
 constexpr int kBits = 16;
@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
     if (q > 0.0) {
       math::Rng fail_rng(seed);
       const sim::FailureScenario failures(space, q, fail_rng);
-      math::Rng route_rng(seed + 1);
-      sim_failed = 1.0 - sim::estimate_routability(
+      const math::Rng route_rng(seed + 1);
+      sim_failed = 1.0 - sim::estimate_routability_parallel(
                              overlay, failures, {.pairs = kPairs}, route_rng)
                              .routability();
     }

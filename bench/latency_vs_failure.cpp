@@ -16,7 +16,7 @@
 #include "math/rng.hpp"
 #include "sim/chord_overlay.hpp"
 #include "sim/hypercube_overlay.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 #include "sim/tree_overlay.hpp"
 #include "sim/xor_overlay.hpp"
 
@@ -29,9 +29,9 @@ double simulated_hops(const dht::sim::Overlay& overlay, double q,
   using namespace dht;
   math::Rng fail_rng(seed);
   const sim::FailureScenario failures(overlay.space(), q, fail_rng);
-  math::Rng route_rng(seed + 1);
-  return sim::estimate_routability(overlay, failures, {.pairs = kPairs},
-                                   route_rng)
+  const math::Rng route_rng(seed + 1);
+  return sim::estimate_routability_parallel(overlay, failures,
+                                            {.pairs = kPairs}, route_rng)
       .hops.mean();
 }
 

@@ -1,15 +1,13 @@
-// Routing-throughput harness for the Monte-Carlo engine.
+// Routing-throughput harness for the Monte-Carlo engines.
 //
-// Measures routes/sec of (a) the seed single-threaded path -- the generic
-// virtual-dispatch Router driven by estimate_routability -- and (b) the
-// parallel deterministic engine with flattened kernels at a sweep of thread
-// counts, on the same (N, q, seed).  Emits one machine-readable JSON object
-// per line (JSONL) so the bench trajectory can be tracked across PRs:
+// Measures routes/sec of the parallel deterministic engine with flattened
+// kernels at a sweep of thread counts, on the same (N, q, seed).  Emits one
+// machine-readable JSON object per line (JSONL) so the bench trajectory can
+// be tracked across PRs:
 //
-//   {"bench":"perf_simulator","geometry":"ring","path":"parallel",
-//    "threads":8,"n":65536,"q":0.100000,"pairs":200000,"seed":1,
-//    "table_bytes":0,"seconds":0.123,"routes_per_sec":1626016.3,
-//    "speedup_vs_seed":5.81,"routability":0.986535,
+//   {"bench":"perf_simulator","geometry":"ring","threads":8,"n":65536,
+//    "q":0.100000,"pairs":200000,"seed":1,"table_bytes":0,
+//    "seconds":0.123,"routes_per_sec":1626016.3,"routability":0.986535,
 //    "identical_across_threads":true}
 //
 // table_bytes is the overlay's routing-table storage (Overlay::table_bytes:
@@ -68,27 +66,20 @@
 //
 // A third JSONL section ("section":"sparse") sweeps the sparse parallel
 // engine (sparse/flat_sparse.hpp) over an N grid up to 10^6 nodes
-// scattered in a 2^32 key space, for sparse Chord and sparse Kademlia.
-// The virtual single-threaded estimator is measured as the baseline at the
-// smaller grid points (it is the pre-flattening seed shape), the flattened
-// sharded engine at every point across the thread sweep:
+// scattered in a 2^32 key space, for sparse Chord and sparse Kademlia,
+// across the thread sweep:
 //
 //   {"bench":"perf_simulator","section":"sparse","geometry":"sparse-xor",
-//    "path":"parallel","threads":8,"n":131072,"bits":32,"q":0.100000,
-//    "pairs":200000,"seed":1,"build_seconds":0.24,"seconds":0.031,
-//    "routes_per_sec":6451613.3,"speedup_vs_virtual":7.42,
-//    "routability":0.931234,"identical_across_threads":true}
-//
-// (speedup_vs_virtual is 0.0 on rows whose N exceeds the virtual baseline
-// cutoff of 2^17 -- the baseline is not measured there, not zero.)
+//    "threads":8,"n":131072,"bits":32,"q":0.100000,"pairs":200000,
+//    "seed":1,"build_seconds":0.24,"seconds":0.031,
+//    "routes_per_sec":6451613.3,"routability":0.931234,
+//    "identical_across_threads":true}
 //
 // The harness also cross-checks determinism: the parallel estimates at
 // every thread count must be bit-identical (static, churn AND sparse
 // sections); a mismatch exits non-zero.
 //
-// Every row carries the machine's NUMA socket count ("sockets") and
-// whether topology-aware worker pinning was requested ("pinned"), and the
-// churn sections report routes/sec alongside shard-rounds/sec so route
+// The churn sections report routes/sec alongside shard-rounds/sec so route
 // throughput is comparable across sections.
 //
 // A fifth JSONL section ("section":"sparse_workload") drives the static
@@ -108,10 +99,8 @@
 // per-slot load columns alongside routability.
 //
 // Flags: --bits D (16)  --q Q (0.1)  --pairs P (200000)  --seed S (1)
-//        --threads a,b,c (1,2,4,8)  --geometry NAME|all (ring,xor,hypercube)
-//        --pin 0|1 (0: pin workers round-robin across NUMA nodes; a
-//        best-effort no-op on machines without pinning support, and never
-//        affects results)
+//        --threads a,b,c (1,2,4,8)  --geometry NAME|all (ring; all =
+//        ring,xor,tree,hypercube,symphony)
 //        --churn-bits D (12)  --churn-rounds R (4, 0 disables the section)
 //        --sparse-bits D (32)  --sparse-n-max N (1048576, 0 disables the
 //        sparse AND sparse_workload sections; the grid is 2^14, 2^17, 2^20
@@ -134,8 +123,8 @@
 //        gets a one-line diagnostic instead of a deep engine abort.
 //        Numbers parse strictly (common/flags.hpp): "--bits 20x",
 //        "--q 0.1abc" or "--refresh 30.5" exit 1, as does a --threads
-//        element that is not an integer >= 1 ("1x", "0,2") and any --pin
-//        or --obs value but 0 or 1.
+//        element that is not an integer >= 1 ("1x", "0,2") and any --obs
+//        value but 0 or 1.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -154,10 +143,8 @@
 #include "obs/failure.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/trace.hpp"
-#include "sim/monte_carlo.hpp"
 #include "sim/overlay.hpp"
 #include "sim/parallel_monte_carlo.hpp"
-#include "sim/topology.hpp"
 #include "sparse/flat_sparse.hpp"
 #include "sparse/sparse_chord.hpp"
 #include "sparse/sparse_kademlia.hpp"
@@ -197,9 +184,6 @@ struct Config {
   std::uint64_t workload_objects = 0;  // 0 = one object per alive node
   int cache_entries = 8;
   int replicas = 3;
-  // Topology-aware scheduling: pin workers round-robin across NUMA nodes.
-  // Scheduling only -- estimates are bit-identical either way.
-  bool pin = false;
   // Chrome trace_event JSON output of the engine phase spans ("" = off).
   std::string trace_out;
   // Observability side-channels (phase profiles + trace spans).  --obs 0
@@ -326,12 +310,6 @@ Config parse_args(int argc, char** argv) {
     } else if (flag == "--refresh") {
       require(common::parse_int_flag(kCommand, name, value, 1, kIntMax,
                                      cfg.refresh));
-    } else if (flag == "--pin") {
-      if (std::strcmp(value, "0") != 0 && std::strcmp(value, "1") != 0) {
-        std::fprintf(stderr, "--pin must be 0 or 1, got %s\n", value);
-        std::exit(1);
-      }
-      cfg.pin = std::strcmp(value, "1") == 0;
     } else if (flag == "--trace-out") {
       cfg.trace_out = value;
     } else if (flag == "--obs") {
@@ -401,23 +379,22 @@ std::string obs_columns(const obs::PhaseProfile& profile,
 }
 
 void emit(const Config& cfg, const std::string& geometry,
-          std::uint64_t table_bytes, const char* path, unsigned threads,
-          double seconds, double routability, double speedup, bool identical,
+          std::uint64_t table_bytes, unsigned threads, double seconds,
+          double routability, bool identical,
           const obs::PhaseProfile& profile,
           const obs::FailureTaxonomy& failures) {
   std::printf(
-      "{\"bench\":\"perf_simulator\",\"geometry\":\"%s\",\"path\":\"%s\","
-      "\"threads\":%u,\"sockets\":%u,\"pinned\":%s,\"n\":%llu,\"q\":%.6f,"
+      "{\"bench\":\"perf_simulator\",\"geometry\":\"%s\","
+      "\"threads\":%u,\"n\":%llu,\"q\":%.6f,"
       "\"pairs\":%llu,\"seed\":%llu,\"table_bytes\":%llu,"
-      "\"seconds\":%.6f,\"routes_per_sec\":%.1f,\"speedup_vs_seed\":%.3f,"
+      "\"seconds\":%.6f,\"routes_per_sec\":%.1f,"
       "\"routability\":%.6f,%s,\"identical_across_threads\":%s}\n",
-      geometry.c_str(), path, threads, sim::topology().nodes(),
-      cfg.pin ? "true" : "false",
+      geometry.c_str(), threads,
       static_cast<unsigned long long>(std::uint64_t{1} << cfg.bits), cfg.q,
       static_cast<unsigned long long>(cfg.pairs),
       static_cast<unsigned long long>(cfg.seed),
       static_cast<unsigned long long>(table_bytes), seconds,
-      static_cast<double>(cfg.pairs) / seconds, speedup, routability,
+      static_cast<double>(cfg.pairs) / seconds, routability,
       obs_columns(profile, failures).c_str(), identical ? "true" : "false");
 }
 
@@ -431,24 +408,21 @@ bool identical_estimates(const sim::RoutabilityEstimate& a,
          a.failures == b.failures;
 }
 
-void emit_sparse(const Config& cfg, const char* geometry, const char* path,
-                 unsigned threads, std::uint64_t n, double build_seconds,
-                 double seconds, double routability, double speedup,
-                 bool identical, const obs::PhaseProfile& profile,
+void emit_sparse(const Config& cfg, const char* geometry, unsigned threads,
+                 std::uint64_t n, double build_seconds, double seconds,
+                 double routability, bool identical,
+                 const obs::PhaseProfile& profile,
                  const obs::FailureTaxonomy& failures) {
   std::printf(
       "{\"bench\":\"perf_simulator\",\"section\":\"sparse\","
-      "\"geometry\":\"%s\",\"path\":\"%s\",\"threads\":%u,\"sockets\":%u,"
-      "\"pinned\":%s,\"n\":%llu,"
+      "\"geometry\":\"%s\",\"threads\":%u,\"n\":%llu,"
       "\"bits\":%d,\"q\":%.6f,\"pairs\":%llu,\"seed\":%llu,"
       "\"build_seconds\":%.6f,\"seconds\":%.6f,\"routes_per_sec\":%.1f,"
-      "\"speedup_vs_virtual\":%.3f,\"routability\":%.6f,%s,"
-      "\"identical_across_threads\":%s}\n",
-      geometry, path, threads, sim::topology().nodes(),
-      cfg.pin ? "true" : "false", static_cast<unsigned long long>(n),
-      cfg.sparse_bits, cfg.q, static_cast<unsigned long long>(cfg.pairs),
+      "\"routability\":%.6f,%s,\"identical_across_threads\":%s}\n",
+      geometry, threads, static_cast<unsigned long long>(n), cfg.sparse_bits,
+      cfg.q, static_cast<unsigned long long>(cfg.pairs),
       static_cast<unsigned long long>(cfg.seed), build_seconds, seconds,
-      static_cast<double>(cfg.pairs) / seconds, speedup, routability,
+      static_cast<double>(cfg.pairs) / seconds, routability,
       obs_columns(profile, failures).c_str(), identical ? "true" : "false");
 }
 
@@ -482,32 +456,13 @@ bool run_sparse_section(const Config& cfg, obs::Trace* trace) {
       math::Rng fail_rng(cfg.seed + 11);
       const sparse::SparseFailure failures(space, cfg.q, fail_rng);
 
-      // Virtual single-threaded baseline (the pre-flattening seed shape):
-      // measured at the small and mid grid points; at 2^20 it would
-      // dominate the harness wall time for no extra information.
-      double virtual_seconds = 0.0;
-      if (n <= (std::uint64_t{1} << 17)) {
-        math::Rng virtual_rng(cfg.seed + 12);
-        const auto start = std::chrono::steady_clock::now();
-        const auto estimate = sparse::estimate_routability(
-            *overlay, failures, cfg.pairs, virtual_rng);
-        virtual_seconds = seconds_since(start);
-        // The virtual baseline predates the phase hooks: its phase columns
-        // are zero, but its taxonomy comes from the same estimate struct.
-        emit_sparse(cfg, geometry, "virtual", 1, n, build_seconds,
-                    virtual_seconds, estimate.routability(), 1.0, true,
-                    obs::PhaseProfile{}, estimate.failures);
-      }
-
       const math::Rng engine_rng(cfg.seed + 12);
       bool have_reference = false;
       sparse::SparseEstimate reference;
       for (unsigned threads : cfg.threads) {
         obs::PhaseProfile profile;
-        sparse::SparseParallelOptions options{
-            .pairs = cfg.pairs,
-            .threads = threads,
-            .pin_workers = cfg.pin};
+        sparse::SparseParallelOptions options{.pairs = cfg.pairs,
+                                              .threads = threads};
         options.profile = cfg.obs ? &profile : nullptr;
         options.trace = cfg.obs ? trace : nullptr;
         const auto start = std::chrono::steady_clock::now();
@@ -520,10 +475,9 @@ bool run_sparse_section(const Config& cfg, obs::Trace* trace) {
           have_reference = true;
         }
         all_identical = all_identical && identical;
-        emit_sparse(cfg, geometry, "parallel", threads, n, build_seconds,
-                    seconds, estimate.routability(),
-                    virtual_seconds > 0.0 ? virtual_seconds / seconds : 0.0,
-                    identical, profile, estimate.failures);
+        emit_sparse(cfg, geometry, threads, n, build_seconds, seconds,
+                    estimate.routability(), identical, profile,
+                    estimate.failures);
       }
     }
   }
@@ -538,15 +492,14 @@ void emit_sparse_workload(const Config& cfg, unsigned threads,
                           const obs::PhaseProfile& profile) {
   std::printf(
       "{\"bench\":\"perf_simulator\",\"section\":\"sparse_workload\","
-      "\"geometry\":\"sparse-ring\",\"threads\":%u,\"sockets\":%u,"
-      "\"pinned\":%s,\"n\":%llu,\"bits\":%d,\"q\":%.6f,\"pairs\":%llu,"
+      "\"geometry\":\"sparse-ring\",\"threads\":%u,"
+      "\"n\":%llu,\"bits\":%d,\"q\":%.6f,\"pairs\":%llu,"
       "\"zipf\":%.2f,\"objects\":%llu,\"cache_entries\":%d,\"seed\":%llu,"
       "\"seconds\":%.6f,\"routes_per_sec\":%.1f,\"cache_hit_rate\":%.6f,"
       "\"mean_hops\":%.3f,\"load_max\":%llu,\"load_p99\":%llu,"
       "\"load_cv\":%.6f,\"routability\":%.6f,%s,"
       "\"identical_across_threads\":%s}\n",
-      threads, sim::topology().nodes(), cfg.pin ? "true" : "false",
-      static_cast<unsigned long long>(n), cfg.sparse_bits, cfg.q,
+      threads, static_cast<unsigned long long>(n), cfg.sparse_bits, cfg.q,
       static_cast<unsigned long long>(cfg.pairs), cfg.zipf,
       static_cast<unsigned long long>(objects), cache_entries,
       static_cast<unsigned long long>(cfg.seed), seconds,
@@ -594,8 +547,7 @@ bool run_sparse_workload_section(const Config& cfg, obs::Trace* trace) {
             .threads = threads,
             // Fixed shard count: results are a function of (seed, shards),
             // and per-shard caches warm with the shard's draw stream.
-            .shards = 64,
-            .pin_workers = cfg.pin};
+            .shards = 64};
         options.workload.zipf_s = cfg.zipf;
         options.workload.objects = cfg.workload_objects;
         options.workload.cache_entries = cache_entries;
@@ -647,18 +599,6 @@ int main(int argc, char** argv) {
     math::Rng fail_rng(cfg.seed + 1);
     const sim::FailureScenario failures(space, cfg.q, fail_rng);
 
-    // Seed path: sequential sampling + virtual-dispatch routing.
-    math::Rng seed_rng(cfg.seed + 2);
-    auto start = std::chrono::steady_clock::now();
-    const auto seed_estimate = sim::estimate_routability(
-        *overlay, failures, {.pairs = cfg.pairs}, seed_rng);
-    const double seed_seconds = seconds_since(start);
-    // The seed path predates the phase hooks: zero phase columns, but the
-    // taxonomy comes from the same estimate struct as every other path.
-    emit(cfg, geometry, overlay->table_bytes(), "seed", 1, seed_seconds,
-         seed_estimate.routability(), 1.0, true, obs::PhaseProfile{},
-         seed_estimate.failures);
-
     // Parallel engine across the thread sweep; estimates must agree
     // bit-for-bit at every thread count.
     const math::Rng engine_rng(cfg.seed + 2);
@@ -666,12 +606,10 @@ int main(int argc, char** argv) {
     sim::RoutabilityEstimate reference;
     for (unsigned threads : cfg.threads) {
       obs::PhaseProfile profile;
-      sim::ParallelOptions options{.pairs = cfg.pairs,
-                                   .threads = threads,
-                                   .pin_workers = cfg.pin};
+      sim::ParallelOptions options{.pairs = cfg.pairs, .threads = threads};
       options.profile = cfg.obs ? &profile : nullptr;
       options.trace = cfg.obs ? trace : nullptr;
-      start = std::chrono::steady_clock::now();
+      const auto start = std::chrono::steady_clock::now();
       const auto estimate = sim::estimate_routability_parallel(
           *overlay, failures, options, engine_rng);
       const double seconds = seconds_since(start);
@@ -682,9 +620,8 @@ int main(int argc, char** argv) {
         have_reference = true;
       }
       all_identical = all_identical && identical;
-      emit(cfg, geometry, overlay->table_bytes(), "parallel", threads,
-           seconds, estimate.routability(), seed_seconds / seconds,
-           identical, profile, estimate.failures);
+      emit(cfg, geometry, overlay->table_bytes(), threads, seconds,
+           estimate.routability(), identical, profile, estimate.failures);
     }
   }
 
@@ -707,7 +644,6 @@ int main(int argc, char** argv) {
       obs::PhaseProfile profile;
       churn::TrajectoryOptions options = base;
       options.threads = threads;
-      options.pin_workers = cfg.pin;
       options.profile = cfg.obs ? &profile : nullptr;
       options.trace = cfg.obs ? trace : nullptr;
       const auto start = std::chrono::steady_clock::now();
@@ -741,16 +677,15 @@ int main(int argc, char** argv) {
       const double route_s = profile[obs::Phase::kRoute];
       std::printf(
           "{\"bench\":\"perf_simulator\",\"section\":\"churn\","
-          "\"geometry\":\"xor\",\"threads\":%u,\"sockets\":%u,"
-          "\"pinned\":%s,\"n\":%llu,\"shards\":%llu,"
+          "\"geometry\":\"xor\",\"threads\":%u,"
+          "\"n\":%llu,\"shards\":%llu,"
           "\"warmup_rounds\":%d,\"rounds\":%d,\"pairs_per_round\":%llu,"
           "\"q_eff\":%.6f,\"seed\":%llu,\"seconds\":%.6f,"
           "\"shard_rounds_per_sec\":%.1f,\"routes\":%llu,"
           "\"routes_per_sec\":%.1f,\"route_phase_routes_per_sec\":%.1f,"
           "%s,"
           "\"routability\":%.6f,\"identical_across_threads\":%s}\n",
-          threads, sim::topology().nodes(), cfg.pin ? "true" : "false",
-          static_cast<unsigned long long>(churn_space.size()),
+          threads, static_cast<unsigned long long>(churn_space.size()),
           static_cast<unsigned long long>(result.shards),
           base.warmup_rounds, cfg.churn_rounds,
           static_cast<unsigned long long>(base.pairs_per_round),
@@ -833,7 +768,6 @@ int main(int argc, char** argv) {
         obs::PhaseProfile profile;
         churn::TrajectoryOptions options = base;
         options.threads = threads;
-        options.pin_workers = cfg.pin;
         options.profile = cfg.obs ? &profile : nullptr;
         options.trace = cfg.obs ? trace : nullptr;
         const auto start = std::chrono::steady_clock::now();
@@ -864,8 +798,7 @@ int main(int argc, char** argv) {
         const double route_s = profile[obs::Phase::kRoute];
         std::printf(
             "{\"bench\":\"perf_simulator\",\"section\":\"sparse_churn\","
-            "\"geometry\":\"%s\",\"threads\":%u,\"sockets\":%u,"
-            "\"pinned\":%s,\"n0\":%llu,"
+            "\"geometry\":\"%s\",\"threads\":%u,\"n0\":%llu,"
             "\"capacity\":%llu,\"bits\":32,\"succ\":%d,"
             "\"inflight\":%s,\"k\":%d,\"session\":\"%s\","
             "\"shards\":%llu,"
@@ -880,8 +813,7 @@ int main(int argc, char** argv) {
             "\"load_max\":%llu,\"load_p99\":%.1f,\"load_cv\":%.6f,"
             "\"mean_population\":%.1f,"
             "\"identical_across_threads\":%s}\n",
-            churn::to_string(mode.geometry), threads, sim::topology().nodes(),
-            cfg.pin ? "true" : "false",
+            churn::to_string(mode.geometry), threads,
             static_cast<unsigned long long>(cfg.sparse_churn_n),
             static_cast<unsigned long long>(config.capacity),
             config.successors, mode.inflight ? "true" : "false",

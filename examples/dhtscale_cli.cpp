@@ -55,7 +55,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "churn/sparse_trajectory.hpp"
@@ -75,6 +74,7 @@
 #include "math/rng.hpp"
 #include "sim/overlay.hpp"
 #include "sim/parallel_monte_carlo.hpp"
+#include "sim/shard_pool.hpp"
 
 namespace {
 
@@ -276,11 +276,9 @@ int cmd_simulate(const std::string& name, int d, double q,
   std::cout << strfmt("alive nodes:           %llu / %llu\n",
                       static_cast<unsigned long long>(failures.alive_count()),
                       static_cast<unsigned long long>(space.size()));
-  // Mirror the engine's thread resolution (hardware count, at least 1).
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned effective = threads != 0 ? threads : (hw == 0 ? 1 : hw);
   std::cout << strfmt("throughput:            %.0f routes/sec (%u threads)\n",
-                      static_cast<double>(pairs) / seconds, effective);
+                      static_cast<double>(pairs) / seconds,
+                      sim::resolve_threads(threads));
   return 0;
 }
 
@@ -370,12 +368,11 @@ int cmd_sparse(const std::string& name, int bits, std::uint64_t n, double q,
   std::cout << strfmt("alive nodes:           %llu / %llu\n",
                       static_cast<unsigned long long>(failures.alive_count()),
                       static_cast<unsigned long long>(n));
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned effective = threads != 0 ? threads : (hw == 0 ? 1 : hw);
   std::cout << strfmt(
       "throughput:            %.0f routes/sec (%u threads; tables built "
       "in %.2fs)\n",
-      static_cast<double>(pairs) / seconds, effective, build_seconds);
+      static_cast<double>(pairs) / seconds, sim::resolve_threads(threads),
+      build_seconds);
   return 0;
 }
 

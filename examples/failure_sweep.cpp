@@ -18,7 +18,7 @@
 #include "core/report.hpp"
 #include "core/routability.hpp"
 #include "math/rng.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 #include "sim/overlay.hpp"
 
 int main(int argc, char** argv) {
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     double hops = 0.0;
     dht::math::Rng fail_rng(1000 + static_cast<std::uint64_t>(percent));
     const dht::sim::FailureScenario failures(space, q, fail_rng);
-    const auto estimate = dht::sim::estimate_routability(
+    const auto estimate = dht::sim::estimate_routability_parallel(
         *overlay, failures, {.pairs = pairs}, rng);
     simulated = estimate.failed_fraction();
     const auto routed_ci = estimate.confidence95();

@@ -12,7 +12,7 @@
 #include "core/routability.hpp"
 #include "core/scalability.hpp"
 #include "math/rng.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 #include "sim/xor_overlay.hpp"
 
 int main() {
@@ -45,8 +45,8 @@ int main() {
   const dht::sim::IdSpace space(d);
   const dht::sim::XorOverlay overlay(space, rng);
   const dht::sim::FailureScenario failures(space, q, rng);
-  const auto estimate =
-      dht::sim::estimate_routability(overlay, failures, {.pairs = 20000}, rng);
+  const auto estimate = dht::sim::estimate_routability_parallel(
+      overlay, failures, {.pairs = 20000}, rng);
   const auto ci = estimate.confidence95();
   std::printf("  simulated routability:    %.2f%% (95%% CI [%.2f, %.2f])\n",
               estimate.routability() * 100, ci.lo * 100, ci.hi * 100);

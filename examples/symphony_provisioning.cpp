@@ -21,7 +21,7 @@
 #include "core/report.hpp"
 #include "core/routability.hpp"
 #include "math/rng.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 #include "sim/symphony_overlay.hpp"
 
 namespace {
@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
     const dht::sim::IdSpace space(d);
     const dht::sim::SymphonyOverlay overlay(space, kn, ks, rng);
     const dht::sim::FailureScenario failures(space, q, rng);
-    return dht::sim::estimate_routability(overlay, failures,
-                                          {.pairs = 20000}, rng)
+    return dht::sim::estimate_routability_parallel(overlay, failures,
+                                                   {.pairs = 20000}, rng)
         .routability();
   };
 

@@ -45,8 +45,6 @@ EXEMPT = {
     "routes_per_sec",
     "route_phase_routes_per_sec",
     "shard_rounds_per_sec",
-    "speedup_vs_seed",
-    "speedup_vs_virtual",
     "identical_across_threads",  # trivially true in a single-entry sweep
 }
 

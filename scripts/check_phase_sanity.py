@@ -9,9 +9,9 @@ omits), double-counting (nested timers on the same work), or attributing
 another row's time (a profile reused across rows without resetting).
 
 Rows are checked when they carry threads == 1 AND a non-zero phase sum;
-serial baseline rows (seed / virtual paths) legitimately emit all-zero
-profiles and are skipped, as are multi-threaded rows, where CPU-seconds
-exceed wall-clock by design.
+rows of a `--obs 0` run attach no profile, emit all-zero phase columns and
+are skipped, as are multi-threaded rows, where CPU-seconds exceed
+wall-clock by design.
 
 The tolerance is 10% relative plus a small absolute epsilon: the epsilon
 absorbs timer granularity and the few uninstrumented microseconds between
@@ -66,7 +66,7 @@ def main():
                 if k.startswith("phase_") and k.endswith("_s")
             )
             if phase_sum == 0.0:
-                continue  # serial baseline row: profile intentionally off
+                continue  # --obs 0 row: profile intentionally off
             checked += 1
             gap = abs(phase_sum - seconds)
             allowed = args.rel * seconds + args.abs_eps

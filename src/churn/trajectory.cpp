@@ -51,15 +51,13 @@ TrajectoryResult run_churn_trajectory(TrajectoryGeometry geometry,
       sim::PoolOptions{.threads = sim::resolve_threads(options.threads),
                        // Replica worlds are heavy; claim one at a time so
                        // the tail load-balances.
-                       .chunk = 1,
-                       .pin_workers = options.pin_workers},
+                       .chunk = 1},
       [&](std::uint64_t s) {
         obs::PhaseProfile* const profile =
             observed ? &shard_profiles[s] : nullptr;
         // Shard s is an independent replica of the whole trajectory, a pure
         // function of (caller seed, s).  Its world is allocated here, on
-        // the (optionally pinned) worker, so first touch places it on the
-        // worker's socket.
+        // the worker that runs it.
         obs::PhaseTimer build_timer(profile, obs::Phase::kWorldBuild,
                                     options.trace);
         ChurnWorld world(geometry, space, params, options.repair_probability,

@@ -64,11 +64,6 @@ struct TrajectoryOptions {
   std::uint64_t shards = 0;
   /// Worker threads (0 = hardware concurrency).  Never affects results.
   unsigned threads = 0;
-  /// Pin workers round-robin across NUMA nodes (sim/shard_pool.hpp) so each
-  /// replica world is first-touched on -- and stays on -- its worker's
-  /// socket.  Best effort, silently ignored where unsupported; never
-  /// affects results.
-  bool pin_workers = false;
   /// Safety hop cap per route (0 = default N); hits are counted in the
   /// estimates' hop_limit_hits canary.
   std::uint64_t max_hops = 0;

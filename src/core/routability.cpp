@@ -62,25 +62,4 @@ RoutabilityPoint evaluate_routability(const Geometry& geometry, int d,
   return point;
 }
 
-std::vector<RoutabilityPoint> sweep_failure_probability(
-    const Geometry& geometry, int d, std::span<const double> qs) {
-  std::vector<RoutabilityPoint> out;
-  out.reserve(qs.size());
-  for (double q : qs) {
-    out.push_back(evaluate_routability(geometry, d, q));
-  }
-  return out;
-}
-
-std::vector<RoutabilityPoint> sweep_system_size(const Geometry& geometry,
-                                                std::span<const int> ds,
-                                                double q) {
-  std::vector<RoutabilityPoint> out;
-  out.reserve(ds.size());
-  for (int d : ds) {
-    out.push_back(evaluate_routability(geometry, d, q));
-  }
-  return out;
-}
-
 }  // namespace dht::core

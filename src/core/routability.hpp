@@ -12,9 +12,6 @@
 // r by O(q / N).
 #pragma once
 
-#include <span>
-#include <vector>
-
 #include "core/geometry.hpp"
 
 namespace dht::core {
@@ -34,14 +31,5 @@ struct RoutabilityPoint {
 /// routability is defined as 0 -- there are no pairs to route between.
 RoutabilityPoint evaluate_routability(const Geometry& geometry, int d,
                                       double q);
-
-/// Sweeps failure probabilities at fixed d (the Fig. 6 / Fig. 7(a) axis).
-std::vector<RoutabilityPoint> sweep_failure_probability(
-    const Geometry& geometry, int d, std::span<const double> qs);
-
-/// Sweeps identifier lengths at fixed q (the Fig. 7(b) axis).
-std::vector<RoutabilityPoint> sweep_system_size(const Geometry& geometry,
-                                                std::span<const int> ds,
-                                                double q);
 
 }  // namespace dht::core

@@ -1,7 +1,6 @@
 #include "markov/absorption.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/check.hpp"
@@ -75,91 +74,6 @@ ConditionalAbsorption conditional_absorption_dag(const Chain& chain,
         weight[static_cast<size_t>(start)] / out.probability;
   }
   return out;
-}
-
-double absorption_probability_dense(const Chain& chain, StateId start,
-                                    StateId target) {
-  DHT_CHECK(chain.is_absorbing(target),
-            "absorption target must be an absorbing state");
-  if (start == target) {
-    return 1.0;
-  }
-  if (chain.is_absorbing(start)) {
-    return 0.0;
-  }
-
-  // Index the transient (non-absorbing) states.
-  const int n = chain.state_count();
-  std::vector<int> transient_index(static_cast<size_t>(n), -1);
-  std::vector<StateId> transient_states;
-  for (StateId s = 0; s < n; ++s) {
-    if (!chain.is_absorbing(s)) {
-      transient_index[static_cast<size_t>(s)] =
-          static_cast<int>(transient_states.size());
-      transient_states.push_back(s);
-    }
-  }
-  const int t = static_cast<int>(transient_states.size());
-
-  // Solve (I - T) x = b where T is the transient-to-transient transition
-  // matrix and b(i) = P(one-step absorption at target from transient i).
-  std::vector<std::vector<double>> a(static_cast<size_t>(t),
-                                     std::vector<double>(static_cast<size_t>(t), 0.0));
-  std::vector<double> b(static_cast<size_t>(t), 0.0);
-  for (int i = 0; i < t; ++i) {
-    a[static_cast<size_t>(i)][static_cast<size_t>(i)] = 1.0;
-    for (const Transition& tr :
-         chain.transitions_from(transient_states[static_cast<size_t>(i)])) {
-      const int j = transient_index[static_cast<size_t>(tr.to)];
-      if (j >= 0) {
-        a[static_cast<size_t>(i)][static_cast<size_t>(j)] -= tr.probability;
-      } else if (tr.to == target) {
-        b[static_cast<size_t>(i)] += tr.probability;
-      }
-    }
-  }
-
-  // Gaussian elimination with partial pivoting.
-  for (int col = 0; col < t; ++col) {
-    int pivot = col;
-    for (int row = col + 1; row < t; ++row) {
-      if (std::abs(a[static_cast<size_t>(row)][static_cast<size_t>(col)]) >
-          std::abs(a[static_cast<size_t>(pivot)][static_cast<size_t>(col)])) {
-        pivot = row;
-      }
-    }
-    DHT_CHECK(
-        std::abs(a[static_cast<size_t>(pivot)][static_cast<size_t>(col)]) >
-            1e-14,
-        "singular transient system: some state never reaches absorption");
-    std::swap(a[static_cast<size_t>(col)], a[static_cast<size_t>(pivot)]);
-    std::swap(b[static_cast<size_t>(col)], b[static_cast<size_t>(pivot)]);
-    const double diag = a[static_cast<size_t>(col)][static_cast<size_t>(col)];
-    for (int row = col + 1; row < t; ++row) {
-      const double factor =
-          a[static_cast<size_t>(row)][static_cast<size_t>(col)] / diag;
-      if (factor == 0.0) {
-        continue;
-      }
-      for (int k = col; k < t; ++k) {
-        a[static_cast<size_t>(row)][static_cast<size_t>(k)] -=
-            factor * a[static_cast<size_t>(col)][static_cast<size_t>(k)];
-      }
-      b[static_cast<size_t>(row)] -= factor * b[static_cast<size_t>(col)];
-    }
-  }
-  std::vector<double> x(static_cast<size_t>(t), 0.0);
-  for (int row = t - 1; row >= 0; --row) {
-    double rhs = b[static_cast<size_t>(row)];
-    for (int k = row + 1; k < t; ++k) {
-      rhs -= a[static_cast<size_t>(row)][static_cast<size_t>(k)] *
-             x[static_cast<size_t>(k)];
-    }
-    x[static_cast<size_t>(row)] =
-        rhs / a[static_cast<size_t>(row)][static_cast<size_t>(row)];
-  }
-  const int start_idx = transient_index[static_cast<size_t>(start)];
-  return std::clamp(x[static_cast<size_t>(start_idx)], 0.0, 1.0);
 }
 
 }  // namespace dht::markov

@@ -1,14 +1,10 @@
 // Absorption-probability solvers.
 //
 // Given an absorbing chain, computes the probability that a walk started at
-// `start` is eventually absorbed at `target`.  Two independent solvers are
-// provided:
-//
-//  * absorption_probability_dag -- linear-time dynamic programming over a
-//    topological order; applicable to the paper's routing chains (acyclic).
-//  * absorption_probability_dense -- Gaussian elimination on the transient
-//    sub-matrix (I - T) x = b; works for cyclic chains, used to cross-check
-//    the DAG solver in tests.
+// `start` is eventually absorbed at `target`, by linear-time dynamic
+// programming over a topological order -- applicable to the paper's routing
+// chains (acyclic).  The tests cross-check it against independent oracles
+// (a dense linear solve and a chain walker, tests/support/oracles.hpp).
 #pragma once
 
 #include "markov/chain.hpp"
@@ -19,11 +15,6 @@ namespace dht::markov {
 /// has a cycle or `target` is not absorbing.
 double absorption_probability_dag(const Chain& chain, StateId start,
                                   StateId target);
-
-/// Dense linear-algebra solver; O(n^3).  Throws if `target` is not absorbing
-/// or if the transient system is singular (walk can avoid absorption).
-double absorption_probability_dense(const Chain& chain, StateId start,
-                                    StateId target);
 
 /// Absorption probability together with the conditional expected number of
 /// steps E[steps | absorbed at target].  For a routing chain this is the

@@ -44,24 +44,4 @@ struct Proportion {
   Interval wilson(double z) const;
 };
 
-/// Welford running mean/variance accumulator.
-class RunningStat {
- public:
-  void add(double x) noexcept;
-  std::uint64_t count() const noexcept { return count_; }
-  double mean() const noexcept { return mean_; }
-  /// Unbiased sample variance; 0 for fewer than two samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept { return min_; }
-  double max() const noexcept { return max_; }
-
- private:
-  std::uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 }  // namespace dht::math

@@ -54,16 +54,6 @@ ComponentSummary analyze_components(const sim::Overlay& overlay,
   return summary;
 }
 
-std::uint64_t connected_component_size(const sim::Overlay& overlay,
-                                       const sim::FailureScenario& failures,
-                                       sim::NodeId source) {
-  if (!failures.alive(source)) {
-    return 0;
-  }
-  UnionFind forest = build_alive_components(overlay, failures);
-  return forest.set_size(source);
-}
-
 std::uint64_t reachable_component_size(const sim::Overlay& overlay,
                                        const sim::FailureScenario& failures,
                                        sim::NodeId source, math::Rng& rng) {

@@ -36,11 +36,6 @@ struct ComponentSummary {
 ComponentSummary analyze_components(const sim::Overlay& overlay,
                                     const sim::FailureScenario& failures);
 
-/// Size of the connected component containing `source` (0 if source dead).
-std::uint64_t connected_component_size(const sim::Overlay& overlay,
-                                       const sim::FailureScenario& failures,
-                                       sim::NodeId source);
-
 /// The paper's reachable component of `source`: the number of alive targets
 /// the basic protocol successfully routes to (O(N * hops); use on small
 /// spaces).  Throws if `source` is dead.

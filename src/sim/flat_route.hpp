@@ -8,8 +8,8 @@
 // precondition re-checks per hop.  Kernels are exact replicas of the
 // corresponding Overlay::next_hop rules (checked pair by pair against the
 // Router in test_flat_paths), and they are the only way the static
-// parallel estimator routes: the virtual next_hop stays as the oracle of
-// the serial Router paths.
+// estimator routes: the virtual next_hop stays as the per-pair oracle
+// behind the Router.
 //
 // Shared by the static parallel Monte-Carlo engine
 // (parallel_monte_carlo.cpp), which builds a FlatCtx over an immutable

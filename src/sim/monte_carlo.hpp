@@ -1,15 +1,13 @@
-// The static-resilience experiment of Gummadi et al. [2], re-implemented.
+// The result of the static-resilience experiment of Gummadi et al. [2]:
+// ordered pairs of *alive* nodes routed under the basic protocol, and the
+// failed-path fraction among them -- the quantity plotted in the paper's
+// Fig. 6 against the RCM prediction.
 //
-// Sample ordered pairs of *alive* nodes, route between them under the basic
-// protocol, and report the failed-path fraction -- the quantity plotted in
-// the paper's Fig. 6 against the RCM prediction.  Also provides the exact
-// (all-alive-pairs) variant for small spaces, which removes sampling noise
-// from tests.
-//
-// The parallel engine (parallel_monte_carlo.hpp) shards the same experiment
-// across threads; RoutabilityEstimate therefore accumulates hop statistics
-// in exact integer counters, so that merging per-shard estimates in shard
-// order is associative and bit-identical to a single sequential pass.
+// The sampler is the parallel engine (parallel_monte_carlo.hpp), which
+// shards the experiment across threads; RoutabilityEstimate therefore
+// accumulates hop statistics in exact integer counters, so that merging
+// per-shard estimates in shard order is associative and bit-identical to a
+// single sequential pass.
 #pragma once
 
 #include <cstdint>
@@ -21,13 +19,6 @@
 #include "sim/router.hpp"
 
 namespace dht::sim {
-
-struct EstimateOptions {
-  /// Number of ordered (source, target) pairs to sample.
-  std::uint64_t pairs = 20000;
-  /// Safety hop cap forwarded to the Router (0 = default N).
-  std::uint64_t max_hops = 0;
-};
 
 /// Aggregated routability measurement.
 struct RoutabilityEstimate {
@@ -77,18 +68,5 @@ struct RoutabilityEstimate {
     return routed.trials == 0 ? math::Interval{} : routed.wilson(1.96);
   }
 };
-
-/// Monte-Carlo estimate over sampled alive pairs.  Preconditions: at least
-/// two alive nodes.
-RoutabilityEstimate estimate_routability(const Overlay& overlay,
-                                         const FailureScenario& failures,
-                                         const EstimateOptions& options,
-                                         math::Rng& rng);
-
-/// Exact measurement over every ordered pair of alive nodes; O(N^2 * hops),
-/// intended for spaces up to ~2^10.
-RoutabilityEstimate exact_routability(const Overlay& overlay,
-                                      const FailureScenario& failures,
-                                      math::Rng& rng);
 
 }  // namespace dht::sim

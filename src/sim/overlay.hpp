@@ -6,8 +6,9 @@
 // protocol: given the current message holder, the target, and the liveness
 // mask, produce the next hop or report that the message must be dropped
 // (no back-tracking, Section 4.1).  The Router (router.hpp) iterates this
-// step; the Monte-Carlo estimator (monte_carlo.hpp) aggregates routes into
-// failed-path statistics.
+// step as the per-pair oracle; the Monte-Carlo estimator
+// (parallel_monte_carlo.hpp) routes on flattened replicas of it
+// (flat_route.hpp) and aggregates the routes into failed-path statistics.
 #pragma once
 
 #include <cstdint>

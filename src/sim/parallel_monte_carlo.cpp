@@ -189,8 +189,7 @@ RoutabilityEstimate estimate_routability_parallel(
   std::vector<RoutabilityEstimate> results(shards);
   std::vector<obs::PhaseProfile> shard_profiles(observed ? shards : 0);
   run_sharded(shards,
-              PoolOptions{.threads = resolve_threads(options.threads),
-                          .pin_workers = options.pin_workers},
+              PoolOptions{.threads = resolve_threads(options.threads)},
               [&](std::uint64_t s) {
                 // Shard s is a pure function of (caller seed, s): fork a
                 // private lineage whose counter streams feed the lanes.

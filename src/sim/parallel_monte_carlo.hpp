@@ -46,9 +46,6 @@ struct ParallelOptions {
   /// Work shards (0 = default, min(pairs, 256)).  Results are a function of
   /// (seed, shard count); keep it fixed when comparing runs.
   std::uint64_t shards = 0;
-  /// Pin worker threads round-robin across NUMA nodes (sim/topology.hpp);
-  /// best effort, a silent no-op where unsupported.  Never affects results.
-  bool pin_workers = false;
   /// Observability sinks (obs/phase_timer.hpp), both optional and both
   /// pure timing side-channels: per-shard phase seconds are reduced in
   /// shard order into `profile`, phase spans go to `trace`.  Null (the

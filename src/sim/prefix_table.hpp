@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "math/rng.hpp"
 #include "sim/class_rows.hpp"
@@ -24,11 +23,6 @@ class PrefixTable {
   /// uniformly random node agreeing with v on the first i-1 bits and
   /// differing at bit i.  Deterministic given the rng state.
   PrefixTable(const IdSpace& space, math::Rng& rng);
-
-  /// Adopts pre-built entries (row-major [node][level-1]).  Every entry
-  /// must satisfy the class constraint (shared i-1 prefix, flipped bit i);
-  /// violations throw.  Used by tests.
-  PrefixTable(const IdSpace& space, const std::vector<std::uint32_t>& entries);
 
   /// Adopts packed prefix-class rows (the repair model, repair.hpp).
   explicit PrefixTable(ClassRows rows);

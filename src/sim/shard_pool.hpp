@@ -10,13 +10,6 @@
 // Monte-Carlo engine (parallel_monte_carlo.cpp), the sparse engine
 // (sparse/flat_sparse.cpp), and the churn trajectory engines
 // (churn/trajectory.cpp, churn/sparse_trajectory.cpp).
-//
-// Workers can optionally be pinned round-robin across NUMA nodes
-// (sim/topology.hpp).  Shard-private state allocated inside work() -- churn
-// replica worlds, per-shard scratch and path caches -- is then
-// first-touched on the worker's socket and stays there; read-only shared
-// tables are not copied per socket.  On machines without pinning support
-// the option is a silent no-op.  Pinning moves work, never changes it.
 #pragma once
 
 #include <algorithm>
@@ -26,8 +19,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "sim/topology.hpp"
 
 namespace dht::sim {
 
@@ -40,11 +31,6 @@ struct PoolOptions {
   /// enough to load-balance the tail.  Engines whose shards are heavy
   /// (churn replica worlds) pass 1 explicitly.
   std::uint64_t chunk = 0;
-  /// Pin worker w to topology().cpu_for_worker(w): workers are dealt
-  /// round-robin across NUMA nodes so shard-private state spreads over all
-  /// sockets via first-touch.  Best effort -- a silent no-op where
-  /// unsupported.
-  bool pin_workers = false;
 };
 
 /// Runs `work(shard_index)` for every shard in [0, shards); rethrows the
@@ -73,10 +59,7 @@ void run_sharded(std::uint64_t shards, const PoolOptions& options,
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      if (options.pin_workers) {
-        (void)pin_current_thread(topology().cpu_for_worker(w));
-      }
+    pool.emplace_back([&] {
       for (;;) {
         // Check the failure flag BEFORE claiming: once a shard has failed,
         // no worker may start new work, only drain.  (Claiming first would

@@ -30,7 +30,6 @@ FlatSparseCtx make_sparse_ctx(const SparseOverlay& overlay,
   c.key_mask = space.key_space_size() - 1;
   c.n = space.node_count();
   c.ids = space.ids().data();
-  c.alive = failures.alive_data();
   c.max_hops = max_hops == 0 ? space.node_count() : max_hops;
   if (const auto* chord = dynamic_cast<const SparseChordOverlay*>(&overlay)) {
     c.kind = SparseKernelKind::kChord;
@@ -57,13 +56,19 @@ FlatSparseCtx make_sparse_ctx(const SparseOverlay& overlay,
     c.kn = sym->near_neighbors();
     c.ks = sym->shortcuts();
   }
-  // Pack the byte mask into bits once per engine invocation (the failure
+  // Pack the liveness into bits once per engine invocation (the failure
   // scenario is frozen for the whole estimate): N/8 bytes instead of N,
   // small enough to stay cache-resident under the kernels' random probes.
+  // Each word of 64 nodes is assembled in a register and stored once.
   auto bits = std::make_shared<std::vector<std::uint64_t>>(c.n / 64 + 1, 0);
-  for (std::uint64_t i = 0; i < c.n; ++i) {
-    (*bits)[i >> 6] |= static_cast<std::uint64_t>(c.alive[i] ? 1 : 0)
-                       << (i & 63);
+  const auto n = static_cast<NodeIndex>(c.n);
+  for (NodeIndex base = 0; base < n; base += 64) {
+    const NodeIndex end = std::min<NodeIndex>(n, base + 64);
+    std::uint64_t word = 0;
+    for (NodeIndex i = base; i < end; ++i) {
+      word |= static_cast<std::uint64_t>(failures.alive(i)) << (i - base);
+    }
+    (*bits)[base >> 6] = word;
   }
   c.alive_bits = bits->data();
   c.alive_bits_owner = std::move(bits);
@@ -94,7 +99,6 @@ std::vector<NodeIndex> object_owners(const SparseIdSpace& space,
     first[b] += first[b - 1];
   }
   const std::uint64_t key_mask = space.key_space_size() - 1;
-  const std::uint8_t* alive = failures.alive_data();
   std::vector<NodeIndex> owner(objects);
   for (std::uint64_t o = 0; o < objects; ++o) {
     const std::uint64_t key = object_key(key_mask, o);
@@ -107,7 +111,7 @@ std::vector<NodeIndex> object_owners(const SparseIdSpace& space,
       ++i;
     }
     NodeIndex holder = i == n ? 0 : static_cast<NodeIndex>(i);  // wrap
-    while (alive[holder] == 0) {
+    while (!failures.alive(holder)) {
       holder = holder + 1 == n ? 0 : holder + 1;
     }
     owner[o] = holder;
@@ -503,8 +507,7 @@ SparseWorkloadReport estimate_workload_parallel(
   }
   sim::run_sharded(
       shards,
-      sim::PoolOptions{.threads = sim::resolve_threads(options.threads),
-                       .pin_workers = options.pin_workers},
+      sim::PoolOptions{.threads = sim::resolve_threads(options.threads)},
       [&](std::uint64_t s) {
         obs::PhaseTimer route_timer(observed ? &shard_profiles[s] : nullptr,
                                     obs::Phase::kRoute, options.trace);

@@ -2,11 +2,11 @@
 // non-fully-populated identifier spaces.
 //
 // The virtual SparseOverlay::next_hop path (sparse_overlay.hpp) is the
-// semantic oracle of the serial estimator; these kernels, the parallel
-// estimator's only route path, replicate it hop for hop on contiguous
-// state -- the sorted id array (index -> identifier), the row-major
-// neighbor tables (Chord fingers / Kademlia contacts / Symphony
-// shortcuts), and the raw liveness mask -- with no virtual dispatch, no
+// per-pair semantic oracle; these kernels, the estimators' only route
+// path, replicate it hop for hop on contiguous state -- the sorted id
+// array (index -> identifier), the row-major neighbor tables (Chord
+// fingers / Kademlia contacts / Symphony shortcuts), and the packed
+// liveness bits -- with no virtual dispatch, no
 // std::optional, and no precondition re-checks per hop.  This is the
 // sim/flat_route.hpp pattern with the id->index indirection folded in:
 // kernels compare *identifiers* (read through c.ids) but step between
@@ -80,7 +80,6 @@ struct FlatSparseCtx {
   std::uint64_t key_mask = 0;            // 2^d - 1
   std::uint64_t n = 0;                   // node count
   const std::uint64_t* ids = nullptr;    // index -> identifier, sorted
-  const std::uint8_t* alive = nullptr;   // liveness mask over indices
   const NodeIndex* table = nullptr;      // row-major per-node entries
   int row_width = 0;                     // entries per node (d*k, or ks)
   int bucket_k = 1;                      // kademlia contacts per bucket
@@ -96,11 +95,11 @@ struct FlatSparseCtx {
   const std::uint64_t* progress = nullptr;
   const std::uint8_t* row_len = nullptr;
   std::uint64_t max_hops = 0;
-  // Liveness packed one bit per node (same content as `alive`).  The byte
-  // mask is megabytes at 2^20 nodes and every hop probes it at a random
-  // index; the bit mask is N/8 bytes and stays cache-resident, so the
-  // batched kernels' candidate probes stop missing to memory.  Built by
-  // make_sparse_ctx.
+  // Liveness packed one bit per node, the kernels' only liveness view.
+  // SparseFailure's byte mask is megabytes at 2^20 nodes and every hop
+  // probes liveness at a random index; the bit mask is N/8 bytes and stays
+  // cache-resident, so the batched kernels' candidate probes stop missing
+  // to memory.  Built by make_sparse_ctx.
   const std::uint64_t* alive_bits = nullptr;
   std::shared_ptr<const std::vector<std::uint64_t>> alive_bits_owner;
   // --- Workload layer (null/0 = off; the default path is untouched). ---
@@ -122,7 +121,7 @@ struct FlatSparseCtx {
 /// workload object -- cache probes are skipped.
 inline constexpr std::uint32_t kNoRank = 0xFFFFFFFFu;
 
-/// Packed-liveness probe (flat-kind contexts only).
+/// Packed-liveness probe.
 inline bool alive_bit(const FlatSparseCtx& c, NodeIndex i) {
   return (c.alive_bits[i >> 6] >> (i & 63)) & 1;
 }
@@ -182,7 +181,7 @@ inline NodeIndex step_sparse_symphony(const FlatSparseCtx& c, NodeIndex cur,
     if (progress > distance || progress <= best_progress) {
       return;  // overshoots, or no better than the current best
     }
-    if (c.alive[link]) {
+    if (alive_bit(c, link)) {
       best_progress = progress;
       best = link;
     }
@@ -502,9 +501,6 @@ struct SparseParallelOptions {
   /// Work shards (0 = default, min(pairs, 256)).  Results are a function of
   /// (seed, shard count); keep it fixed when comparing runs.
   std::uint64_t shards = 0;
-  /// Pin worker threads round-robin across NUMA nodes (sim/topology.hpp);
-  /// best effort, a silent no-op where unsupported.  Never affects results.
-  bool pin_workers = false;
   /// Heavy-traffic workload model (defaults fully off: the uniform-pair
   /// engine below is byte-for-byte the historical one).
   SparseWorkloadOptions workload{};

@@ -49,27 +49,4 @@ std::optional<int> route(const SparseOverlay& overlay,
   return hops;
 }
 
-SparseEstimate estimate_routability(const SparseOverlay& overlay,
-                                    const SparseFailure& failures,
-                                    std::uint64_t pairs, math::Rng& rng) {
-  DHT_CHECK(failures.alive_count() >= 2,
-            "routability needs at least two alive nodes");
-  DHT_CHECK(pairs > 0, "at least one pair must be sampled");
-  SparseEstimate estimate;
-  for (std::uint64_t i = 0; i < pairs; ++i) {
-    const NodeIndex source = failures.sample_alive(rng);
-    NodeIndex target = failures.sample_alive(rng);
-    while (target == source) {
-      target = failures.sample_alive(rng);
-    }
-    const auto hops = route(overlay, failures, source, target);
-    if (hops.has_value()) {
-      estimate.record_arrival(static_cast<std::uint64_t>(*hops));
-    } else {
-      estimate.record_drop();
-    }
-  }
-  return estimate;
-}
-
 }  // namespace dht::sparse

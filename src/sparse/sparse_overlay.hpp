@@ -2,8 +2,9 @@
 //
 // Mirrors sim::Overlay, but over node *indices* (0..N-1 in ring order)
 // rather than identifiers, since most keys host no node.  The virtual
-// next_hop path is the semantic oracle; the flattened kernels in
-// sparse/flat_sparse.hpp replicate it hop for hop on contiguous tables.
+// next_hop path (and route() over it) is the per-pair semantic oracle; the
+// flattened kernels in sparse/flat_sparse.hpp, the estimators' only route
+// path, replicate it hop for hop on contiguous tables.
 #pragma once
 
 #include <optional>
@@ -32,18 +33,14 @@ class SparseFailure {
   std::uint64_t node_count() const noexcept { return alive_.size(); }
 
   /// Uniformly samples an alive node index with a single rng draw.  Works
-  /// with any generator exposing uniform_below (math::Rng for the
-  /// sequential engines, math::CounterRng for the per-lane streams of the
-  /// batched estimator).  Precondition: alive_count() > 0.
+  /// with any generator exposing uniform_below (math::Rng, or the
+  /// math::CounterRng per-lane streams of the batched estimator).
+  /// Precondition: alive_count() > 0.
   template <typename Generator>
   NodeIndex sample_alive(Generator& rng) const {
     DHT_CHECK(!alive_ids_.empty(), "no alive node to sample");
     return alive_ids_[rng.uniform_below(alive_ids_.size())];
   }
-
-  /// Raw liveness mask (node_count() bytes, 1 = alive); the flattened
-  /// routing kernels index this directly.
-  const std::uint8_t* alive_data() const noexcept { return alive_.data(); }
 
  private:
   std::vector<std::uint8_t> alive_;
@@ -73,7 +70,8 @@ std::optional<int> route(const SparseOverlay& overlay,
 /// are exact integers (sim::HopStats for the hop distribution), so merging
 /// per-shard estimates in a fixed order is associative and bit-identical to
 /// a single pass over the concatenated routes -- the property the sharded
-/// parallel estimator (sparse/flat_sparse.hpp) relies on.
+/// estimators (sparse/flat_sparse.hpp, churn/sparse_trajectory.hpp) rely
+/// on.
 struct SparseEstimate {
   std::uint64_t attempts = 0;
   sim::HopStats hops;  ///< hop counts of successful routes
@@ -149,9 +147,5 @@ struct SparseEstimate {
                            static_cast<double>(gets);
   }
 };
-
-SparseEstimate estimate_routability(const SparseOverlay& overlay,
-                                    const SparseFailure& failures,
-                                    std::uint64_t pairs, math::Rng& rng);
 
 }  // namespace dht::sparse

@@ -6,7 +6,7 @@
 
 #include "common/check.hpp"
 #include "math/rng.hpp"
-#include "markov/walker.hpp"
+#include "support/oracles.hpp"
 
 namespace dht::markov {
 namespace {

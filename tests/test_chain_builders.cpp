@@ -12,6 +12,7 @@
 #include "common/check.hpp"
 #include "core/registry.hpp"
 #include "markov/absorption.hpp"
+#include "support/oracles.hpp"
 
 namespace dht {
 namespace {

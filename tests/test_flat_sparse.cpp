@@ -90,23 +90,6 @@ TEST(FlatSparse, RepeatedCallsAreIdentical) {
   expect_identical(a, b, "repeat");
 }
 
-TEST(FlatSparse, AgreesWithSequentialEstimator) {
-  // Different pair sampling (sharded sub-streams vs one stream), same
-  // distribution: the parallel estimate must agree statistically with the
-  // sequential oracle estimator.
-  const auto inst = make_instance("chord", 22, 4096, 341);
-  math::Rng fail_rng(342);
-  const SparseFailure failures(*inst.space, 0.3, fail_rng);
-  math::Rng serial_rng(343);
-  const auto serial =
-      estimate_routability(*inst.overlay, failures, 20000, serial_rng);
-  const math::Rng parallel_rng(344);
-  const auto parallel = estimate_routability_parallel(
-      *inst.overlay, failures, {.pairs = 20000, .threads = 4}, parallel_rng);
-  EXPECT_NEAR(parallel.routability(), serial.routability(), 0.02);
-  EXPECT_NEAR(parallel.mean_hops(), serial.mean_hops(), 0.15);
-}
-
 TEST(FlatSparse, MergeOfShardsEqualsOnePass) {
   // A deterministic stream of outcomes recorded once sequentially and once
   // split across three shard estimates; merging the shards must reproduce

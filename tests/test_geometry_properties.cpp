@@ -11,9 +11,9 @@
 #include "core/scalability.hpp"
 #include "markov/absorption.hpp"
 #include "markov/builders.hpp"
-#include "markov/walker.hpp"
 #include "math/logreal.hpp"
 #include "math/rng.hpp"
+#include "support/oracles.hpp"
 
 namespace dht::core {
 namespace {

@@ -11,7 +11,7 @@
 #include "math/rng.hpp"
 #include "sim/chord_overlay.hpp"
 #include "sim/hypercube_overlay.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 #include "sim/tree_overlay.hpp"
 #include "sim/xor_overlay.hpp"
 
@@ -139,7 +139,7 @@ TEST(ExpectedLatency, SimulatedTreeHopsMatchChain) {
   math::Rng fail_rng(32);
   const sim::FailureScenario failures(space, q, fail_rng);
   math::Rng route_rng(33);
-  const auto estimate = sim::estimate_routability(
+  const auto estimate = sim::estimate_routability_parallel(
       overlay, failures, {.pairs = 40000}, route_rng);
   // Tree survivors take exactly their correction count; the chain's
   // weighting matches the simulator's survivorship bias.
@@ -158,7 +158,7 @@ TEST(ExpectedLatency, SimulatedHypercubeHopsMatchChain) {
   math::Rng fail_rng(34);
   const sim::FailureScenario failures(space, q, fail_rng);
   math::Rng route_rng(35);
-  const auto estimate = sim::estimate_routability(
+  const auto estimate = sim::estimate_routability_parallel(
       overlay, failures, {.pairs = 40000}, route_rng);
   EXPECT_NEAR(estimate.hops.mean(), predicted.mean_hops_given_success, 0.15);
 }
@@ -179,7 +179,7 @@ TEST(ExpectedLatency, RingChainOverestimatesRealHops) {
   math::Rng fail_rng(37);
   const sim::FailureScenario failures(space, q, fail_rng);
   math::Rng route_rng(38);
-  const auto estimate = sim::estimate_routability(
+  const auto estimate = sim::estimate_routability_parallel(
       overlay, failures, {.pairs = 20000}, route_rng);
   EXPECT_LE(estimate.hops.mean(),
             predicted.mean_hops_given_success + 0.1);

@@ -7,10 +7,10 @@
 #include "math/rng.hpp"
 #include "sim/chord_overlay.hpp"
 #include "sim/hypercube_overlay.hpp"
-#include "sim/metrics.hpp"
 #include "sim/symphony_overlay.hpp"
 #include "sim/tree_overlay.hpp"
 #include "sim/xor_overlay.hpp"
+#include "support/oracles.hpp"
 
 namespace dht::sim {
 namespace {

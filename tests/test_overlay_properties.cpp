@@ -11,7 +11,7 @@
 #include "math/rng.hpp"
 #include "sim/chord_overlay.hpp"
 #include "sim/hypercube_overlay.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 #include "sim/router.hpp"
 #include "sim/symphony_overlay.hpp"
 #include "sim/tree_overlay.hpp"
@@ -151,7 +151,7 @@ TEST_P(OverlayProperties, RoutabilityDegradesWithFailure) {
     const FailureScenario failures(space, q, fail_rng);
     math::Rng rng(8);
     const double r =
-        estimate_routability(*overlay, failures, {.pairs = 6000}, rng)
+        estimate_routability_parallel(*overlay, failures, {.pairs = 6000}, rng)
             .routability();
     EXPECT_LT(r, previous + 0.02) << "q=" << q;  // small MC slack
     previous = r;
@@ -167,7 +167,7 @@ TEST_P(OverlayProperties, HopLimitNeverFiresAtModerateFailure) {
   const FailureScenario failures(space, 0.3, fail_rng);
   math::Rng rng(11);
   const auto estimate =
-      estimate_routability(*overlay, failures, {.pairs = 6000}, rng);
+      estimate_routability_parallel(*overlay, failures, {.pairs = 6000}, rng);
   EXPECT_EQ(estimate.hop_limit_hits(), 0u);
 }
 

@@ -12,12 +12,12 @@
 #include "math/rng.hpp"
 #include "sim/chord_overlay.hpp"
 #include "sim/hypercube_overlay.hpp"
-#include "sim/metrics.hpp"
 #include "sim/prefix_table.hpp"
 #include "sim/router.hpp"
 #include "sim/symphony_overlay.hpp"
 #include "sim/tree_overlay.hpp"
 #include "sim/xor_overlay.hpp"
+#include "support/oracles.hpp"
 
 namespace dht::sim {
 namespace {

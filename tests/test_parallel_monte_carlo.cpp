@@ -104,21 +104,6 @@ TEST(ParallelMonteCarlo, RepeatedCallsAreIdentical) {
   expect_identical(a, b, "repeat");
 }
 
-TEST(ParallelMonteCarlo, AgreesWithSequentialEstimator) {
-  const IdSpace space(10);
-  const HypercubeOverlay overlay(space);
-  math::Rng fail_rng(31);
-  const FailureScenario failures(space, 0.2, fail_rng);
-  math::Rng serial_rng(32);
-  const auto serial =
-      estimate_routability(overlay, failures, {.pairs = 20000}, serial_rng);
-  const math::Rng parallel_rng(33);
-  const auto parallel = estimate_routability_parallel(
-      overlay, failures, {.pairs = 20000, .threads = 4}, parallel_rng);
-  EXPECT_NEAR(parallel.routability(), serial.routability(), 0.02);
-  EXPECT_NEAR(parallel.hops.mean(), serial.hops.mean(), 0.1);
-}
-
 // Each lane hands out a pair drawn one refill earlier, so one shard with a
 // budget below, at, and just above the lane count draws pairs it never
 // routes.  The counters are pinned from the engine before the lookahead:

@@ -1,3 +1,6 @@
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
@@ -10,6 +13,31 @@
 
 namespace dht::perc {
 namespace {
+
+// Size of the connected component containing `source` (0 if source dead):
+// the failed overlay's alive nodes with undirected links, as in
+// analyze_components.
+std::uint64_t connected_component_size(const sim::Overlay& overlay,
+                                       const sim::FailureScenario& failures,
+                                       sim::NodeId source) {
+  if (!failures.alive(source)) {
+    return 0;
+  }
+  UnionFind forest(overlay.space().size());
+  std::vector<sim::NodeId> links;
+  for (sim::NodeId v = 0; v < overlay.space().size(); ++v) {
+    if (!failures.alive(v)) {
+      continue;
+    }
+    overlay.links_into(v, links);
+    for (sim::NodeId w : links) {
+      if (failures.alive(w)) {
+        forest.unite(v, w);
+      }
+    }
+  }
+  return forest.set_size(source);
+}
 
 TEST(UnionFind, SingletonsInitially) {
   UnionFind forest(5);

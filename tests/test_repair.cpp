@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 #include "sim/tree_overlay.hpp"
 #include "sim/xor_overlay.hpp"
 
@@ -106,7 +106,8 @@ TEST(Repair, RoutabilityImprovesMonotonically) {
     const TreeOverlay overlay(space, repaired);
     math::Rng route_rng(16);
     const double r =
-        estimate_routability(overlay, failures, {.pairs = 20000}, route_rng)
+        estimate_routability_parallel(overlay, failures, {.pairs = 20000},
+                                      route_rng)
             .routability();
     EXPECT_GT(r, previous) << "rho=" << rho;
     previous = r;
@@ -135,7 +136,8 @@ TEST(Repair, FullyRepairedTreeApproachesEffectiveQModel) {
   const XorOverlay overlay(space, repaired);
   math::Rng route_rng(20);
   const double failed =
-      estimate_routability(overlay, failures, {.pairs = 20000}, route_rng)
+      estimate_routability_parallel(overlay, failures, {.pairs = 20000},
+                                    route_rng)
           .failed_fraction();
   // Static XOR at q = 0.2 fails ~17% of paths (measured, d = 12); full
   // repair must crush that by an order of magnitude.
@@ -207,27 +209,6 @@ TEST(Repair, RejectsBadArguments) {
       repair_prefix_table(table, space, failures, -0.1, repair_rng),
       PreconditionError);
   EXPECT_THROW(repair_prefix_table(table, space, failures, 1.1, repair_rng),
-               PreconditionError);
-}
-
-TEST(PrefixTableEntriesCtor, RejectsClassViolations) {
-  const IdSpace space(4);
-  math::Rng rng(23);
-  const PrefixTable table(space, rng);
-  std::vector<std::uint32_t> entries;
-  for (NodeId v = 0; v < space.size(); ++v) {
-    for (int level = 1; level <= space.bits(); ++level) {
-      entries.push_back(static_cast<std::uint32_t>(table.neighbor(v, level)));
-    }
-  }
-  EXPECT_EQ(PrefixTable(space, entries).rows(), table.rows());
-  entries[0] = 0;  // node 0, level 1: entry 0 does not flip bit 1
-  EXPECT_THROW(PrefixTable(space, std::move(entries)), PreconditionError);
-}
-
-TEST(PrefixTableEntriesCtor, RejectsWrongSize) {
-  const IdSpace space(4);
-  EXPECT_THROW(PrefixTable(space, std::vector<std::uint32_t>(7)),
                PreconditionError);
 }
 

@@ -128,21 +128,19 @@ TEST(Routability, GiganticDEvaluatesStably) {
   EXPECT_LT(tree_r, 1e-150);
 }
 
-TEST(Routability, SweepHelpersPreserveOrder) {
+TEST(Routability, SweepPointsEchoTheirArguments) {
+  // The Fig. 6 / Fig. 7(a) axis (q at fixed d) and the Fig. 7(b) axis (d at
+  // fixed q): every point records the (d, q) it was evaluated at.
   const auto ring = make_geometry(GeometryKind::kRing);
-  const std::vector<double> qs{0.0, 0.2, 0.4};
-  const auto by_q = sweep_failure_probability(*ring, 12, qs);
-  ASSERT_EQ(by_q.size(), 3u);
-  for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(by_q[i].q, qs[i]);
-    EXPECT_EQ(by_q[i].d, 12);
+  for (double q : {0.0, 0.2, 0.4}) {
+    const RoutabilityPoint point = evaluate_routability(*ring, 12, q);
+    EXPECT_EQ(point.q, q);
+    EXPECT_EQ(point.d, 12);
   }
-  const std::vector<int> ds{4, 8, 16};
-  const auto by_d = sweep_system_size(*ring, ds, 0.1);
-  ASSERT_EQ(by_d.size(), 3u);
-  for (size_t i = 0; i < ds.size(); ++i) {
-    EXPECT_EQ(by_d[i].d, ds[i]);
-    EXPECT_EQ(by_d[i].q, 0.1);
+  for (int d : {4, 8, 16}) {
+    const RoutabilityPoint point = evaluate_routability(*ring, d, 0.1);
+    EXPECT_EQ(point.d, d);
+    EXPECT_EQ(point.q, 0.1);
   }
 }
 

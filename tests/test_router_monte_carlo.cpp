@@ -4,11 +4,37 @@
 #include "math/rng.hpp"
 #include "sim/hypercube_overlay.hpp"
 #include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 #include "sim/router.hpp"
 #include "sim/tree_overlay.hpp"
 
 namespace dht::sim {
 namespace {
+
+// Exact measurement over every ordered pair of alive nodes through the
+// virtual Router; O(N^2 * hops), for spaces up to ~2^10.  The oracle the
+// sampled estimator is checked against, free of sampling noise.
+RoutabilityEstimate exact_routability(const Overlay& overlay,
+                                      const FailureScenario& failures,
+                                      math::Rng& rng) {
+  DHT_CHECK(failures.alive_count() >= 2,
+            "routability needs at least two alive nodes");
+  const Router router(overlay, failures);
+  RoutabilityEstimate estimate;
+  const std::uint64_t size = failures.size();
+  for (NodeId source = 0; source < size; ++source) {
+    if (!failures.alive(source)) {
+      continue;
+    }
+    for (NodeId target = 0; target < size; ++target) {
+      if (target == source || !failures.alive(target)) {
+        continue;
+      }
+      estimate.record(router.route(source, target, rng));
+    }
+  }
+  return estimate;
+}
 
 TEST(Router, TraceStartsAtSourceEndsAtTarget) {
   const IdSpace space(8);
@@ -84,7 +110,7 @@ TEST(MonteCarlo, PerfectNetworkIsFullyRoutable) {
   const FailureScenario alive = FailureScenario::all_alive(space);
   math::Rng rng(8);
   const auto estimate =
-      estimate_routability(overlay, alive, {.pairs = 5000}, rng);
+      estimate_routability_parallel(overlay, alive, {.pairs = 5000}, rng);
   EXPECT_EQ(estimate.routability(), 1.0);
   EXPECT_EQ(estimate.failed_fraction(), 0.0);
   EXPECT_EQ(estimate.hop_limit_hits(), 0u);
@@ -100,8 +126,8 @@ TEST(MonteCarlo, ExactMatchesEstimateOnSmallSpace) {
   math::Rng rng_a(10);
   math::Rng rng_b(11);
   const auto exact = exact_routability(overlay, failures, rng_a);
-  const auto sampled =
-      estimate_routability(overlay, failures, {.pairs = 60000}, rng_b);
+  const auto sampled = estimate_routability_parallel(
+      overlay, failures, {.pairs = 60000}, rng_b);
   // The sampled estimate must sit inside ~4 sigma of the exact value.
   EXPECT_NEAR(sampled.routability(), exact.routability(), 0.01);
   // Exact enumerates all ordered alive pairs.
@@ -115,8 +141,8 @@ TEST(MonteCarlo, ConfidenceIntervalCoversPoint) {
   math::Rng fail_rng(12);
   const FailureScenario failures(space, 0.3, fail_rng);
   math::Rng rng(13);
-  const auto estimate =
-      estimate_routability(overlay, failures, {.pairs = 2000}, rng);
+  const auto estimate = estimate_routability_parallel(
+      overlay, failures, {.pairs = 2000}, rng);
   const math::Interval ci = estimate.confidence95();
   EXPECT_TRUE(ci.contains(estimate.routability()));
   EXPECT_LT(ci.width(), 0.1);
@@ -130,8 +156,9 @@ TEST(MonteCarlo, RequiresTwoAliveNodes) {
     failures.kill(id);
   }
   math::Rng rng(14);
-  EXPECT_THROW(estimate_routability(overlay, failures, {.pairs = 10}, rng),
-               PreconditionError);
+  EXPECT_THROW(
+      estimate_routability_parallel(overlay, failures, {.pairs = 10}, rng),
+      PreconditionError);
   EXPECT_THROW(exact_routability(overlay, failures, rng), PreconditionError);
 }
 
@@ -140,8 +167,9 @@ TEST(MonteCarlo, RejectsZeroPairs) {
   const HypercubeOverlay overlay(space);
   const FailureScenario alive = FailureScenario::all_alive(space);
   math::Rng rng(15);
-  EXPECT_THROW(estimate_routability(overlay, alive, {.pairs = 0}, rng),
-               PreconditionError);
+  EXPECT_THROW(
+      estimate_routability_parallel(overlay, alive, {.pairs = 0}, rng),
+      PreconditionError);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 #include "core/routability.hpp"
 #include "math/rng.hpp"
 #include "sim/chord_overlay.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 
 namespace dht {
 namespace {
@@ -160,8 +160,8 @@ TEST(ChordSuccessors, MeasuredRoutabilityRisesWithEffectiveLinks) {
     math::Rng fail_rng(8);
     const sim::FailureScenario failures(space, q, fail_rng);
     math::Rng route_rng(9);
-    return sim::estimate_routability(overlay, failures, {.pairs = 20000},
-                                     route_rng)
+    return sim::estimate_routability_parallel(overlay, failures,
+                                              {.pairs = 20000}, route_rng)
         .routability();
   };
   const double r0 = measure(0);
@@ -188,8 +188,8 @@ TEST(ChordSuccessors, ModelTracksSimulation) {
       const sim::FailureScenario failures(space, q, fail_rng);
       math::Rng route_rng(30);
       const double simulated =
-          sim::estimate_routability(overlay, failures, {.pairs = 20000},
-                                    route_rng)
+          sim::estimate_routability_parallel(overlay, failures,
+                                             {.pairs = 20000}, route_rng)
               .routability();
       const double predicted =
           core::evaluate_routability(geometry, 12, q).conditional_success;

@@ -112,18 +112,6 @@ TEST(ShardPool, ShardOrderMergeIsThreadCountInvariant) {
   EXPECT_EQ(run(8), one);
 }
 
-TEST(ShardPool, PinWorkersIsBestEffortAndHarmless) {
-  // Pinning must never change results or fail where unsupported.
-  std::vector<std::atomic<int>> hits(64);
-  run_sharded(64, PoolOptions{.threads = 4, .pin_workers = true},
-              [&](std::uint64_t s) {
-                hits[s].fetch_add(1, std::memory_order_relaxed);
-              });
-  for (auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
 TEST(ShardPool, ResolveThreads) {
   EXPECT_EQ(resolve_threads(3), 3u);
   EXPECT_GE(resolve_threads(0), 1u);

@@ -27,7 +27,7 @@
 #include "math/rng.hpp"
 #include "sim/chord_overlay.hpp"
 #include "sim/hypercube_overlay.hpp"
-#include "sim/monte_carlo.hpp"
+#include "sim/parallel_monte_carlo.hpp"
 #include "sim/symphony_overlay.hpp"
 #include "sim/tree_overlay.hpp"
 #include "sim/xor_overlay.hpp"
@@ -50,7 +50,7 @@ double mean_simulated(const MakeOverlay& make_overlay, double q,
     math::Rng fail_rng(seed + 1000 + static_cast<std::uint64_t>(instance));
     const sim::FailureScenario failures(overlay->space(), q, fail_rng);
     math::Rng route_rng(seed + 2000 + static_cast<std::uint64_t>(instance));
-    const auto estimate = sim::estimate_routability(
+    const auto estimate = sim::estimate_routability_parallel(
         *overlay, failures, {.pairs = kPairs}, route_rng);
     EXPECT_EQ(estimate.hop_limit_hits(), 0u);
     total += estimate.routability();
@@ -222,8 +222,8 @@ TEST(SimVsAnalysis, OrderingAcrossGeometriesAtModerateFailure) {
     math::Rng fail_rng(9000);
     const sim::FailureScenario failures(space, q, fail_rng);
     math::Rng route_rng(9001);
-    return 1.0 - sim::estimate_routability(overlay, failures,
-                                           {.pairs = 2 * kPairs}, route_rng)
+    return 1.0 - sim::estimate_routability_parallel(
+                     overlay, failures, {.pairs = 2 * kPairs}, route_rng)
                      .routability();
   };
   const double f_cube = failed(cube);
@@ -251,10 +251,12 @@ TEST(SimVsAnalysis, XorBeatsTreeOnIdenticalTables) {
     math::Rng rng_a(9101);
     math::Rng rng_b(9101);
     const double r_tree =
-        sim::estimate_routability(tree, failures, {.pairs = kPairs}, rng_a)
+        sim::estimate_routability_parallel(tree, failures, {.pairs = kPairs},
+                                           rng_a)
             .routability();
     const double r_xor =
-        sim::estimate_routability(xr, failures, {.pairs = kPairs}, rng_b)
+        sim::estimate_routability_parallel(xr, failures, {.pairs = kPairs},
+                                           rng_b)
             .routability();
     EXPECT_GT(r_xor, r_tree) << "q=" << q;
   }

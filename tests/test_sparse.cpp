@@ -13,6 +13,7 @@
 #include "sim/symphony_overlay.hpp"
 #include "sim/xor_overlay.hpp"
 #include "sparse/density_analysis.hpp"
+#include "sparse/flat_sparse.hpp"
 #include "sparse/sparse_chord.hpp"
 #include "sparse/sparse_kademlia.hpp"
 #include "sparse/sparse_space.hpp"
@@ -213,7 +214,9 @@ TEST(DensityAnalysis, SparseChordTracksDenseModelAtOccupancyScale) {
       const SparseIdSpace space(bits, 1024, rng);
       const SparseChordOverlay overlay(space);
       const SparseFailure failures(space, q, rng);
-      const auto estimate = estimate_routability(overlay, failures, 20000, rng);
+      const auto estimate =
+          estimate_routability_parallel(overlay, failures, {.pairs = 20000},
+                                        rng);
       EXPECT_NEAR(estimate.routability(), predicted, 0.08)
           << "bits=" << bits << " q=" << q;
     }
@@ -230,7 +233,8 @@ TEST(DensityAnalysis, SparseKademliaIndependentOfKeySpaceSize) {
     const SparseIdSpace space(bits, 1024, rng);
     const SparseKademliaOverlay overlay(space, rng);
     const SparseFailure failures(space, q, rng);
-    const auto estimate = estimate_routability(overlay, failures, 20000, rng);
+    const auto estimate = estimate_routability_parallel(
+        overlay, failures, {.pairs = 20000}, rng);
     if (reference < 0.0) {
       reference = estimate.routability();
     } else {
@@ -327,8 +331,8 @@ TEST(SparseKademlia, FullyPopulatedRoutabilityMatchesDenseXorOracle) {
   const SparseKademliaOverlay sparse_overlay(sparse_space, sparse_rng);
   const SparseFailure sparse_failures(sparse_space, q, sparse_rng);
   math::Rng sparse_route_rng(47);
-  const auto sparse_estimate = estimate_routability(
-      sparse_overlay, sparse_failures, 20000, sparse_route_rng);
+  const auto sparse_estimate = estimate_routability_parallel(
+      sparse_overlay, sparse_failures, {.pairs = 20000}, sparse_route_rng);
 
   const sim::IdSpace dense_space(d);
   math::Rng dense_rng(48);
@@ -354,8 +358,8 @@ TEST(SparseSymphony, FullyPopulatedRoutabilityMatchesDenseSymphonyOracle) {
   const SparseSymphonyOverlay sparse_overlay(sparse_space, 1, 1, sparse_rng);
   const SparseFailure sparse_failures(sparse_space, q, sparse_rng);
   math::Rng sparse_route_rng(52);
-  const auto sparse_estimate = estimate_routability(
-      sparse_overlay, sparse_failures, 20000, sparse_route_rng);
+  const auto sparse_estimate = estimate_routability_parallel(
+      sparse_overlay, sparse_failures, {.pairs = 20000}, sparse_route_rng);
 
   const sim::IdSpace dense_space(d);
   math::Rng dense_rng(53);
@@ -440,7 +444,8 @@ TEST(SparseSymphony, DegradesWithFailureAndRecoversWithLinks) {
     math::Rng fail_rng(seed + 1);
     const SparseFailure failures(space, q, fail_rng);
     math::Rng route_rng(seed + 2);
-    return estimate_routability(overlay, failures, 8000, route_rng)
+    return estimate_routability_parallel(overlay, failures, {.pairs = 8000},
+                                         route_rng)
         .routability();
   };
   const double sparse_links = measure(1, 1, 100);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "support/oracles.hpp"
 
 namespace dht::math {
 namespace {
