@@ -1,5 +1,6 @@
 #include "math/rng.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace dht::math {
@@ -28,6 +29,69 @@ std::uint64_t Rng::next_u64() noexcept {
   s_[2] ^= t;
   s_[3] = std::rotl(s_[3], 45);
   return result;
+}
+
+namespace {
+
+// xoshiro256's characteristic polynomial P(x) over GF(2) without its x^256
+// term, bit i of word i / 64 the coefficient of x^i: the minimal polynomial
+// of bit 0 of s_[0] (Berlekamp-Massey), of degree 256, so M's too.
+// Rng.DiscardMatchesStepping pins it.
+constexpr std::uint64_t kCharPoly[4] = {
+    0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL, 0x04b4edcf26259f85ULL,
+    0x0003c03c3f3ecb19ULL};
+
+// The low 32 bits of `half` moved to the even bit positions of a u64.
+std::uint64_t spread32(std::uint64_t half) noexcept {
+  half = (half | (half << 16)) & 0x0000ffff0000ffffULL;
+  half = (half | (half << 8)) & 0x00ff00ff00ff00ffULL;
+  half = (half | (half << 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  half = (half | (half << 2)) & 0x3333333333333333ULL;
+  return (half | (half << 1)) & 0x5555555555555555ULL;
+}
+
+}  // namespace
+
+void Rng::discard(std::uint64_t n) noexcept {
+  // r(x) = x^n mod P(x), left to right over the bits of n.  Squaring over
+  // GF(2) spreads the coefficients to the even powers, and a 1 bit of n
+  // multiplies by x (a shift into the odd ones, so no carry between
+  // words).  Each set bit j >= 256 is then cleared by XORing
+  // P(x) x^(j-256), whose other terms all land below bit j.
+  std::uint64_t r[4] = {1, 0, 0, 0};
+  for (int bit = 63 - std::countl_zero(n); bit >= 0; --bit) {
+    const auto times_x = static_cast<int>((n >> bit) & 1);
+    std::uint64_t t[8];
+    for (int w = 0; w < 4; ++w) {
+      t[2 * w] = spread32(r[w] & 0xffffffffULL) << times_x;
+      t[2 * w + 1] = spread32(r[w] >> 32) << times_x;
+    }
+    for (int w = 7; w >= 4; --w) {
+      while (t[w] != 0) {
+        const int top = 63 - std::countl_zero(t[w]);
+        t[w] ^= std::uint64_t{1} << top;
+        const int shift = (w - 4) * 64 + top;
+        for (int i = 0; i < 4; ++i) {
+          t[(shift >> 6) + i] ^= kCharPoly[i] << (shift & 63);
+          if ((shift & 63) != 0) {
+            t[(shift >> 6) + i + 1] ^= kCharPoly[i] >> (64 - (shift & 63));
+          }
+        }
+      }
+    }
+    std::copy(t, t + 4, r);
+  }
+  // M^n s is the XOR of M^i s over the set bits i of r.
+  std::uint64_t acc[4] = {};
+  for (int i = 0; i < 256; ++i) {
+    if ((r[i >> 6] >> (i & 63)) & 1) {
+      for (int w = 0; w < 4; ++w) {
+        acc[w] ^= s_[w];
+      }
+    }
+    (void)next_u64();
+  }
+  std::copy(acc, acc + 4, s_);
 }
 
 double Rng::uniform01() noexcept {

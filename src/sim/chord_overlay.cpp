@@ -1,6 +1,7 @@
 #include "sim/chord_overlay.hpp"
 
 #include "common/check.hpp"
+#include "sim/shard_pool.hpp"
 
 namespace dht::sim {
 
@@ -13,16 +14,20 @@ ChordOverlay::ChordOverlay(const IdSpace& space, math::Rng& rng,
   if (variant_ == ChordFingers::kDeterministic) {
     return;  // closed-form fingers: nothing to store
   }
-  // Randomized finger i: clockwise offset uniform in [2^{d-i}, 2^{d-i+1}).
+  // Randomized finger i: clockwise offset uniform in [2^{d-i}, 2^{d-i+1});
+  // one draw each, uniform_below(1) included.
   const int d = space_.bits();
   fingers_ = ClassRows(EntryClass::kDyadic, d, space_.size());
-  std::uint64_t offsets[ClassRows::kMaxLevels] = {};
-  for (NodeId v = 0; v < space_.size(); ++v) {
-    for (int i = 1; i <= d; ++i) {
-      offsets[i - 1] = rng.uniform_below(std::uint64_t{1} << (d - i));
+  const auto fill = [&](NodeId begin, NodeId end, math::Rng& chunk_rng) {
+    std::uint64_t offsets[ClassRows::kMaxLevels] = {};
+    for (NodeId v = begin; v < end; ++v) {
+      for (int i = 1; i <= d; ++i) {
+        offsets[i - 1] = chunk_rng.uniform_below(std::uint64_t{1} << (d - i));
+      }
+      fingers_.set_row(v, offsets);
     }
-    fingers_.set_row(v, offsets);
-  }
+  };
+  run_draw_chunks(space_.size(), d, rng, fill);
 }
 
 NodeId ChordOverlay::finger(NodeId node, int index) const {

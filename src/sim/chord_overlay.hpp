@@ -26,7 +26,8 @@
 // The randomized variant draws its fingers once, at construction, and
 // keeps finger i as its d-i bit offset into the dyadic interval, in packed
 // class rows (sim/class_rows.hpp) that the routing hot path and links_into
-// read straight out of.
+// read straight out of, built in 2^14-node chunks, identical to the
+// serial draw order at any core count.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,10 @@
 #include "sim/class_rows.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "common/hugepage.hpp"
+#include "sim/shard_pool.hpp"
 
 namespace dht::sim {
 
@@ -13,6 +16,13 @@ ClassRows::ClassRows(EntryClass cls, int d, std::uint64_t nodes)
   const std::uint64_t total = nodes * row_bytes_ + kTailBytes;
   common::reserve_hugepages(bytes_, total);
   bytes_.resize(total);
+  constexpr std::uint64_t kBlock = std::uint64_t{1} << 20;
+  const auto zero = [&](std::uint64_t b) {
+    std::memset(bytes_.data() + b * kBlock, 0,
+                std::min(kBlock, total - b * kBlock));
+  };
+  run_sharded((total + kBlock - 1) / kBlock,
+              PoolOptions{.threads = resolve_threads(0), .chunk = 1}, zero);
 }
 
 void ClassRows::set_member(NodeId node, int level, std::uint64_t member) {

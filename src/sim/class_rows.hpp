@@ -21,6 +21,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "sim/node_id.hpp"
@@ -99,7 +100,14 @@ class ClassRows {
   EntryClass cls_ = EntryClass::kPrefix;
   int d_ = 0;
   std::uint64_t row_bytes_ = 0;
-  std::vector<unsigned char> bytes_;
+  // resize() leaves new bytes unset: the constructor zeroes them on every
+  // core, so a big table's pages are first touched in parallel.
+  template <typename T>
+  struct NoInit : std::allocator<T> {
+    void construct(T*) noexcept {}
+    void construct(T* p, T v) noexcept { *p = v; }
+  };
+  std::vector<unsigned char, NoInit<unsigned char>> bytes_;
 };
 
 }  // namespace dht::sim

@@ -8,7 +8,8 @@
 // The mask is packed one bit per node in 64-bit words (alive_bit below;
 // the padding bits past size() are zero).  The routing kernels probe it at
 // a random index every hop; at 2^20 nodes it is 128 KiB, where a byte per
-// node took 1 MiB.
+// node took 1 MiB.  It is built in 2^14-node chunks, identical to the
+// serial draw order at any core count.
 //
 // Alongside the mask the scenario maintains a dense index of alive node
 // ids, so sample_alive is a single unbiased draw (O(1)) instead of
@@ -40,9 +41,13 @@ inline void set_alive_bit(std::uint64_t* words, NodeId id, bool up) {
 /// Immutable i.i.d. Bernoulli(1-q) liveness mask over an identifier space.
 class FailureScenario {
  public:
-  /// Fails each node independently with probability q.  Preconditions:
-  /// q in [0, 1].
-  FailureScenario(const IdSpace& space, double q, math::Rng& rng);
+  /// Fails each of nodes 0 .. nodes-1 independently with probability q:
+  /// node v is down iff the v-th rng.bernoulli(q) is true, so 0 < q < 1
+  /// takes one draw per node and q = 0 or 1 leaves rng untouched.
+  /// Precondition: q in [0, 1].
+  FailureScenario(std::uint64_t nodes, double q, math::Rng& rng);
+  FailureScenario(const IdSpace& space, double q, math::Rng& rng)
+      : FailureScenario(space.size(), q, rng) {}
 
   /// A scenario where every node is alive (q = 0) -- the baseline topology.
   static FailureScenario all_alive(const IdSpace& space);

@@ -1,6 +1,7 @@
 #include "sim/prefix_table.hpp"
 
 #include "common/check.hpp"
+#include "sim/shard_pool.hpp"
 
 namespace dht::sim {
 
@@ -8,13 +9,18 @@ PrefixTable::PrefixTable(const IdSpace& space, math::Rng& rng)
     : rows_(EntryClass::kPrefix, space.bits(), space.size()) {
   const int d = space.bits();
   // Level d's class is the single node with the last bit flipped: no draw.
-  std::uint64_t members[ClassRows::kMaxLevels] = {};
-  for (NodeId v = 0; v < space.size(); ++v) {
-    for (int level = 1; level < d; ++level) {
-      members[level - 1] = rng.uniform_below(std::uint64_t{1} << (d - level));
+  // Every other level is one power-of-two draw, one next_u64.
+  const auto fill = [&](NodeId begin, NodeId end, math::Rng& chunk_rng) {
+    std::uint64_t members[ClassRows::kMaxLevels] = {};
+    for (NodeId v = begin; v < end; ++v) {
+      for (int level = 1; level < d; ++level) {
+        members[level - 1] =
+            chunk_rng.uniform_below(std::uint64_t{1} << (d - level));
+      }
+      rows_.set_row(v, members);
     }
-    rows_.set_row(v, members);
-  }
+  };
+  run_draw_chunks(space.size(), d - 1, rng, fill);
 }
 
 PrefixTable::PrefixTable(ClassRows rows) : rows_(std::move(rows)) {

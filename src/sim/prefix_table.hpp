@@ -5,7 +5,8 @@
 // random bits for the rest"); they differ only in the forwarding rule.
 // PrefixTable holds the level-i neighbor of every node, as its d-i random
 // bits in packed class rows (sim/class_rows.hpp), so the tree-vs-XOR
-// ablation can run both protocols on the *same* tables.
+// ablation can run both protocols on the *same* tables.  It is built in
+// 2^14-node chunks, identical to the serial draw order at any core count.
 #pragma once
 
 #include <cstdint>

@@ -9,7 +9,9 @@
 // bit-identical at any thread count and any chunk size.  Used by the static
 // Monte-Carlo engine (parallel_monte_carlo.cpp), the sparse engine
 // (sparse/flat_sparse.cpp), and the churn trajectory engines
-// (churn/trajectory.cpp, churn/sparse_trajectory.cpp).
+// (churn/trajectory.cpp, churn/sparse_trajectory.cpp).  run_draw_chunks
+// builds the static tables and failure masks in 2^14-node chunks,
+// identical to the serial draw order at any core count.
 #pragma once
 
 #include <algorithm>
@@ -19,6 +21,9 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "common/check.hpp"
+#include "math/rng.hpp"
 
 namespace dht::sim {
 
@@ -108,6 +113,44 @@ inline unsigned resolve_threads(unsigned requested) {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
+}
+
+/// Nodes per chunk of run_draw_chunks: a multiple of 64, so no packed
+/// one-bit-per-node word straddles two chunks.
+inline constexpr std::uint64_t kDrawChunkNodes = std::uint64_t{1} << 14;
+
+/// Runs a builder whose node v consumes exactly `draws_per_node` raw draws
+/// of `rng` (next_u64 calls), on every core.  fill(begin, end, chunk_rng)
+/// builds nodes [begin, end) from chunk_rng = `rng` jumped by
+/// begin * draws_per_node (Rng::discard), where the serial loop's rng
+/// stands at node begin.  Chunks are kDrawChunkNodes nodes at any worker
+/// count, so the output is the serial draw order's, and `rng` ends where
+/// the serial loop leaves it.  Each chunk must end where the next one
+/// starts: a builder whose draw count drifts throws PreconditionError
+/// instead of silently re-drawing.  Chunks run concurrently, so fill may
+/// only write memory allocated before the call.  `threads` 0 means every
+/// core; the builders leave it so, and only tests pin it.
+template <typename Fill>
+void run_draw_chunks(std::uint64_t nodes, std::uint64_t draws_per_node,
+                     math::Rng& rng, Fill&& fill, unsigned threads = 0) {
+  const std::uint64_t chunks = (nodes + kDrawChunkNodes - 1) / kDrawChunkNodes;
+  const auto jumped = [&](std::uint64_t node) {
+    math::Rng at = rng;
+    at.discard(node * draws_per_node);
+    return at;
+  };
+  const auto chunk = [&](std::uint64_t c) {
+    const std::uint64_t begin = c * kDrawChunkNodes;
+    const std::uint64_t end = std::min(nodes, begin + kDrawChunkNodes);
+    math::Rng chunk_rng = jumped(begin);
+    fill(begin, end, chunk_rng);
+    DHT_CHECK(chunk_rng == jumped(end),
+              "a chunk's draws do not match draws_per_node");
+  };
+  run_sharded(chunks,
+              PoolOptions{.threads = resolve_threads(threads), .chunk = 1},
+              chunk);
+  rng = jumped(nodes);
 }
 
 }  // namespace dht::sim

@@ -1,8 +1,10 @@
 #include "sim/symphony_overlay.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
+#include "sim/shard_pool.hpp"
 
 namespace dht::sim {
 
@@ -15,25 +17,22 @@ SymphonyOverlay::SymphonyOverlay(const IdSpace& space, int near_neighbors,
             "kn + ks must be smaller than the network");
   const std::uint64_t size = space_.size();
   const double log_range = std::log(static_cast<double>(size - 1));
-  shortcuts_.resize(size * static_cast<std::uint64_t>(ks_));
-  for (NodeId v = 0; v < size; ++v) {
-    for (int j = 0; j < ks_; ++j) {
-      // Inverse-transform sample of the harmonic density p(x) ~ 1/x on
-      // [1, N-1]: x = exp(U * ln(N-1)).
-      const double u = rng.uniform01();
-      std::uint64_t offset =
-          static_cast<std::uint64_t>(std::exp(u * log_range));
-      if (offset < 1) {
-        offset = 1;
+  const auto ks = static_cast<std::uint64_t>(ks_);
+  shortcuts_.resize(size * ks);
+  const auto fill = [&](NodeId begin, NodeId end, math::Rng& chunk_rng) {
+    for (NodeId v = begin; v < end; ++v) {
+      for (std::uint64_t j = 0; j < ks; ++j) {
+        // Inverse-transform sample of the harmonic density p(x) ~ 1/x on
+        // [1, N-1]: x = exp(U * ln(N-1)).
+        const double x = std::exp(chunk_rng.uniform01() * log_range);
+        const std::uint64_t offset = std::clamp<std::uint64_t>(
+            static_cast<std::uint64_t>(x), 1, size - 1);
+        shortcuts_[v * ks + j] =
+            static_cast<std::uint32_t>((v + offset) & (size - 1));
       }
-      if (offset > size - 1) {
-        offset = size - 1;
-      }
-      shortcuts_[v * static_cast<std::uint64_t>(ks_) +
-                 static_cast<std::uint64_t>(j)] =
-          static_cast<std::uint32_t>((v + offset) & (size - 1));
     }
-  }
+  };
+  run_draw_chunks(size, ks, rng, fill);
 }
 
 NodeId SymphonyOverlay::shortcut(NodeId node, int j) const {

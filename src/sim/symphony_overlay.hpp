@@ -8,6 +8,8 @@
 // With its immediate successor alive a node can always make progress, so a
 // route dies mainly when all kn + ks links are dead, which is exactly the
 // failure mode the paper's Markov chain models (Fig. 8(b)).
+// The shortcut table is built in 2^14-node chunks, identical to the
+// serial draw order at any core count.
 #pragma once
 
 #include <cstdint>

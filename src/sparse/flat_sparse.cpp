@@ -56,22 +56,7 @@ FlatSparseCtx make_sparse_ctx(const SparseOverlay& overlay,
     c.kn = sym->near_neighbors();
     c.ks = sym->shortcuts();
   }
-  // Pack the liveness into bits once per engine invocation (the failure
-  // scenario is frozen for the whole estimate): N/8 bytes instead of N,
-  // small enough to stay cache-resident under the kernels' random probes.
-  // Each word of 64 nodes is assembled in a register and stored once.
-  auto bits = std::make_shared<std::vector<std::uint64_t>>(c.n / 64 + 1, 0);
-  const auto n = static_cast<NodeIndex>(c.n);
-  for (NodeIndex base = 0; base < n; base += 64) {
-    const NodeIndex end = std::min<NodeIndex>(n, base + 64);
-    std::uint64_t word = 0;
-    for (NodeIndex i = base; i < end; ++i) {
-      word |= static_cast<std::uint64_t>(failures.alive(i)) << (i - base);
-    }
-    (*bits)[base >> 6] = word;
-  }
-  c.alive_bits = bits->data();
-  c.alive_bits_owner = std::move(bits);
+  c.alive_bits = failures.alive_bits();
   return c;
 }
 

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "math/rng.hpp"
@@ -95,13 +94,11 @@ struct FlatSparseCtx {
   const std::uint64_t* progress = nullptr;
   const std::uint8_t* row_len = nullptr;
   std::uint64_t max_hops = 0;
-  // Liveness packed one bit per node, the kernels' only liveness view.
-  // SparseFailure's byte mask is megabytes at 2^20 nodes and every hop
-  // probes liveness at a random index; the bit mask is N/8 bytes and stays
-  // cache-resident, so the batched kernels' candidate probes stop missing
-  // to memory.  Built by make_sparse_ctx.
+  // Liveness packed one bit per node (SparseFailure::alive_bits(), read in
+  // place), the kernels' only liveness view.  Every hop probes it at a
+  // random index; at N/8 bytes it stays cache-resident, so the batched
+  // kernels' candidate probes do not miss to memory.
   const std::uint64_t* alive_bits = nullptr;
-  std::shared_ptr<const std::vector<std::uint64_t>> alive_bits_owner;
   // --- Workload layer (null/0 = off; the default path is untouched). ---
   // Per-node forwarded-message counters, ONE array shared by every shard:
   // relaxed atomic integer adds are commutative, so the final counts are
@@ -436,8 +433,10 @@ inline void step_batch_symphony(const FlatSparseCtx& c, Lanes& b) {
   }
 }
 
-/// Builds a context over an immutable sparse overlay + failure scenario.
-/// Throws PreconditionError for an overlay type with no kernel.
+/// Builds a context over an immutable sparse overlay + failure scenario;
+/// it points into both (the liveness words are `failures`' own), so it is
+/// valid while they are.  Throws PreconditionError for an overlay type
+/// with no kernel.
 FlatSparseCtx make_sparse_ctx(const SparseOverlay& overlay,
                               const SparseFailure& failures,
                               std::uint64_t max_hops);

@@ -14,37 +14,27 @@
 #include "common/check.hpp"
 #include "math/rng.hpp"
 #include "obs/failure.hpp"
+#include "sim/failure.hpp"
 #include "sim/hop_stats.hpp"
 #include "sparse/sparse_space.hpp"
 
 namespace dht::sparse {
 
-/// i.i.d. Bernoulli liveness over node indices (the sparse counterpart of
-/// sim::FailureScenario).  Alongside the byte mask it keeps a dense array
-/// of alive indices, so sample_alive is a single unbiased draw (O(1))
-/// instead of rejection sampling -- at high failure probabilities rejection
-/// would dominate the routing work itself.
-class SparseFailure {
+/// i.i.d. Bernoulli liveness over node indices: a sim::FailureScenario over
+/// node_count() indices (built in 2^14-node chunks, identical to the serial
+/// draw order at any core count), sampled as NodeIndex.  The flat kernels
+/// probe its packed mask in place.
+class SparseFailure : public sim::FailureScenario {
  public:
-  SparseFailure(const SparseIdSpace& space, double q, math::Rng& rng);
+  SparseFailure(const SparseIdSpace& space, double q, math::Rng& rng)
+      : FailureScenario(space.node_count(), q, rng) {}
 
-  bool alive(NodeIndex index) const { return alive_[index] != 0; }
-  std::uint64_t alive_count() const noexcept { return alive_ids_.size(); }
-  std::uint64_t node_count() const noexcept { return alive_.size(); }
+  std::uint64_t node_count() const noexcept { return size(); }
 
-  /// Uniformly samples an alive node index with a single rng draw.  Works
-  /// with any generator exposing uniform_below (math::Rng, or the
-  /// math::CounterRng per-lane streams of the batched estimator).
-  /// Precondition: alive_count() > 0.
   template <typename Generator>
   NodeIndex sample_alive(Generator& rng) const {
-    DHT_CHECK(!alive_ids_.empty(), "no alive node to sample");
-    return alive_ids_[rng.uniform_below(alive_ids_.size())];
+    return static_cast<NodeIndex>(FailureScenario::sample_alive(rng));
   }
-
- private:
-  std::vector<std::uint8_t> alive_;
-  std::vector<NodeIndex> alive_ids_;  // dense alive indices, ascending
 };
 
 class SparseOverlay {

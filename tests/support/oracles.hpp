@@ -9,6 +9,10 @@
 //  * sim::failure_free_hops -- hop counts of the virtual Router on the
 //    all-alive overlay, against the latency the paper quotes per geometry,
 //    accumulated in a math::RunningStat (Welford mean and variance).
+//  * sim::serial_prefix_rows / serial_chord_rows / serial_symphony_shortcuts
+//    / serial_alive_bits -- the static builders' draws made one node after
+//    another on one rng, the order the chunked builders
+//    (sim::run_draw_chunks) must reproduce byte for byte.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +24,8 @@
 #include "markov/chain.hpp"
 #include "math/rng.hpp"
 #include "math/stats.hpp"
+#include "sim/class_rows.hpp"
+#include "sim/failure.hpp"
 #include "sim/overlay.hpp"
 #include "sim/router.hpp"
 
@@ -211,6 +217,59 @@ inline math::RunningStat failure_free_hops(const Overlay& overlay,
     hops.add(static_cast<double>(result.hops));
   }
   return hops;
+}
+
+/// The tree/XOR prefix rows: levels 1..d-1 of node 0, then node 1, ...
+inline ClassRows serial_prefix_rows(int d, math::Rng& rng) {
+  ClassRows rows(EntryClass::kPrefix, d, std::uint64_t{1} << d);
+  std::uint64_t members[ClassRows::kMaxLevels] = {};
+  for (NodeId v = 0; v < std::uint64_t{1} << d; ++v) {
+    for (int level = 1; level < d; ++level) {
+      members[level - 1] = rng.uniform_below(std::uint64_t{1} << (d - level));
+    }
+    rows.set_row(v, members);
+  }
+  return rows;
+}
+
+/// Randomized Chord's finger offsets: fingers 1..d of each node in turn.
+inline ClassRows serial_chord_rows(int d, math::Rng& rng) {
+  ClassRows rows(EntryClass::kDyadic, d, std::uint64_t{1} << d);
+  std::uint64_t offsets[ClassRows::kMaxLevels] = {};
+  for (NodeId v = 0; v < std::uint64_t{1} << d; ++v) {
+    for (int i = 1; i <= d; ++i) {
+      offsets[i - 1] = rng.uniform_below(std::uint64_t{1} << (d - i));
+    }
+    rows.set_row(v, offsets);
+  }
+  return rows;
+}
+
+/// Symphony's absolute shortcut targets, row-major [node][j].
+inline std::vector<std::uint32_t> serial_symphony_shortcuts(int d, int ks,
+                                                            math::Rng& rng) {
+  const std::uint64_t size = std::uint64_t{1} << d;
+  const double log_range = std::log(static_cast<double>(size - 1));
+  std::vector<std::uint32_t> out;
+  for (NodeId v = 0; v < size; ++v) {
+    for (int j = 0; j < ks; ++j) {
+      const auto offset = std::clamp<std::uint64_t>(
+          static_cast<std::uint64_t>(std::exp(rng.uniform01() * log_range)), 1,
+          size - 1);
+      out.push_back(static_cast<std::uint32_t>((v + offset) & (size - 1)));
+    }
+  }
+  return out;
+}
+
+/// A packed liveness mask, node v down iff the v-th bernoulli(q) says so.
+inline std::vector<std::uint64_t> serial_alive_bits(std::uint64_t nodes,
+                                                    double q, math::Rng& rng) {
+  std::vector<std::uint64_t> words((nodes + 63) / 64, 0);
+  for (NodeId v = 0; v < nodes; ++v) {
+    set_alive_bit(words.data(), v, !rng.bernoulli(q));
+  }
+  return words;
 }
 
 }  // namespace dht::sim

@@ -169,6 +169,46 @@ TEST(Rng, ForkedStreamsAreDecorrelatedAndDeterministic) {
   EXPECT_EQ(equal12, 0);
 }
 
+// Pins the characteristic polynomial in rng.cpp: a wrong coefficient
+// breaks the jump for almost every n.
+TEST(Rng, DiscardMatchesStepping) {
+  const std::uint64_t counts[] = {0,   1,   2,   63,   64,
+                                  255, 256, 257, 1000, 19ull << 20};
+  for (const std::uint64_t n : counts) {
+    Rng stepped(2601);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      (void)stepped.next_u64();
+    }
+    Rng jumped(2601);
+    jumped.discard(n);
+    EXPECT_EQ(jumped, stepped) << "n = " << n;
+    EXPECT_EQ(jumped.next_u64(), stepped.next_u64()) << "n = " << n;
+  }
+}
+
+TEST(Rng, DiscardComposes) {
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  const std::uint64_t pairs[][2] = {{kHalf - 5, kHalf + 3},
+                                    {kHalf, kHalf - 1},
+                                    {12345, kHalf},
+                                    {kHalf + 77, 0}};
+  for (const auto& [a, b] : pairs) {
+    Rng split(2602);
+    split.discard(a);
+    split.discard(b);
+    Rng whole(2602);
+    whole.discard(a + b);
+    EXPECT_EQ(split, whole) << a << " + " << b;
+  }
+  // discard moves the state, never the lineage fork() derives from.
+  Rng rng(2603);
+  Rng before = rng.fork(9);
+  rng.discard(kHalf + 1);
+  Rng after = rng.fork(9);
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(after.next_u64(), before.next_u64());
+}
+
 TEST(Rng, SatisfiesUniformRandomBitGenerator) {
   static_assert(std::uniform_random_bit_generator<Rng>);
   SUCCEED();
