@@ -19,6 +19,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -53,5 +55,16 @@ void reserve_hugepages(Vec& vec, std::size_t n) {
   vec.reserve(n);
   advise_hugepages(vec.data(), n * sizeof(typename Vec::value_type));
 }
+
+/// A std::vector whose resize() leaves new elements unset, for tables a
+/// chunked builder writes in full: their pages are first touched by the
+/// builder's workers in parallel, not by one serial zeroing pass.
+template <typename T>
+struct NoInitAllocator : std::allocator<T> {
+  void construct(T*) noexcept {}
+  void construct(T* p, T v) noexcept { *p = v; }
+};
+template <typename T>
+using NoInitVector = std::vector<T, NoInitAllocator<T>>;
 
 }  // namespace dht::common

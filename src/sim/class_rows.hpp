@@ -21,9 +21,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <vector>
 
+#include "common/hugepage.hpp"
 #include "sim/node_id.hpp"
 
 namespace dht::sim {
@@ -102,12 +101,7 @@ class ClassRows {
   std::uint64_t row_bytes_ = 0;
   // resize() leaves new bytes unset: the constructor zeroes them on every
   // core, so a big table's pages are first touched in parallel.
-  template <typename T>
-  struct NoInit : std::allocator<T> {
-    void construct(T*) noexcept {}
-    void construct(T* p, T v) noexcept { *p = v; }
-  };
-  std::vector<unsigned char, NoInit<unsigned char>> bytes_;
+  common::NoInitVector<unsigned char> bytes_;
 };
 
 }  // namespace dht::sim

@@ -9,9 +9,12 @@
 // bit-identical at any thread count and any chunk size.  Used by the static
 // Monte-Carlo engine (parallel_monte_carlo.cpp), the sparse engine
 // (sparse/flat_sparse.cpp), and the churn trajectory engines
-// (churn/trajectory.cpp, churn/sparse_trajectory.cpp).  run_draw_chunks
-// builds the static tables and failure masks in 2^14-node chunks,
-// identical to the serial draw order at any core count.
+// (churn/trajectory.cpp, churn/sparse_trajectory.cpp).  The static
+// builders run in 2^14-node chunks on every core, identical to the serial
+// draw order at any core count: run_draw_chunks at a fixed draw count per
+// node (dense tables, Symphony shortcuts, failure masks, the sparse id
+// space), run_counted_chunks at a data-dependent one (sparse Kademlia
+// contacts), run_node_chunks without draws (sparse Chord rows).
 #pragma once
 
 #include <algorithm>
@@ -19,6 +22,7 @@
 #include <cstdint>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -119,6 +123,19 @@ inline unsigned resolve_threads(unsigned requested) {
 /// one-bit-per-node word straddles two chunks.
 inline constexpr std::uint64_t kDrawChunkNodes = std::uint64_t{1} << 14;
 
+/// Runs work(c, begin, end) for every kDrawChunkNodes-node chunk c =
+/// [begin, end) of [0, nodes), on every core.  `threads` 0 means every
+/// core; the builders leave it so, and only tests pin it.
+template <typename Work>
+void run_node_chunks(std::uint64_t nodes, Work&& work, unsigned threads = 0) {
+  run_sharded((nodes + kDrawChunkNodes - 1) / kDrawChunkNodes,
+              PoolOptions{.threads = resolve_threads(threads), .chunk = 1},
+              [&](std::uint64_t c) {
+                const std::uint64_t begin = c * kDrawChunkNodes;
+                work(c, begin, std::min(nodes, begin + kDrawChunkNodes));
+              });
+}
+
 /// Runs a builder whose node v consumes exactly `draws_per_node` raw draws
 /// of `rng` (next_u64 calls), on every core.  fill(begin, end, chunk_rng)
 /// builds nodes [begin, end) from chunk_rng = `rng` jumped by
@@ -128,29 +145,69 @@ inline constexpr std::uint64_t kDrawChunkNodes = std::uint64_t{1} << 14;
 /// the serial loop leaves it.  Each chunk must end where the next one
 /// starts: a builder whose draw count drifts throws PreconditionError
 /// instead of silently re-drawing.  Chunks run concurrently, so fill may
-/// only write memory allocated before the call.  `threads` 0 means every
-/// core; the builders leave it so, and only tests pin it.
+/// only write memory allocated before the call.
 template <typename Fill>
 void run_draw_chunks(std::uint64_t nodes, std::uint64_t draws_per_node,
                      math::Rng& rng, Fill&& fill, unsigned threads = 0) {
-  const std::uint64_t chunks = (nodes + kDrawChunkNodes - 1) / kDrawChunkNodes;
   const auto jumped = [&](std::uint64_t node) {
     math::Rng at = rng;
     at.discard(node * draws_per_node);
     return at;
   };
-  const auto chunk = [&](std::uint64_t c) {
-    const std::uint64_t begin = c * kDrawChunkNodes;
-    const std::uint64_t end = std::min(nodes, begin + kDrawChunkNodes);
-    math::Rng chunk_rng = jumped(begin);
-    fill(begin, end, chunk_rng);
-    DHT_CHECK(chunk_rng == jumped(end),
-              "a chunk's draws do not match draws_per_node");
-  };
-  run_sharded(chunks,
-              PoolOptions{.threads = resolve_threads(threads), .chunk = 1},
-              chunk);
+  run_node_chunks(
+      nodes,
+      [&](std::uint64_t, std::uint64_t begin, std::uint64_t end) {
+        math::Rng chunk_rng = jumped(begin);
+        fill(begin, end, chunk_rng);
+        DHT_CHECK(chunk_rng == jumped(end),
+                  "a chunk's draws do not match draws_per_node");
+      },
+      threads);
   rng = jumped(nodes);
+}
+
+/// Runs a builder whose draw count is data-dependent, on every core, with
+/// the serial draw order's output.  count(begin, end) predicts the raw
+/// draws of chunk [begin, end), for all chunks in parallel; then each chunk
+/// runs fill(begin, end, chunk_rng) from `rng` jumped by the predictions of
+/// the chunks before it.  In chunk order, a chunk whose jumped start is not
+/// exactly (Rng::operator==) where the true stream stands is rebuilt from
+/// the true stream, so a misprediction costs serial rebuilds, never a wrong
+/// table.  fill must write every cell of its chunk; `rng` ends where the
+/// serial loop leaves it.
+template <typename Count, typename Fill>
+void run_counted_chunks(std::uint64_t nodes, Count&& count, math::Rng& rng,
+                        Fill&& fill, unsigned threads = 0) {
+  const std::uint64_t chunks = (nodes + kDrawChunkNodes - 1) / kDrawChunkNodes;
+  std::vector<std::uint64_t> offset(chunks + 1, 0);
+  run_node_chunks(
+      nodes,
+      [&](std::uint64_t c, std::uint64_t first, std::uint64_t last) {
+        offset[c + 1] = count(first, last);
+      },
+      threads);
+  std::partial_sum(offset.begin(), offset.end(), offset.begin());
+  std::vector<math::Rng> start(chunks, rng);
+  std::vector<math::Rng> end(chunks, rng);
+  run_node_chunks(
+      nodes,
+      [&](std::uint64_t c, std::uint64_t first, std::uint64_t last) {
+        // A local rng: neighbouring chunks' states share cache lines.
+        math::Rng chunk_rng = rng;
+        chunk_rng.discard(offset[c]);
+        start[c] = chunk_rng;
+        fill(first, last, chunk_rng);
+        end[c] = chunk_rng;
+      },
+      threads);
+  for (std::uint64_t c = 0; c < chunks; ++c) {
+    if (start[c] == rng) {
+      rng = end[c];
+    } else {
+      const std::uint64_t first = c * kDrawChunkNodes;
+      fill(first, std::min(nodes, first + kDrawChunkNodes), rng);
+    }
+  }
 }
 
 }  // namespace dht::sim

@@ -5,11 +5,17 @@
 // are distinct -- which is exactly why the dense RCM model evaluated at
 // d' = log2 N predicts the sparse system's routability (see
 // density_analysis.hpp and the ext_sparse_population benchmark).
+//
+// The overlay stores no finger table: finger() and the virtual next_hop
+// oracle resolve each finger by its successor search, and the flattened
+// kernel (sparse/flat_sparse.hpp) reads only the route rows below, which
+// the constructor builds in two sweeps of 2^14-node chunks on every core.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/hugepage.hpp"
 #include "sparse/sparse_overlay.hpp"
 
 namespace dht::sparse {
@@ -21,14 +27,8 @@ class SparseChordOverlay final : public SparseOverlay {
   std::string_view name() const noexcept override { return "sparse-ring"; }
   const SparseIdSpace& space() const noexcept override { return *space_; }
 
-  /// The i-th finger (1-based): successor(id + 2^{bits-i}).
+  /// The i-th finger (1-based): successor(id + 2^{bits-i}), one search.
   NodeIndex finger(NodeIndex node, int index) const;
-
-  /// Row-major [node][i-1] finger node indices; the flattened kernel
-  /// (sparse/flat_sparse.hpp) reads this directly.
-  const std::vector<NodeIndex>& finger_table() const noexcept {
-    return fingers_;
-  }
 
   /// Kernel route layout: node v's *distinct* fingers (duplicates collapse
   /// onto the same few successors in sparse spaces; self-links dropped) in
@@ -50,13 +50,13 @@ class SparseChordOverlay final : public SparseOverlay {
   ///  - bits > 32 (route_packed() empty): parallel u64 progress and u32
   ///    target arrays, as progress values no longer fit 32 bits.
   int route_stride() const noexcept { return route_stride_; }
-  const std::vector<std::uint64_t>& route_packed() const noexcept {
+  const common::NoInitVector<std::uint64_t>& route_packed() const noexcept {
     return route_packed_;
   }
-  const std::vector<std::uint64_t>& route_progress() const noexcept {
+  const common::NoInitVector<std::uint64_t>& route_progress() const noexcept {
     return route_progress_;
   }
-  const std::vector<NodeIndex>& route_targets() const noexcept {
+  const common::NoInitVector<NodeIndex>& route_targets() const noexcept {
     return route_targets_;
   }
   /// Real (unpadded) entries in each row; N bytes, so the kernels' length
@@ -71,14 +71,13 @@ class SparseChordOverlay final : public SparseOverlay {
 
  private:
   const SparseIdSpace* space_;
-  // Row-major [node][i-1] finger node indices.
-  std::vector<NodeIndex> fingers_;
   // Fixed-stride padded rows of (progress, target), progress descending:
   // packed single-u64 entries when bits <= 32, parallel arrays otherwise.
+  // The second sweep writes every entry, pads included.
   int route_stride_ = 0;
-  std::vector<std::uint64_t> route_packed_;
-  std::vector<std::uint64_t> route_progress_;
-  std::vector<NodeIndex> route_targets_;
+  common::NoInitVector<std::uint64_t> route_packed_;
+  common::NoInitVector<std::uint64_t> route_progress_;
+  common::NoInitVector<NodeIndex> route_targets_;
   std::vector<std::uint8_t> route_lens_;
 };
 

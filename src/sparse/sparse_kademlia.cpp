@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "common/hugepage.hpp"
+#include "sim/shard_pool.hpp"
 
 namespace dht::sparse {
 
@@ -30,77 +31,95 @@ SparseKademliaOverlay::SparseKademliaOverlay(const SparseIdSpace& space,
   // and once the window is v alone every deeper bucket is empty.  Nodes
   // adjacent in ring order share their windows down to the level where
   // their ids first differ, so each node re-splits only from there.
-  // window[i] holds the nodes sharing v's first i bits, bucket[i] the
-  // range of bucket i + 1.
-  std::vector<std::pair<NodeIndex, NodeIndex>> window(
-      static_cast<std::size_t>(d) + 1, {0, static_cast<NodeIndex>(n)});
-  std::vector<std::pair<NodeIndex, NodeIndex>> bucket(
-      static_cast<std::size_t>(d));
+  // walk() runs the nodes [begin, end) from a fresh window, handing
+  // row(v, level, bucket) each node's buckets: bucket[i] is the range of
+  // bucket i + 1, and buckets from `level` on are empty.
+  using Range = std::pair<NodeIndex, NodeIndex>;
+  const auto walk = [&](std::uint64_t begin, std::uint64_t end, auto&& row) {
+    Range window[64] = {{0, static_cast<NodeIndex>(n)}};  // v's first i bits
+    Range bucket[64];
+    for (std::uint64_t v = begin; v < end; ++v) {
+      const sim::NodeId base = ids[v];
+      // Levels above the first bit where v and v-1 differ keep v-1's
+      // windows and buckets; v-1's window at that level held both nodes,
+      // so v-1 split it.  The walk stops at `level`: buckets from there on
+      // are empty.
+      int level = v == begin ? 0 : d - std::bit_width(ids[v - 1] ^ base);
+      for (; level < d; ++level) {
+        const auto [lo, hi] = window[level];
+        if (hi - lo == 1) {
+          break;  // v alone: this and every deeper bucket is empty
+        }
+        const sim::NodeId bit = sim::NodeId{1} << (d - level - 1);
+        const auto split = static_cast<NodeIndex>(
+            std::partition_point(ids + lo, ids + hi,
+                                 [bit](sim::NodeId id) {
+                                   return (id & bit) == 0;
+                                 }) -
+            ids);
+        const bool upper = (base & bit) != 0;
+        window[level + 1] = upper ? Range{split, hi} : Range{lo, split};
+        bucket[level] = upper ? Range{lo, split} : Range{split, hi};
+      }
+      row(static_cast<NodeIndex>(v), level, bucket);
+    }
+  };
+  // Chunks run on every core (sim::run_counted_chunks).  A first walk
+  // predicts each chunk's draws, one per non-empty cell: exact unless a
+  // draw is rejected (k = 1: below 2^-38 per draw) or a further cell
+  // redraws a taken member, and a mispredicted chunk is rebuilt in order.
   common::reserve_hugepages(contacts_, n * row_width);
-  for (NodeIndex v = 0; v < n; ++v) {
-    const sim::NodeId base = ids[v];
-    // Levels above the first bit where v and v-1 differ keep v-1's
-    // windows and buckets; v-1's window at that level held both nodes, so
-    // v-1 split it.  The walk stops at `level`: buckets from there on are
-    // empty.
-    int level = v == 0 ? 0 : d - std::bit_width(ids[v - 1] ^ base);
-    for (; level < d; ++level) {
-      const auto [lo, hi] = window[static_cast<std::size_t>(level)];
-      if (hi - lo == 1) {
-        break;  // v alone: this and every deeper bucket is empty
+  contacts_.resize(n * row_width);
+  const auto predict = [&](std::uint64_t begin, std::uint64_t end) {
+    std::uint64_t draws = 0;
+    walk(begin, end, [&](NodeIndex, int level, const Range* bucket) {
+      for (int i = 0; i < level; ++i) {
+        draws += std::min<std::uint64_t>(bucket[i].second - bucket[i].first,
+                                         k);
       }
-      const sim::NodeId bit = sim::NodeId{1} << (d - level - 1);
-      const auto split = static_cast<NodeIndex>(
-          std::partition_point(ids + lo, ids + hi,
-                               [bit](sim::NodeId id) {
-                                 return (id & bit) == 0;
-                               }) -
-          ids);
-      const bool upper = (base & bit) != 0;
-      window[static_cast<std::size_t>(level) + 1] =
-          upper ? std::pair{split, hi} : std::pair{lo, split};
-      bucket[static_cast<std::size_t>(level)] =
-          upper ? std::pair{lo, split} : std::pair{split, hi};
-    }
-    contacts_.insert(contacts_.end(), row_width, kNoNode);
-    for (int i = 0; i < level; ++i) {
-      const auto [first, last] = bucket[static_cast<std::size_t>(i)];
-      if (first == last) {
-        continue;  // empty bucket: nobody lives in this subtree
-      }
-      const std::uint64_t bucket_base =
-          v * row_width + static_cast<std::uint64_t>(i) * k;
-      // Cell 0 is the historical single uniform draw (bit-compatible rng
-      // stream at k = 1); further cells add distinct members -- bounded
-      // rejection against the cells already chosen, then a deterministic
-      // scan from the rejected draw (k and bucket overlaps are small).
-      const std::uint64_t size = last - first;
-      const auto head =
-          static_cast<NodeIndex>(first + rng.uniform_below(size));
-      contacts_[bucket_base] = head;
-      const int cells = static_cast<int>(
-          size < static_cast<std::uint64_t>(k) ? size : k);
-      for (int cell = 1; cell < cells; ++cell) {
-        const auto taken = [&](NodeIndex candidate) {
-          for (int prev = 0; prev < cell; ++prev) {
-            if (contacts_[bucket_base + prev] == candidate) {
-              return true;
-            }
+    });
+    return draws;
+  };
+  const auto fill = [&](std::uint64_t begin, std::uint64_t end,
+                        math::Rng& chunk_rng) {
+    walk(begin, end, [&](NodeIndex v, int level, const Range* bucket) {
+      NodeIndex* row = contacts_.data() + v * row_width;
+      std::fill(row, row + row_width, kNoNode);
+      for (int i = 0; i < level; ++i) {
+        const auto [first, last] = bucket[i];
+        if (first == last) {
+          continue;  // empty bucket: nobody lives in this subtree
+        }
+        NodeIndex* cells = row + static_cast<std::uint64_t>(i) * k;
+        // Cell 0 is the historical single uniform draw (bit-compatible rng
+        // stream at k = 1); further cells add distinct members -- bounded
+        // rejection against the cells already chosen, then a deterministic
+        // scan from the rejected draw (k and bucket overlaps are small).
+        const std::uint64_t size = last - first;
+        cells[0] =
+            static_cast<NodeIndex>(first + chunk_rng.uniform_below(size));
+        const int count = static_cast<int>(
+            size < static_cast<std::uint64_t>(k) ? size : k);
+        for (int cell = 1; cell < count; ++cell) {
+          const auto taken = [&](NodeIndex candidate) {
+            return std::find(cells, cells + cell, candidate) != cells + cell;
+          };
+          auto pick =
+              static_cast<NodeIndex>(first + chunk_rng.uniform_below(size));
+          for (int attempt = 0; attempt < 16 && taken(pick); ++attempt) {
+            pick =
+                static_cast<NodeIndex>(first + chunk_rng.uniform_below(size));
           }
-          return false;
-        };
-        auto pick = static_cast<NodeIndex>(first + rng.uniform_below(size));
-        for (int attempt = 0; attempt < 16 && taken(pick); ++attempt) {
-          pick = static_cast<NodeIndex>(first + rng.uniform_below(size));
+          while (taken(pick)) {  // walk to the next free member (cells < size)
+            pick = pick + 1 == last ? static_cast<NodeIndex>(first)
+                                    : static_cast<NodeIndex>(pick + 1);
+          }
+          cells[cell] = pick;
         }
-        while (taken(pick)) {  // walk to the next free member (cells < size)
-          pick = pick + 1 == last ? static_cast<NodeIndex>(first)
-                                  : static_cast<NodeIndex>(pick + 1);
-        }
-        contacts_[bucket_base + cell] = pick;
       }
-    }
-  }
+    });
+  };
+  sim::run_counted_chunks(n, predict, rng, fill);
 }
 
 std::optional<NodeIndex> SparseKademliaOverlay::contact(NodeIndex node,

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/hugepage.hpp"
 #include "sparse/sparse_overlay.hpp"
 
 namespace dht::sparse {
@@ -41,7 +42,7 @@ class SparseKademliaOverlay final : public SparseOverlay {
   /// Row-major [node][(i-1)*k + cell] contact indices, kNoNode marking
   /// empty cells; the flattened kernel (sparse/flat_sparse.hpp) reads this
   /// directly.
-  const std::vector<NodeIndex>& contact_table() const noexcept {
+  const common::NoInitVector<NodeIndex>& contact_table() const noexcept {
     return contacts_;
   }
 
@@ -53,8 +54,8 @@ class SparseKademliaOverlay final : public SparseOverlay {
   const SparseIdSpace* space_;
   int k_ = 1;
   // Row-major [node][(i-1)*k + cell] contact indices (kNoNode for empty
-  // cells).
-  std::vector<NodeIndex> contacts_;
+  // cells); the builder writes every cell.
+  common::NoInitVector<NodeIndex> contacts_;
 };
 
 }  // namespace dht::sparse

@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/hugepage.hpp"
+#include "sim/shard_pool.hpp"
 
 namespace dht::sparse {
 
@@ -24,19 +25,41 @@ SparseIdSpace::SparseIdSpace(int bits, std::uint64_t node_count,
     }
     return;
   }
-  // Distinct uniform ids by batched draw + sort + dedup: each round tops the
-  // array up to node_count fresh draws, sorts, and drops duplicates.  This
-  // needs no hash set (8 bytes per node, million-node spaces construct in
-  // one or two rounds at real-world densities) and converges for any
-  // density < 1 -- the resample loop is the coupon-collector tail the old
-  // rejection sampler paid per draw.
+  // Distinct uniform ids by batched draw + sort + dedup: each round draws
+  // the missing ids, sorts them, merges them into the sorted distinct
+  // prefix, and drops duplicates.  This needs no hash set (8 bytes per
+  // node, million-node spaces construct in one or two rounds at real-world
+  // densities) and converges for any density < 1.  A power-of-two
+  // uniform_below is one masked draw, so a round's draws split into chunks
+  // (sim::run_draw_chunks) that draw and sort on every core, then merge
+  // pairwise.
   common::reserve_hugepages(ids_, node_count);
-  while (ids_.size() < node_count) {
-    while (ids_.size() < node_count) {
-      ids_.push_back(rng.uniform_below(size));
+  ids_.resize(node_count);
+  std::uint64_t held = 0;  // ids_[0, held) is sorted and distinct
+  while (held < node_count) {
+    const std::uint64_t fresh = node_count - held;
+    const auto tail = ids_.begin() + static_cast<std::ptrdiff_t>(held);
+    sim::run_draw_chunks(
+        fresh, 1, rng,
+        [&](std::uint64_t begin, std::uint64_t end, math::Rng& chunk_rng) {
+          for (std::uint64_t v = begin; v < end; ++v) {
+            tail[v] = chunk_rng.uniform_below(size);
+          }
+          std::sort(tail + begin, tail + end);
+        });
+    for (std::uint64_t run = sim::kDrawChunkNodes; run < fresh; run *= 2) {
+      sim::run_sharded(
+          (fresh + 2 * run - 1) / (2 * run),
+          sim::PoolOptions{.threads = sim::resolve_threads(0), .chunk = 1},
+          [&](std::uint64_t pair) {
+            const std::uint64_t lo = 2 * run * pair;
+            std::inplace_merge(tail + lo, tail + std::min(fresh, lo + run),
+                               tail + std::min(fresh, lo + 2 * run));
+          });
     }
-    std::sort(ids_.begin(), ids_.end());
-    ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
+    std::inplace_merge(ids_.begin(), tail, ids_.end());
+    held = static_cast<std::uint64_t>(
+        std::unique(ids_.begin(), ids_.end()) - ids_.begin());
   }
 }
 

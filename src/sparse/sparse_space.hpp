@@ -29,6 +29,8 @@ inline constexpr NodeIndex kNoNode = ~NodeIndex{0};
 class SparseIdSpace {
  public:
   /// Samples `node_count` distinct identifiers uniformly from [0, 2^bits).
+  /// The draws run in 2^14-id chunks on every core; the ids and `rng`'s
+  /// end state are those of drawing one id after another.
   /// Preconditions: 1 <= bits <= 63, 2 <= node_count <= 2^bits, and
   /// node_count <= 2^26 (the simulator materializes per-node state).
   SparseIdSpace(int bits, std::uint64_t node_count, math::Rng& rng);

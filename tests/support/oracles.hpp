@@ -13,11 +13,17 @@
 //    / serial_alive_bits -- the static builders' draws made one node after
 //    another on one rng, the order the chunked builders
 //    (sim::run_draw_chunks) must reproduce byte for byte.
+//  * sparse::serial_sparse_ids / chord_reference / kademlia_reference --
+//    the sparse id space drawn in whole rounds on one rng, the sparse Chord
+//    route rows from one successor search per finger key, and the
+//    Kademlia contacts from one range search per bucket, node after node
+//    on one rng: what the chunked sparse builders must reproduce.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -28,6 +34,9 @@
 #include "sim/failure.hpp"
 #include "sim/overlay.hpp"
 #include "sim/router.hpp"
+#include "sparse/sparse_chord.hpp"
+#include "sparse/sparse_kademlia.hpp"
+#include "sparse/sparse_space.hpp"
 
 namespace dht::math {
 
@@ -273,3 +282,142 @@ inline std::vector<std::uint64_t> serial_alive_bits(std::uint64_t nodes,
 }
 
 }  // namespace dht::sim
+
+namespace dht::sparse {
+
+/// SparseIdSpace's identifiers drawn serially: each round tops the array
+/// up to `nodes` uniform draws, then sorts and deduplicates all of it.
+inline std::vector<sim::NodeId> serial_sparse_ids(int bits,
+                                                  std::uint64_t nodes,
+                                                  math::Rng& rng) {
+  std::vector<sim::NodeId> ids;
+  while (ids.size() < nodes) {
+    while (ids.size() < nodes) {
+      ids.push_back(rng.uniform_below(std::uint64_t{1} << bits));
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  }
+  return ids;
+}
+
+/// Nodes whose identifiers lie in [lo, hi] (inclusive, lo <= hi), as the
+/// index range [first, last).
+inline std::pair<NodeIndex, NodeIndex> index_range(const SparseIdSpace& space,
+                                                   sim::NodeId lo,
+                                                   sim::NodeId hi) {
+  const auto& ids = space.ids();
+  const auto first = std::lower_bound(ids.begin(), ids.end(), lo);
+  const auto last = std::upper_bound(first, ids.end(), hi);
+  return {static_cast<NodeIndex>(first - ids.begin()),
+          static_cast<NodeIndex>(last - ids.begin())};
+}
+
+/// SparseChordOverlay's route rows, laid out as the overlay stores them.
+struct ChordReference {
+  std::uint64_t stride = 0;
+  std::vector<std::uint8_t> lens;
+  std::vector<std::uint64_t> packed;    // bits <= 32
+  std::vector<std::uint64_t> progress;  // bits > 32
+  std::vector<NodeIndex> targets;       // bits > 32
+  std::uint64_t wrapped = 0;  // finger keys past the largest id
+};
+
+inline ChordReference chord_reference(const SparseIdSpace& space) {
+  const int d = space.bits();
+  const std::uint64_t mask = space.key_space_size() - 1;
+  const sim::NodeId largest = space.ids().back();
+  ChordReference ref;
+  // Distinct non-self fingers per node, decreasing progress.
+  std::vector<std::vector<std::pair<std::uint64_t, NodeIndex>>> rows;
+  std::uint64_t widest = 1;
+  for (NodeIndex v = 0; v < space.node_count(); ++v) {
+    const sim::NodeId base = space.id_of(v);
+    auto& row = rows.emplace_back();
+    for (int i = 1; i <= d; ++i) {
+      const sim::NodeId key = (base + (std::uint64_t{1} << (d - i))) & mask;
+      ref.wrapped += key > largest ? 1 : 0;
+      const NodeIndex f = space.successor_of_key(key);
+      if (f != v) {
+        row.emplace_back((space.id_of(f) - base) & mask, f);
+      }
+    }
+    std::sort(row.begin(), row.end(),
+              [](const auto& a, const auto& b) { return a.first > b.first; });
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+    widest = std::max<std::uint64_t>(widest, row.size());
+  }
+  ref.stride = (widest + 7) & ~std::uint64_t{7};
+  for (const auto& row : rows) {
+    ref.lens.push_back(static_cast<std::uint8_t>(row.size()));
+    for (std::uint64_t e = 0; e < ref.stride; ++e) {
+      const std::uint64_t progress = e < row.size() ? row[e].first : 0;
+      const NodeIndex target = e < row.size() ? row[e].second : kNoNode;
+      if (d <= 32) {
+        ref.packed.push_back((progress << 32) | target);
+      } else {
+        ref.progress.push_back(progress);
+        ref.targets.push_back(target);
+      }
+    }
+  }
+  return ref;
+}
+
+struct KademliaReference {
+  std::vector<NodeIndex> contacts;
+  std::uint64_t empty_buckets = 0;
+};
+
+/// SparseKademliaOverlay's contacts, node after node on `rng`.
+inline KademliaReference kademlia_reference(const SparseIdSpace& space,
+                                            math::Rng& rng, int k) {
+  const int d = space.bits();
+  const std::uint64_t n = space.node_count();
+  const auto row_width = static_cast<std::uint64_t>(d) * k;
+  KademliaReference ref;
+  ref.contacts.assign(n * row_width, kNoNode);
+  auto& contacts = ref.contacts;
+  for (NodeIndex v = 0; v < n; ++v) {
+    const sim::NodeId base = space.id_of(v);
+    for (int i = 1; i <= d; ++i) {
+      const int suffix_bits = d - i;
+      const sim::NodeId lo = (sim::flip_level(base, i, d) >> suffix_bits)
+                             << suffix_bits;
+      const sim::NodeId hi = lo + ((std::uint64_t{1} << suffix_bits) - 1);
+      const auto [first, last] = index_range(space, lo, hi);
+      if (first == last) {
+        ++ref.empty_buckets;
+        continue;
+      }
+      const std::uint64_t bucket_base =
+          v * row_width + static_cast<std::uint64_t>(i - 1) * k;
+      const std::uint64_t size = last - first;
+      contacts[bucket_base] =
+          static_cast<NodeIndex>(first + rng.uniform_below(size));
+      const int cells = static_cast<int>(
+          size < static_cast<std::uint64_t>(k) ? size : k);
+      for (int cell = 1; cell < cells; ++cell) {
+        const auto taken = [&](NodeIndex candidate) {
+          for (int prev = 0; prev < cell; ++prev) {
+            if (contacts[bucket_base + prev] == candidate) {
+              return true;
+            }
+          }
+          return false;
+        };
+        auto pick = static_cast<NodeIndex>(first + rng.uniform_below(size));
+        for (int attempt = 0; attempt < 16 && taken(pick); ++attempt) {
+          pick = static_cast<NodeIndex>(first + rng.uniform_below(size));
+        }
+        while (taken(pick)) {
+          pick = pick + 1 == last ? first : static_cast<NodeIndex>(pick + 1);
+        }
+        contacts[bucket_base + cell] = pick;
+      }
+    }
+  }
+  return ref;
+}
+
+}  // namespace dht::sparse

@@ -1,8 +1,13 @@
-// The chunked static builders (sim::run_draw_chunks) against their serial
-// draw order: every table and mask byte for byte, and the caller's rng
-// where the serial loop leaves it, at d = 12, 15 and 18 (1, 2 and 16
-// chunks of 2^14 nodes).
+// The chunked static builders (sim::run_draw_chunks, run_counted_chunks,
+// run_node_chunks) against their serial draw order: every table and mask
+// byte for byte, and the caller's rng where the serial loop leaves it.
+// Dense builders run at d = 12, 15 and 18 (1, 2 and 16 chunks of 2^14
+// nodes); sparse builders at populations on either side of a chunk seam,
+// at 32 and 63 bits (both route-row shapes).
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,7 +19,10 @@
 #include "sim/prefix_table.hpp"
 #include "sim/shard_pool.hpp"
 #include "sim/symphony_overlay.hpp"
+#include "sparse/sparse_chord.hpp"
+#include "sparse/sparse_kademlia.hpp"
 #include "sparse/sparse_overlay.hpp"
+#include "sparse/sparse_space.hpp"
 #include "support/oracles.hpp"
 
 namespace dht::sim {
@@ -147,6 +155,111 @@ TEST(DrawChunks, WrongDrawCountThrowsAtSeam) {
                                  (void)chunk_rng.next_u64();
                                }),
                PreconditionError);
+}
+
+// Populations around the 2^14-node seam, and one with a ragged 4th chunk.
+constexpr std::uint64_t kSparseNodes[] = {
+    kDrawChunkNodes - 1, kDrawChunkNodes, kDrawChunkNodes + 1,
+    3 * kDrawChunkNodes + 17};
+constexpr int kSparseBits[] = {32, 63};
+
+TEST(DrawChunks, SparseIdSpaceMatchesSerialOracle) {
+  // Plus a dense space, so that top-up rounds span several chunks.
+  std::vector<std::pair<int, std::uint64_t>> grid = {
+      {18, 8 * kDrawChunkNodes}};
+  for (const int bits : kSparseBits) {
+    for (const std::uint64_t n : kSparseNodes) {
+      grid.emplace_back(bits, n);
+    }
+  }
+  for (const auto& [bits, n] : grid) {
+    math::Rng built(2700 + n);
+    math::Rng serial(2700 + n);
+    const sparse::SparseIdSpace space(bits, n, built);
+    EXPECT_EQ(space.ids(), sparse::serial_sparse_ids(bits, n, serial))
+        << "bits = " << bits << ", n = " << n;
+    EXPECT_EQ(built, serial) << "bits = " << bits << ", n = " << n;
+  }
+}
+
+TEST(DrawChunks, SparseRingRowsMatchOracle) {
+  for (const int bits : kSparseBits) {
+    for (const std::uint64_t n : kSparseNodes) {
+      SCOPED_TRACE(testing::Message() << "bits = " << bits << ", n = " << n);
+      math::Rng rng(2710 + n);
+      const sparse::SparseIdSpace space(bits, n, rng);
+      const sparse::SparseChordOverlay ring(space);
+      const sparse::ChordReference ref = sparse::chord_reference(space);
+      EXPECT_EQ(static_cast<std::uint64_t>(ring.route_stride()), ref.stride);
+      EXPECT_TRUE(std::ranges::equal(ring.route_lens(), ref.lens));
+      EXPECT_TRUE(std::ranges::equal(ring.route_packed(), ref.packed));
+      EXPECT_TRUE(std::ranges::equal(ring.route_progress(), ref.progress));
+      EXPECT_TRUE(std::ranges::equal(ring.route_targets(), ref.targets));
+    }
+  }
+}
+
+TEST(DrawChunks, SparseKademliaMatchesSerialOracle) {
+  for (const int bits : kSparseBits) {
+    for (const std::uint64_t n : kSparseNodes) {
+      math::Rng space_rng(2720 + n);
+      const sparse::SparseIdSpace space(bits, n, space_rng);
+      for (const int k : {1, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << "bits = " << bits << ", n = " << n << ", k = " << k);
+        math::Rng built(2730 + n);
+        math::Rng serial(2730 + n);
+        const sparse::SparseKademliaOverlay overlay(space, built, k);
+        EXPECT_TRUE(std::ranges::equal(
+            overlay.contact_table(),
+            sparse::kademlia_reference(space, serial, k).contacts));
+        EXPECT_EQ(built, serial);
+      }
+    }
+  }
+}
+
+TEST(DrawChunks, CountedChunksRebuildFromAMispredictedSeam) {
+  // One draw per node is predicted, but node `extra` (in chunk 2) draws
+  // twice: chunks 0-2 stand, chunks 3-5 start one draw early and are
+  // rebuilt in order, and the output and the rng end where the serial
+  // loop leaves them.
+  const std::uint64_t nodes = 5 * kDrawChunkNodes + 77;
+  const std::uint64_t chunks = 6;
+  const std::uint64_t extra = 2 * kDrawChunkNodes + 5;
+  for (const bool mispredicted : {false, true}) {
+    for (const unsigned threads : {1u, 4u}) {
+      math::Rng rng(2740);
+      std::vector<std::uint64_t> out(nodes);
+      std::atomic<std::uint64_t> fills{0};
+      run_counted_chunks(
+          nodes,
+          [](std::uint64_t begin, std::uint64_t end) { return end - begin; },
+          rng,
+          [&](std::uint64_t begin, std::uint64_t end, math::Rng& chunk_rng) {
+            ++fills;
+            for (std::uint64_t v = begin; v < end; ++v) {
+              out[v] = chunk_rng.next_u64();
+              if (mispredicted && v == extra) {
+                out[v] ^= chunk_rng.next_u64();
+              }
+            }
+          },
+          threads);
+      math::Rng serial(2740);
+      for (std::uint64_t v = 0; v < nodes; ++v) {
+        std::uint64_t expected = serial.next_u64();
+        if (mispredicted && v == extra) {
+          expected ^= serial.next_u64();
+        }
+        ASSERT_EQ(out[v], expected) << "node " << v << ", " << threads
+                                    << " threads";
+      }
+      EXPECT_EQ(rng, serial) << threads << " threads";
+      EXPECT_EQ(fills.load(), mispredicted ? chunks + 3 : chunks)
+          << threads << " threads";
+    }
+  }
 }
 
 }  // namespace
